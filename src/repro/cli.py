@@ -165,20 +165,19 @@ def _execution_parent(
     jobs_default: int,
     *,
     jobs_extra: str = "",
-    execution_default: str = "thread",
-    execution_help: str | None = None,
     cache_dir_help: str | None = None,
 ) -> argparse.ArgumentParser:
     """The unified execution flag group every runner command shares.
 
-    ``sweep run``, ``whatif run``, ``serve``, and the ``dist``
-    subcommands all take the same six flags — ``--jobs``, ``--trace``,
-    ``--metrics``, ``--no-cache``, ``--cache-dir``, ``--execution`` —
-    from this one parent (pinned by the flag-parity test in
-    ``tests/test_cli_parents.py``), so an operator can move between
-    batch, daemon, and distributed execution without relearning flags.
+    ``sweep run``, ``whatif run``, ``serve``, and ``dist worker`` all
+    take the same five flags — ``--jobs``, ``--trace``, ``--metrics``,
+    ``--no-cache``, ``--cache-dir`` — from this one parent (pinned by
+    the flag-parity test in ``tests/test_cli_parents.py``), so an
+    operator can move between batch, daemon, and distributed execution
+    without relearning flags.  The cell-running commands pre-warm the
+    shard pool whenever ``--jobs`` resolves to more than one worker.
     """
-    parent = argparse.ArgumentParser(
+    return argparse.ArgumentParser(
         add_help=False,
         parents=[
             _jobs_parent(jobs_default, jobs_extra),
@@ -186,16 +185,6 @@ def _execution_parent(
             _obs_parent(),
         ],
     )
-    parent.add_argument(
-        "--execution",
-        choices=("process", "thread"),
-        default=execution_default,
-        help=execution_help
-        or "where work executes: 'process' pre-warms the persistent "
-        "multi-process pool, 'thread' runs in-process "
-        f"(default {execution_default})",
-    )
-    return parent
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -584,23 +573,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the study service daemon (REST job API)",
         parents=[
-            _execution_parent(
-                0,
-                jobs_extra="shards per job, not concurrent jobs",
-                execution_default="process",
-                execution_help="where job bodies run: 'process' uses the "
-                "persistent warm pool (default; crash- and GIL-isolated), "
-                "'thread' runs in-daemon",
-            ),
+            _execution_parent(0, jobs_extra="shards per job, not concurrent jobs"),
         ],
+    )
+    serve.add_argument(
+        "--execution",
+        choices=("process", "thread"),
+        default="process",
+        help="where job bodies run: 'process' uses the persistent warm "
+        "pool (default; crash- and GIL-isolated), 'thread' runs in-daemon",
     )
     serve.add_argument(
         "--role",
         choices=("standalone", "coordinator", "worker"),
         default="standalone",
         help="'standalone' serves jobs locally (default); 'coordinator' "
-        "additionally decomposes sweep/whatif jobs into cell leases for "
-        "dist workers; 'worker' joins a coordinator (needs --coordinator) "
+        "additionally leases the cells of sweep/whatif jobs to dist "
+        "workers; 'worker' joins a coordinator (needs --coordinator) "
         "instead of listening",
     )
     serve.add_argument(
@@ -1153,7 +1142,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     workers = effective_jobs(args.jobs, None)
 
     def body() -> int:
-        if args.execution == "process" and workers > 1:
+        if workers > 1:
             # Pre-warm the persistent shard pool so the first cell does
             # not pay process startup; cells reuse the warm workers.
             from repro.util.parallel import warm_pool
@@ -1274,7 +1263,7 @@ def _command_whatif(args: argparse.Namespace) -> int:
     spec = pairing.spec()
 
     def body() -> int:
-        if args.execution == "process" and workers > 1:
+        if workers > 1:
             from repro.util.parallel import warm_pool
 
             warm_pool(workers)
@@ -1459,12 +1448,14 @@ def _run_dist_worker(args: argparse.Namespace) -> int:
     )
 
     def body() -> int:
-        if args.execution == "process":
-            from repro.util.parallel import effective_jobs, warm_pool
+        from repro.util.parallel import effective_jobs, warm_pool
 
-            resolved = effective_jobs(args.jobs)
-            if resolved > 1:
-                warm_pool(resolved)
+        # Fork the shard pool now, before the keepalive thread starts:
+        # forking later, from a process with threads, is what warm_pool
+        # exists to avoid.
+        resolved = effective_jobs(args.jobs)
+        if resolved > 1:
+            warm_pool(resolved)
         try:
             summary = run_worker(
                 config,
@@ -1514,7 +1505,6 @@ def _command_dist(args: argparse.Namespace) -> int:
         print(
             f"  task {task['task_id']}: {task['n_done']}/{task['n_cells']} "
             f"done, {task['n_pending']} pending, {task['n_leased']} leased"
-            f"{' (done)' if task['done'] else ''}"
         )
     return 0
 

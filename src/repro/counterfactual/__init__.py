@@ -33,7 +33,6 @@ from repro.counterfactual.engine import (
     WhatifOutcome,
     WhatifPairing,
     build_detection_report,
-    divergence_summary,
     run_whatif,
 )
 from repro.counterfactual.presets import (
@@ -79,7 +78,6 @@ __all__ = [
     "build_detection_report",
     "detect",
     "detect_series",
-    "divergence_summary",
     "preset_names",
     "run_whatif",
     "scale_op",

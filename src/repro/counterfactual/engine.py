@@ -42,7 +42,7 @@ from repro.counterfactual.report import (
 from repro.counterfactual.spec import InterventionSpec
 from repro.sweep.ledger import SweepLedger
 from repro.sweep.report import CellResult
-from repro.sweep.scheduler import SweepOutcome, run_sweep
+from repro.sweep.scheduler import CellExecutor, SweepOutcome, run_sweep
 from repro.sweep.spec import (
     Axis,
     AxisPoint,
@@ -147,6 +147,7 @@ def run_whatif(
     write_manifests: bool = True,
     should_stop: Callable[[], bool] | None = None,
     on_progress: Callable[[dict[str, Any]], None] | None = None,
+    executor: CellExecutor | None = None,
     k_sigma: float = DEFAULT_K_SIGMA,
     band_floor: float = DEFAULT_BAND_FLOOR,
     log: Log = _silent,
@@ -160,6 +161,8 @@ def run_whatif(
     resumable.  ``on_progress`` is called after every settled cell with
     an incremental status dict (cells done, executed vs ledger hits,
     and — once any seed has both legs — a running divergence summary).
+    ``executor`` is forwarded to :func:`~repro.sweep.scheduler.run_sweep`
+    (``None`` runs the cells inline).
     """
     spec = pairing.spec()
     cells = expand(spec)
@@ -200,6 +203,7 @@ def run_whatif(
             write_manifests=write_manifests,
             should_stop=should_stop,
             on_cell=on_cell,
+            executor=executor,
             log=log,
         )
         report: DetectionReport | None
@@ -329,26 +333,6 @@ def build_detection_report(
             and set(baseline) == set(counterfactual) == set(pairing.seeds),
             verdicts=verdicts,
         )
-
-
-def divergence_summary(
-    pairing: WhatifPairing,
-    *,
-    sweep_dir: str | Path | None = None,
-    k_sigma: float = DEFAULT_K_SIGMA,
-    band_floor: float = DEFAULT_BAND_FLOOR,
-) -> dict[str, Any] | None:
-    """Running divergence digest for a pairing's ledger as it stands.
-
-    The public face of the incremental-progress payload: works from the
-    ledger alone (no simulation), returns ``None`` until at least one
-    seed has both legs settled.  The dist what-if job body polls this to
-    relay mid-flight divergence through the job document, exactly like
-    the in-process ``on_progress`` callback does for a local run.
-    """
-    return _divergence_summary(
-        pairing.spec(), sweep_dir, k_sigma=k_sigma, band_floor=band_floor
-    )
 
 
 def _divergence_summary(

@@ -18,9 +18,9 @@ surface is described by ``GET /v1/openapi.json``, generated from the
 same route table the dispatcher runs on (:mod:`repro.service.openapi`).
 
 The distributed tier (``docs/DISTRIBUTED.md``): a ``--role
-coordinator`` daemon additionally mounts ``/v1/dist/*`` and decomposes
-sweep/what-if jobs into per-cell leases executed by ``--role worker``
-processes (:mod:`repro.service.dist`), merging results back into the
+coordinator`` daemon additionally mounts ``/v1/dist/*`` and leases the
+cells of sweep/what-if jobs to ``--role worker`` processes
+(:mod:`repro.service.dist`); ``run_sweep`` appends their results to the
 ordinary resumable ledger — byte-identical to a serial run for any
 worker count.
 

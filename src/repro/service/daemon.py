@@ -66,16 +66,17 @@ class ServiceConfig:
     cache: bool | None = None
     cache_dir: str | Path | None = None
     #: "standalone" serves jobs locally; "coordinator" additionally
-    #: activates the ``/v1/dist/*`` tier and decomposes sweep/whatif
-    #: jobs into cell leases executed by registered workers.  (The
-    #: worker role never reaches :func:`serve` — ``ddoscovery serve
-    #: --role worker`` runs :func:`repro.service.dist.run_worker`.)
+    #: activates the ``/v1/dist/*`` tier and leases the cells of
+    #: sweep/whatif jobs to registered workers.  (The worker role never
+    #: reaches :func:`serve` — ``ddoscovery serve --role worker`` runs
+    #: :func:`repro.service.dist.run_worker`.)
     role: str = "standalone"
     #: dist lease lifetime; an expired lease re-queues its cell.
     lease_ttl_s: float = 60.0
     #: evict workers silent longer than this (their leases re-queue).
     heartbeat_timeout_s: float = 15.0
-    #: where dist sweep ledgers live (defaults to the shared sweep root).
+    #: where sweep and what-if ledgers live, in either role (``None``:
+    #: ``cache_dir``; the CLI sets it to ``--cache-dir``).
     sweep_dir: str | Path | None = None
 
 
@@ -117,13 +118,13 @@ async def serve(
         cache_dir=config.cache_dir,
         execution=config.execution,
         pool_workers=max(1, config.workers),
+        sweep_dir=config.sweep_dir,
     )
     coordinator = None
     if config.role == "coordinator":
         from repro.service.dist import DistCoordinator
 
         coordinator = DistCoordinator(
-            sweep_dir=config.sweep_dir,
             lease_ttl_s=config.lease_ttl_s,
             heartbeat_timeout_s=config.heartbeat_timeout_s,
         )

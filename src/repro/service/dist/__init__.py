@@ -1,10 +1,11 @@
 """``repro.service.dist``: the coordinator–worker distribution tier.
 
-Sweep and what-if jobs submitted to a coordinator daemon
-(``ddoscovery serve --role coordinator``) are decomposed into **cell
-leases** and dispatched to worker processes (``ddoscovery dist worker``
-or ``ddoscovery serve --role worker``) over the versioned ``/v1/dist/*``
-wire protocol:
+On a coordinator daemon (``ddoscovery serve --role coordinator``) sweep
+and what-if jobs run :func:`repro.sweep.scheduler.run_sweep` with the
+:class:`DistCoordinator` as their cell executor: the cells the ledger
+does not hold become **cell leases** dispatched to worker processes
+(``ddoscovery dist worker`` or ``ddoscovery serve --role worker``) over
+the versioned ``/v1/dist/*`` wire protocol:
 
 * registration + heartbeat with an explicit protocol/capability
   handshake (:data:`~repro.service.dist.protocol.DIST_PROTOCOL_VERSION`;
@@ -13,14 +14,13 @@ wire protocol:
   lease returns its cell to the queue for re-dispatch,
 * content-addressed result upload: each completed cell ships the sha256
   of its canonical JSON encoding and the coordinator re-encodes and
-  verifies before merging.
+  verifies before handing it back.
 
-The coordinator merges completed cells into the ordinary resumable
-JSONL sweep ledger (:mod:`repro.sweep.ledger`), first record per cell
-wins, and every report is still built from the ledger alone — which is
-what makes distributed output **byte-identical** to a serial run for
-any worker count, topology, or failure history.  See
-``docs/DISTRIBUTED.md``.
+``run_sweep`` appends every accepted upload to the ordinary resumable
+JSONL sweep ledger — it is the ledger's only writer — and every report
+is still built from the ledger alone, which is what makes distributed
+output **byte-identical** to a serial run for any worker count,
+topology, or failure history.  See ``docs/DISTRIBUTED.md``.
 """
 
 from repro.service.dist.coordinator import DistCoordinator

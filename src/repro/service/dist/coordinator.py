@@ -1,12 +1,22 @@
-"""The dist coordinator: lease book-keeping over the sweep ledger.
+"""The dist coordinator: a cell executor that leases cells to workers.
 
 One :class:`DistCoordinator` lives inside a ``--role coordinator``
-daemon.  Sweep/what-if job bodies submit **tasks** (a preset descriptor
-expanded locally into cells), workers pull **leases** (one cell each)
-over ``/v1/dist/*``, and completed results merge straight into the
-ordinary resumable JSONL ledger — first record per cell index wins, so
-a duplicate completion can never flip a published result and the report
-built from the ledger is byte-identical to a serial run.
+daemon.  Its :meth:`~DistCoordinator.execute` is the cell executor that
+daemon's sweep and what-if jobs pass to
+:func:`repro.sweep.scheduler.run_sweep`: ``run_sweep`` settles the cells
+its ledger already holds, the coordinator queues the rest, workers pull
+**leases** (one cell each) over ``/v1/dist/*``, and each verified upload
+goes back to the waiting ``run_sweep``, which appends it to the ordinary
+resumable JSONL ledger.  The first completion per cell is accepted, so a
+duplicate can never flip a published result, and the report built from
+the ledger is byte-identical to a serial run.
+
+``run_sweep`` is the only ledger writer; the coordinator keeps no
+durable state.  A restarted coordinator has forgotten every lease:
+resubmitting the job runs ``run_sweep`` again, its ledger pass counts
+every cell that reached the ledger as a hit, and only the missing cells
+are leased.  Workers it does not know are told ``unknown-worker`` and
+register again.
 
 Failure model (pinned by ``tests/test_dist_coordinator.py``):
 
@@ -16,18 +26,18 @@ Failure model (pinned by ``tests/test_dist_coordinator.py``):
 * **heartbeat loss** — a worker silent past the heartbeat timeout is
   evicted and all its leases expire immediately
   (``service.dist.workers.evicted``).
-* **stale completion** — a result arriving under an expired or evicted
-  lease is rejected with a structured ``stale-lease`` error; the
-  re-dispatched lease recomputes the (deterministic) cell.
+* **stale completion** — a result arriving under an expired, evicted
+  or withdrawn lease is rejected with a structured ``stale-lease``
+  error; the re-dispatched lease recomputes the (deterministic) cell.
 * **hash mismatch** — an upload whose canonical-bytes sha256 does not
   match its payload is rejected (``result-hash-mismatch``) and the cell
   re-queued.
 
 Everything is guarded by one lock: handlers run on the daemon's event
-loop thread while job bodies poll from manager worker threads.  Expiry
-and eviction are *lazy* — :meth:`tick` runs at the top of every dist
-request and every job-body poll, so no background timer thread exists
-to leak or race during drain.
+loop thread while ``run_sweep`` waits on a manager worker thread.
+Expiry and eviction are *lazy* — :meth:`tick` runs at the top of every
+dist request and every wait for an upload, so no background timer
+thread exists to leak or race during drain.
 """
 
 from __future__ import annotations
@@ -36,8 +46,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro import obs
 from repro.service.dist.protocol import (
@@ -48,8 +57,8 @@ from repro.service.dist.protocol import (
     resolve_spec,
     result_sha256,
 )
-from repro.sweep.ledger import SweepLedger
-from repro.sweep.spec import SweepCell, expand
+from repro.sweep.scheduler import Settled
+from repro.sweep.spec import SweepCell, sweep_id
 
 
 @dataclass
@@ -77,25 +86,21 @@ class _Lease:
 
 @dataclass
 class _Task:
-    """One decomposed sweep: descriptor, ledger, and the cell queue."""
+    """One in-flight execution: the cells a waiting ``run_sweep`` is owed."""
 
     task_id: str
     descriptor: dict[str, Any]
-    ledger: SweepLedger
-    cells: dict[int, SweepCell]
-    #: cell indices still waiting for a lease (expired cells re-join at
+    cells: dict[int, SweepCell] = field(default_factory=dict)
+    #: cell indices still waiting for a lease (re-queued cells join at
     #: the front so a re-dispatch happens before fresh work).
     pending: list[int] = field(default_factory=list)
     leased: dict[int, str] = field(default_factory=dict)  # index -> lease_id
-    completed: set[int] = field(default_factory=set)
-    ledger_hits: set[int] = field(default_factory=set)
+    #: cells with no accepted upload yet.
+    owed: set[int] = field(default_factory=set)
+    #: accepted uploads not yet handed to ``run_sweep``.
+    arrivals: list[Settled] = field(default_factory=list)
     #: attempts already spent per cell (for lease documents / metrics).
     attempts: dict[int, int] = field(default_factory=dict)
-    abandoned: bool = False
-
-    @property
-    def done(self) -> bool:
-        return self.abandoned or len(self.completed) == len(self.cells)
 
 
 class DistCoordinator:
@@ -104,7 +109,6 @@ class DistCoordinator:
     def __init__(
         self,
         *,
-        sweep_dir: str | Path | None = None,
         lease_ttl_s: float = 60.0,
         heartbeat_interval_s: float = 5.0,
         heartbeat_timeout_s: float = 15.0,
@@ -113,13 +117,14 @@ class DistCoordinator:
     ) -> None:
         if lease_ttl_s <= 0 or heartbeat_timeout_s <= 0:
             raise ValueError("lease TTL and heartbeat timeout must be > 0")
-        self.sweep_dir = sweep_dir
         self.lease_ttl_s = float(lease_ttl_s)
         self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.heartbeat_timeout_s = float(heartbeat_timeout_s)
         self.poll_interval_s = float(poll_interval_s)
         self._clock = clock
         self._lock = threading.RLock()
+        #: notified when an upload arrives or an execution ends.
+        self._changed = threading.Condition(self._lock)
         self._workers: dict[str, _Worker] = {}
         self._tasks: dict[str, _Task] = {}
         self._leases: dict[str, _Lease] = {}
@@ -195,7 +200,7 @@ class DistCoordinator:
             if self.draining:
                 return idle
             for task in self._tasks.values():
-                if task.abandoned or not task.pending:
+                if not task.pending:
                     continue
                 index = task.pending.pop(0)
                 attempt = task.attempts.get(index, 0) + 1
@@ -241,7 +246,7 @@ class DistCoordinator:
     def complete(
         self, lease_id: str, worker_id: str, payload: dict[str, Any]
     ) -> dict[str, Any]:
-        """Verify and merge one completed cell into the ledger."""
+        """Verify one completed cell and hand it to the waiting execution."""
         with self._lock:
             self.tick()
             lease = self._current_lease(lease_id, worker_id)
@@ -250,8 +255,7 @@ class DistCoordinator:
             digest = result_sha256(result)
             if digest != payload["result_sha256"]:
                 # Corrupt upload: drop the lease and put the cell back.
-                self._drop_lease(lease)
-                task.pending.insert(0, lease.cell_index)
+                self._requeue(lease)
                 obs.counter("service.dist.completions.rejected").inc()
                 raise ProtocolError(
                     400,
@@ -262,19 +266,17 @@ class DistCoordinator:
                     expected=payload["result_sha256"],
                     got=digest,
                 )
-            cell = task.cells[lease.cell_index]
-            with obs.span("service.dist.merge"):
-                if lease.cell_index not in task.completed:
-                    task.ledger.append_cell(
-                        index=cell.index,
-                        cell_id=cell.cell_id,
-                        labels=cell.label_map,
-                        config_fingerprint=cell.config_fingerprint,
-                        elapsed_s=float(payload["elapsed_s"]),
-                        result=result,
-                    )
-                    task.completed.add(lease.cell_index)
             self._drop_lease(lease)
+            if lease.cell_index in task.owed:
+                task.owed.discard(lease.cell_index)
+                task.arrivals.append(
+                    (
+                        task.cells[lease.cell_index],
+                        result,
+                        float(payload["elapsed_s"]),
+                    )
+                )
+                self._changed.notify_all()
             worker = self._workers.get(worker_id)
             if worker is not None:
                 worker.completed += 1
@@ -283,7 +285,7 @@ class DistCoordinator:
             return {
                 "lease_id": lease_id,
                 "cell_index": lease.cell_index,
-                "task_done": task.done,
+                "task_done": not task.owed,
             }
 
     def fail(
@@ -293,91 +295,75 @@ class DistCoordinator:
         with self._lock:
             self.tick()
             lease = self._current_lease(lease_id, worker_id)
-            task = self._tasks[lease.task_id]
-            self._drop_lease(lease)
-            task.pending.insert(0, lease.cell_index)
+            self._requeue(lease)
             obs.counter("service.dist.leases.failed").inc()
             return {"lease_id": lease_id, "requeued": lease.cell_index}
 
-    # -- tasks (called by in-daemon job bodies) ----------------------------------
+    # -- the cell executor (called by run_sweep on a job thread) -----------------
 
-    def submit(self, descriptor: dict[str, Any], *, resume: bool = True) -> str:
-        """Decompose one preset descriptor into a task; returns task id.
+    def execute(
+        self,
+        task: dict[str, Any],
+        cells: Iterable[SweepCell],
+        stop: Callable[[], bool],
+    ) -> Iterator[Settled]:
+        """Lease ``cells`` to workers; iterate their verified uploads.
 
-        Idempotent per sweep id: a descriptor already in flight returns
-        the existing task (job-level coalescing makes this rare, but a
-        resubmitted job must never fork a second ledger writer).  With
-        ``resume=True``, cells already in the ledger count as hits and
-        are never dispatched.
+        The cell executor a coordinator daemon passes to
+        :func:`~repro.sweep.scheduler.run_sweep`, bound to ``task``: the
+        preset descriptor workers expand (:func:`resolve_spec`).  One
+        execution per sweep id is in flight at a time: a second one
+        waits here, polling ``stop``, before it pulls any cell — and
+        pulling is what drives ``run_sweep``'s ledger pass, so that pass
+        sees everything the first execution appended.
+
+        The cells are queued before this returns; iterate the result
+        (``run_sweep`` always does), since the execution ends with the
+        iteration.  It yields each accepted upload as it lands and polls
+        ``stop`` between waits; when it ends — all cells in, stopped, or
+        closed early — the execution's pending cells and leases are
+        withdrawn, and uploads still in flight answer ``stale-lease``.
+        A stop still yields every upload accepted before it.
         """
-        with obs.span("service.dist.submit"):
-            spec = resolve_spec(descriptor)
-            cells = {cell.index: cell for cell in expand(spec)}
-            ledger = SweepLedger(spec, root=self.sweep_dir)
-            with self._lock:
-                task_id = ledger.sweep_id
-                existing = self._tasks.get(task_id)
-                if existing is not None and not existing.done:
-                    return task_id
-                if not resume:
-                    ledger.reset()
-                state = ledger.read()
-                if state.header is None:
-                    ledger.write_header(len(cells))
-                hits = {
-                    index
-                    for index, record in state.cells.items()
-                    if index in cells
-                    and record.get("config_fingerprint")
-                    == cells[index].config_fingerprint
-                }
-                task = _Task(
-                    task_id=task_id,
-                    descriptor=dict(descriptor),
-                    ledger=ledger,
-                    cells=cells,
-                    pending=[i for i in sorted(cells) if i not in hits],
-                    completed=set(hits),
-                    ledger_hits=set(hits),
-                )
-                self._tasks[task_id] = task
-                obs.gauge("service.dist.tasks").set(len(self._tasks))
-                return task_id
-
-    def task_status(self, task_id: str) -> dict[str, Any]:
-        """Progress snapshot for one task (job bodies poll this)."""
+        entry = _Task(task_id=sweep_id(resolve_spec(task)), descriptor=dict(task))
         with self._lock:
-            self.tick()
-            task = self._tasks.get(task_id)
-            if task is None:
-                raise ProtocolError(
-                    404, "unknown-task", f"no such dist task: {task_id}"
-                )
-            return {
-                "task_id": task_id,
-                "done": task.done,
-                "abandoned": task.abandoned,
-                "n_cells": len(task.cells),
-                "n_done": len(task.completed),
-                "n_pending": len(task.pending),
-                "n_leased": len(task.leased),
-                "executed": len(task.completed) - len(task.ledger_hits),
-                "ledger_hits": len(task.ledger_hits),
-                "n_workers": len(self._workers),
-            }
-
-    def abandon(self, task_id: str) -> None:
-        """Stop dispatching a task (job cancelled); leases go stale."""
+            while entry.task_id in self._tasks:
+                if stop():
+                    return iter(())
+                self._changed.wait(self.poll_interval_s)
+            self._tasks[entry.task_id] = entry
+        try:
+            for cell in cells:
+                entry.cells[cell.index] = cell
+        except BaseException:
+            self._withdraw(entry)
+            raise
         with self._lock:
-            task = self._tasks.get(task_id)
-            if task is None:
-                return
-            task.abandoned = True
-            task.pending.clear()
-            for index, lease_id in list(task.leased.items()):
-                lease = self._leases.pop(lease_id, None)
-                if lease is not None:
-                    del task.leased[index]
+            entry.pending = list(entry.cells)
+            entry.owed = set(entry.cells)
+        return self._settle(entry, stop)
+
+    def _settle(self, task: _Task, stop: Callable[[], bool]) -> Iterator[Settled]:
+        try:
+            while True:
+                with self._lock:
+                    self.tick()
+                    if task.owed and not task.arrivals:
+                        self._changed.wait(self.poll_interval_s)
+                    arrived, task.arrivals = task.arrivals, []
+                    finished = not task.owed
+                yield from arrived
+                if finished:
+                    return
+                if stop():
+                    # Refuse further uploads, then hand over the ones
+                    # accepted before that: the stop lands on a cell edge.
+                    # The sweep id stays claimed until they are appended.
+                    self._refuse(task)
+                    yield from task.arrivals
+                    return
+        finally:
+            self._withdraw(task)
 
     # -- liveness ----------------------------------------------------------------
 
@@ -419,9 +405,8 @@ class DistCoordinator:
                 "tasks": [
                     {
                         "task_id": task.task_id,
-                        "done": task.done,
                         "n_cells": len(task.cells),
-                        "n_done": len(task.completed),
+                        "n_done": len(task.cells) - len(task.owed),
                         "n_pending": len(task.pending),
                         "n_leased": len(task.leased),
                     }
@@ -458,12 +443,31 @@ class DistCoordinator:
         if task is not None and task.leased.get(lease.cell_index) == lease.lease_id:
             del task.leased[lease.cell_index]
 
-    def _expire_lease(self, lease: _Lease) -> None:
+    def _requeue(self, lease: _Lease) -> None:
+        """Drop ``lease`` and put its cell back at the front of the queue."""
         self._drop_lease(lease)
         task = self._tasks.get(lease.task_id)
-        if task is not None and lease.cell_index not in task.completed:
+        if task is not None and lease.cell_index in task.owed:
             task.pending.insert(0, lease.cell_index)
+
+    def _expire_lease(self, lease: _Lease) -> None:
+        self._requeue(lease)
         obs.counter("service.dist.leases.expired").inc()
+
+    def _refuse(self, task: _Task) -> None:
+        """Lease no more of ``task``'s cells; uploads for them are stale."""
+        with self._lock:
+            task.pending.clear()
+            for lease_id in task.leased.values():
+                self._leases.pop(lease_id, None)
+            task.leased.clear()
+
+    def _withdraw(self, task: _Task) -> None:
+        """End one execution: refuse its cells, release its sweep id."""
+        with self._lock:
+            self._refuse(task)
+            del self._tasks[task.task_id]
+            self._changed.notify_all()
 
     def _expire_worker_leases(self, worker_id: str, *, reason: str) -> None:
         for lease in list(self._leases.values()):

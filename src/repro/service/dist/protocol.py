@@ -217,8 +217,8 @@ def check_protocol(payload: dict[str, Any]) -> None:
 def resolve_spec(task: dict[str, Any]):
     """Expand a task descriptor into its :class:`ScenarioSpec` locally.
 
-    Both sides call this — the coordinator when decomposing a job, the
-    worker when executing a lease — and compare the resulting spec
+    Both sides call this — the coordinator when a job hands it cells,
+    the worker when executing a lease — and compare the resulting spec
     fingerprint, so a preset-registry drift between the two processes is
     caught before any cell runs.  Raises :class:`ProtocolError` on an
     unknown kind/preset or a fingerprint mismatch.

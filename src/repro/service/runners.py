@@ -45,8 +45,8 @@ import json
 import os
 import shutil
 import tempfile
-import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -74,6 +74,8 @@ class ServiceSettings:
     execution: str = "thread"
     #: warm-pool size process mode maintains (and restores after a crash).
     pool_workers: int = 1
+    #: ledger root for sweep and what-if jobs (``None``: ``cache_dir``).
+    sweep_dir: str | Path | None = None
 
 
 # -- payload parsing -----------------------------------------------------------
@@ -265,20 +267,57 @@ def run_study_job(job: Job, settings: ServiceSettings) -> JobResult:
     )
 
 
-def run_sweep_job(job: Job, settings: ServiceSettings) -> JobResult:
-    """Run (or resume) a preset sweep; cancellation stops at a cell edge."""
+def _executor(job: Job, coordinator, spec_kind: str):
+    """The coordinator's cell executor for this job (``None``: inline).
+
+    Workers get the job's preset by name and expand it themselves.
+    """
+    if coordinator is None:
+        return None
+    task = {
+        "spec_kind": spec_kind,
+        "preset": job.payload["preset"],
+        "strength": job.payload.get("strength"),
+        "spec_fingerprint": job.payload["spec_fingerprint"],
+    }
+    return partial(coordinator.execute, task)
+
+
+def run_sweep_job(job: Job, settings: ServiceSettings, coordinator=None) -> JobResult:
+    """Run (or resume) a preset sweep; cancellation stops at a cell edge.
+
+    Every settled cell publishes progress (cells done, executed vs
+    ledger hits).  On a coordinator daemon the cells the ledger does not
+    hold are leased to dist workers; the body and the bytes are the same.
+    """
     from repro.core.artifacts import artifact_json_bytes
     from repro.sweep.presets import preset as sweep_preset
     from repro.sweep.scheduler import run_sweep
+    from repro.sweep.spec import expand
 
     spec = sweep_preset(job.payload["preset"])
+    progress = {
+        "n_cells": len(expand(spec)),
+        "cells_done": 0,
+        "executed": 0,
+        "ledger_hits": 0,
+    }
+
+    def on_cell(cell, status: str) -> None:
+        progress["cells_done"] += 1
+        progress["executed" if status == "executed" else "ledger_hits"] += 1
+        job.set_progress(progress)
+
     outcome = run_sweep(
         spec,
         jobs=settings.jobs,
         resume=job.payload["resume"],
         cache=settings.cache,
         cache_dir=settings.cache_dir,
+        sweep_dir=settings.sweep_dir,
         should_stop=lambda: job.cancel_requested,
+        on_cell=on_cell,
+        executor=_executor(job, coordinator, "sweep-preset"),
     )
     # A stop honoured mid-sweep leaves the ledger resumable; surface the
     # job as cancelled rather than pretending the ensemble completed.
@@ -305,14 +344,16 @@ def run_sweep_job(job: Job, settings: ServiceSettings) -> JobResult:
     )
 
 
-def run_whatif_job(job: Job, settings: ServiceSettings) -> JobResult:
+def run_whatif_job(job: Job, settings: ServiceSettings, coordinator=None) -> JobResult:
     """Run (or resume) a counterfactual pairing with incremental status.
 
     The long-running job kind: every settled cell publishes a progress
     dict (cells completed, executed vs ledger hits, the running
     divergence summary) via ``job.set_progress`` — visible in the job
     document while the pairing is still simulating.  Cancellation stops
-    at the next cell edge with the pairing ledger resumable.
+    at the next cell edge with the pairing ledger resumable.  On a
+    coordinator daemon the cells are leased to dist workers, as for
+    sweeps.
     """
     from repro.core.artifacts import artifact_json_bytes
     from repro.counterfactual import run_whatif, whatif_preset
@@ -324,8 +365,10 @@ def run_whatif_job(job: Job, settings: ServiceSettings) -> JobResult:
         resume=job.payload["resume"],
         cache=settings.cache,
         cache_dir=settings.cache_dir,
+        sweep_dir=settings.sweep_dir,
         should_stop=lambda: job.cancel_requested,
         on_progress=job.set_progress,
+        executor=_executor(job, coordinator, "whatif-preset"),
     )
     # A stop honoured mid-pairing leaves the ledger resumable; surface
     # the job as cancelled rather than pretending the pairing completed.
@@ -404,153 +447,8 @@ _BODIES = {
     "whatif": run_whatif_job,
 }
 
-
-# -- dist-mode bodies (coordinator role) ---------------------------------------
-
-
-def _await_dist_task(
-    job: Job,
-    coordinator,
-    task_id: str,
-    decorate: "Callable[[dict[str, Any]], None] | None" = None,
-) -> dict[str, Any]:
-    """Poll one dist task to completion, relaying progress to the job.
-
-    Cancellation abandons the task (outstanding leases go stale; workers
-    drop their uploads) and raises through ``raise_if_cancelled`` like
-    every other body.  The ledger keeps whatever cells already merged,
-    so a resubmitted job resumes instead of recomputing.  ``decorate``
-    lets a body enrich each progress dict before it publishes.
-    """
-    while True:
-        status = coordinator.task_status(task_id)
-        progress = {
-            "dist": True,
-            "task_id": task_id,
-            "n_cells": status["n_cells"],
-            "cells_done": status["n_done"],
-            "n_pending": status["n_pending"],
-            "n_leased": status["n_leased"],
-            "executed": status["executed"],
-            "ledger_hits": status["ledger_hits"],
-            "n_workers": status["n_workers"],
-        }
-        if decorate is not None:
-            decorate(progress)
-        job.set_progress(progress)
-        if job.cancel_requested:
-            coordinator.abandon(task_id)
-            job.raise_if_cancelled()
-        if status["done"]:
-            if status["abandoned"]:
-                raise RuntimeError(f"dist task {task_id} was abandoned")
-            return status
-        time.sleep(coordinator.poll_interval_s)
-
-
-def run_dist_sweep_job(job: Job, settings: ServiceSettings, coordinator) -> JobResult:
-    """Run a preset sweep by leasing its cells to dist workers.
-
-    Same payload, same artifact bytes as :func:`run_sweep_job`: the
-    coordinator decomposes the preset into cells, workers execute and
-    upload them, and the report is rebuilt from the merged ledger alone
-    — so the ``report`` artifact is byte-identical to a serial run.
-    """
-    from repro.core.artifacts import artifact_json_bytes
-    from repro.sweep.presets import preset as sweep_preset
-    from repro.sweep.scheduler import load_report
-
-    descriptor = {
-        "spec_kind": "sweep-preset",
-        "preset": job.payload["preset"],
-        "strength": None,
-        "spec_fingerprint": job.payload["spec_fingerprint"],
-    }
-    task_id = coordinator.submit(descriptor, resume=job.payload["resume"])
-    status = _await_dist_task(job, coordinator, task_id)
-    spec = sweep_preset(job.payload["preset"])
-    report = load_report(spec, sweep_dir=coordinator.sweep_dir)
-    document = {
-        "kind": "sweep-report",
-        "preset": job.payload["preset"],
-        "sweep_id": task_id,
-        "spec_fingerprint": job.payload["spec_fingerprint"],
-        "n_cells": report.n_cells,
-        "n_done": len(report.cells),
-        "stopped": False,
-        "rendered": report.render(),
-    }
-    return JobResult(
-        artifacts={"report": artifact_json_bytes(document)},
-        summary={
-            "sweep_id": task_id,
-            "executed": status["executed"],
-            "ledger_hits": status["ledger_hits"],
-            "stopped": False,
-        },
-    )
-
-
-def run_dist_whatif_job(job: Job, settings: ServiceSettings, coordinator) -> JobResult:
-    """Run a counterfactual pairing by leasing its cells to dist workers.
-
-    The pairing lowers to an ordinary scenario spec, so the dist tier
-    needs nothing special — cells lease out like any sweep, and the
-    detection report reduces from the merged ledger exactly as the
-    in-process body does (identical ``detection`` artifact bytes).
-    Progress relays the running divergence summary alongside the lease
-    counters.
-    """
-    from repro.core.artifacts import artifact_json_bytes
-    from repro.counterfactual import (
-        build_detection_report,
-        divergence_summary,
-        whatif_preset,
-    )
-
-    pairing = whatif_preset(job.payload["preset"], job.payload["strength"])
-    descriptor = {
-        "spec_kind": "whatif-preset",
-        "preset": job.payload["preset"],
-        "strength": float(job.payload["strength"]),
-        "spec_fingerprint": job.payload["spec_fingerprint"],
-    }
-    task_id = coordinator.submit(descriptor, resume=job.payload["resume"])
-
-    def relay(progress: dict[str, Any]) -> None:
-        progress["intervention"] = pairing.intervention.name
-        progress["strength"] = float(pairing.strength)
-        if progress["cells_done"]:
-            progress["divergence"] = divergence_summary(
-                pairing, sweep_dir=coordinator.sweep_dir
-            )
-
-    status = _await_dist_task(job, coordinator, task_id, decorate=relay)
-    report = build_detection_report(pairing, sweep_dir=coordinator.sweep_dir)
-    if not report.complete:
-        raise RuntimeError(
-            "pairing stopped before any seed completed both legs"
-        )
-    return JobResult(
-        artifacts={"detection": artifact_json_bytes(report.to_document())},
-        summary={
-            "sweep_id": task_id,
-            "executed": status["executed"],
-            "ledger_hits": status["ledger_hits"],
-            "stopped": False,
-            "complete": report.complete,
-            "n_detected": len(report.detected()),
-            "n_flips": len(report.flips()),
-        },
-    )
-
-
-#: job kinds the coordinator decomposes into cell leases; everything
-#: else (study, conformance) runs locally even on a coordinator daemon.
-_DIST_BODIES = {
-    "sweep": run_dist_sweep_job,
-    "whatif": run_dist_whatif_job,
-}
+#: kinds whose cells a coordinator daemon leases to dist workers.
+_LEASED_KINDS = ("sweep", "whatif")
 
 
 # -- process-mode dispatch -----------------------------------------------------
@@ -699,11 +597,10 @@ def make_runner(settings: ServiceSettings, coordinator=None):
     """The :class:`~repro.service.jobs.JobManager` runner for a daemon.
 
     With a ``coordinator`` (a ``--role coordinator`` daemon), sweep and
-    what-if bodies dispatch through the dist tier instead of simulating
-    locally.  Those bodies are thin polling loops over coordinator state
-    that lives only in this process, so they always run on the manager's
-    worker thread — even in ``"process"`` execution mode, where every
-    other kind still ships to the warm pool.
+    what-if bodies pass it to ``run_sweep`` as their cell executor.  Its
+    lease state lives only in this process, so those bodies always run
+    on the manager's worker thread — even in ``"process"`` execution
+    mode, where every other kind still ships to the warm pool.
     """
     if settings.execution not in EXECUTION_MODES:
         raise ValueError(
@@ -712,8 +609,8 @@ def make_runner(settings: ServiceSettings, coordinator=None):
         )
 
     def run(job: Job) -> JobResult:
-        if coordinator is not None and job.kind in _DIST_BODIES:
-            return _DIST_BODIES[job.kind](job, settings, coordinator)
+        if coordinator is not None and job.kind in _LEASED_KINDS:
+            return _BODIES[job.kind](job, settings, coordinator)
         if settings.execution == "process":
             return _run_job_in_pool(job, settings)
         return _BODIES[job.kind](job, settings)

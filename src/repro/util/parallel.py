@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import multiprocessing.util
 import os
 import shutil
 import tempfile
@@ -328,9 +329,16 @@ def _pool_worker_init() -> None:
     not survive the fork.  A worker that itself runs parallel work (a
     service job body calling ``simulate(jobs=N)``) must build its own
     sub-pool, so the inherited handle is cleared before any task runs.
+
+    That sub-pool is shut down when the worker exits, by a finalizer
+    that must outrank the sub-pool's own call-queue finalizer (exit
+    priority 10): run after it, the queue's feeder thread is already
+    stopped, the shutdown sentinels never reach the sub-pool's children,
+    and the worker — and with it a draining daemon — hangs joining them.
     """
     global _POOL, _POOL_WORKERS
     _POOL, _POOL_WORKERS = None, 0
+    multiprocessing.util.Finalize(None, shutdown_pool, exitpriority=20)
 
 
 def _spawn_probe(delay_s: float) -> int:

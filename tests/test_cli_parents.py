@@ -2,9 +2,10 @@
 
 ``sweep run``, ``whatif run``, ``serve``, and ``dist worker`` all build
 on :func:`repro.cli._execution_parent`, so the operator learns one set
-of execution flags once.  These tests pin that contract: the six shared
-flags exist on every command, with identical option strings, and the
-drift-prone defaults stay where each command needs them.
+of execution flags once.  These tests pin that contract: the five shared
+flags exist on every command, with identical option strings, and
+``--execution`` stays on ``serve`` alone — the cell-running commands
+pre-warm their shard pool from ``--jobs``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ SHARED_FLAGS = {
     "--metrics",
     "--no-cache",
     "--cache-dir",
-    "--execution",
 }
 
 #: (top-level command, nested action) pairs sharing ``_execution_parent``.
@@ -32,6 +32,9 @@ UNIFIED_COMMANDS = [
     ("serve", None),
     ("dist", "worker"),
 ]
+
+#: The commands that still choose where work executes.
+EXECUTION_COMMANDS = [("serve", None)]
 
 
 def _subparser(
@@ -71,11 +74,10 @@ def test_shared_flags_bind_canonical_destinations(command, action):
         "--metrics": "metrics",
         "--no-cache": "no_cache",
         "--cache-dir": "cache_dir",
-        "--execution": "execution",
     }
 
 
-@pytest.mark.parametrize("command,action", UNIFIED_COMMANDS)
+@pytest.mark.parametrize("command,action", EXECUTION_COMMANDS)
 def test_execution_choices_are_uniform(command, action):
     parser = _command_parser(command, action)
     choices = parser._option_string_actions["--execution"].choices
@@ -83,20 +85,19 @@ def test_execution_choices_are_uniform(command, action):
 
 
 def test_execution_defaults_fit_each_command():
-    # serve keeps the warm process pool; the cell-running commands
-    # default to in-process threads (cells already fan out via --jobs).
+    # serve keeps the warm process pool; the cell-running commands have
+    # no --execution at all (--jobs alone decides whether they pre-warm).
     defaults = {
         (command, action): _command_parser(command, action)
         ._option_string_actions["--execution"]
         .default
-        for command, action in UNIFIED_COMMANDS
+        for command, action in EXECUTION_COMMANDS
     }
-    assert defaults == {
-        ("sweep", "run"): "thread",
-        ("whatif", "run"): "thread",
-        ("serve", None): "process",
-        ("dist", "worker"): "thread",
-    }
+    assert defaults == {("serve", None): "process"}
+    for command, action in UNIFIED_COMMANDS:
+        if (command, action) not in EXECUTION_COMMANDS:
+            parser = _command_parser(command, action)
+            assert "--execution" not in parser._option_string_actions
 
 
 def test_status_and_report_actions_stay_minimal():

@@ -1,14 +1,25 @@
 """Coordinator failure-model tests: the dist tier without a socket.
 
 Everything here drives :class:`repro.service.dist.DistCoordinator`
-directly with a fake monotonic clock, so lease expiry, heartbeat
+directly with a fake monotonic clock: workers through ``register`` /
+``acquire`` / ``complete``, and the waiting ``run_sweep`` through the
+executor entry point :meth:`~repro.service.dist.DistCoordinator.execute`,
+which queues its cells before it returns.  Lease expiry, heartbeat
 eviction, stale completions, and hash-mismatch re-queues are pinned
-deterministically — no sleeps, no threads, no ports.  The wire-level
-behaviour of the same code paths is covered by ``tests/test_service.py``
-and the SIGKILL determinism test in ``tests/test_dist_determinism.py``.
+deterministically — no ports, and threads only where an execution
+waits on the coordinator or workers race it.  The wire-level behaviour
+of the same code paths is covered by ``tests/test_dist_service.py`` and
+the SIGKILL tests in ``tests/test_dist_determinism.py``.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import pytest
 
@@ -26,7 +37,8 @@ from repro.service.dist.protocol import (
 )
 from repro.sweep.ledger import SweepLedger
 from repro.sweep.presets import preset
-from repro.sweep.spec import spec_fingerprint
+from repro.sweep.scheduler import run_cell, run_sweep
+from repro.sweep.spec import expand, spec_fingerprint, sweep_id
 
 
 class FakeClock:
@@ -51,10 +63,18 @@ def smoke_descriptor() -> dict:
     }
 
 
-def make_coordinator(tmp_path, clock, **kwargs) -> DistCoordinator:
+def make_coordinator(clock, **kwargs) -> DistCoordinator:
     kwargs.setdefault("lease_ttl_s", 10.0)
     kwargs.setdefault("heartbeat_timeout_s", 30.0)
-    return DistCoordinator(sweep_dir=tmp_path, clock=clock, **kwargs)
+    # waits between uploads use real time; keep them short
+    kwargs.setdefault("poll_interval_s", 0.01)
+    return DistCoordinator(clock=clock, **kwargs)
+
+
+def start(coordinator, stop=lambda: False):
+    """Queue the smoke preset's cells, as ``run_sweep`` does on a fresh
+    ledger; returns the execution's iterator of accepted uploads."""
+    return coordinator.execute(smoke_descriptor(), iter(expand(preset("smoke"))), stop)
 
 
 def register(coordinator, worker_id="w1") -> dict:
@@ -67,8 +87,8 @@ def register(coordinator, worker_id="w1") -> dict:
     )
 
 
-def completion(worker_id: str, index: int) -> dict:
-    result = {"cell": index, "ok": True}
+def completion(worker_id: str, index: int, result: dict | None = None) -> dict:
+    result = {"cell": index, "ok": True} if result is None else result
     return {
         "worker_id": worker_id,
         "result": result,
@@ -83,8 +103,8 @@ def clock():
 
 
 @pytest.fixture
-def coordinator(tmp_path, clock):
-    return make_coordinator(tmp_path, clock)
+def coordinator(clock):
+    return make_coordinator(clock)
 
 
 class TestHandshake:
@@ -172,22 +192,23 @@ class TestSpecResolution:
 class TestLeaseLifecycle:
     def test_cells_dispatch_in_index_order_then_idle(self, coordinator):
         register(coordinator, "w1")
-        task_id = coordinator.submit(smoke_descriptor())
+        run = start(coordinator)
         seen = []
         while True:
             lease = coordinator.acquire("w1")
             if lease["lease_id"] is None:
                 break
             seen.append(lease["cell"]["index"])
-            assert lease["task_id"] == task_id
+            assert lease["task_id"] == sweep_id(preset("smoke"))
             assert lease["task"]["preset"] == "smoke"
             coordinator.complete(
                 lease["lease_id"], "w1", completion("w1", lease["cell"]["index"])
             )
-        assert seen == sorted(seen) and len(seen) == 4
-        status = coordinator.task_status(task_id)
-        assert status["done"] and status["executed"] == 4
-        assert status["ledger_hits"] == 0
+        assert seen == [0, 1, 2, 3]
+        settled = [(cell.index, result) for cell, result, _ in run]
+        assert settled == [(index, {"cell": index, "ok": True}) for index in seen]
+        # every cell is in, so the execution is over
+        assert coordinator.status()["tasks"] == []
 
     def test_acquire_without_work_is_idle_not_error(self, coordinator):
         register(coordinator, "w1")
@@ -201,19 +222,53 @@ class TestLeaseLifecycle:
         assert caught.value.status == 404
         assert caught.value.code == "unknown-worker"
 
-    def test_submit_is_idempotent_per_sweep(self, coordinator):
+    def test_one_execution_per_sweep_id(self, coordinator):
         register(coordinator, "w1")
-        first = coordinator.submit(smoke_descriptor())
+        first = start(coordinator)
         lease = coordinator.acquire("w1")
-        assert coordinator.submit(smoke_descriptor()) == first
-        # resubmission must not have reset in-flight lease state
+        pulled = []
+
+        def second_ledger_pass():
+            pulled.append(True)
+            yield from expand(preset("smoke"))
+
+        # A second execution of the same sweep waits — here it is told
+        # to stop at once — without pulling a cell: run_sweep's ledger
+        # pass (a reset, with resume=False) never runs beside the first.
+        gave_up = coordinator.execute(
+            smoke_descriptor(), second_ledger_pass(), lambda: True
+        )
+        assert list(gave_up) == [] and pulled == []
+        assert len(coordinator.status()["tasks"]) == 1
+        # the first execution's lease state is untouched
         coordinator.complete(
             lease["lease_id"], "w1", completion("w1", lease["cell"]["index"])
         )
+        cell, _, _ = next(first)
+        assert cell.index == lease["cell"]["index"]
+
+        # A waiting execution proceeds once the first one ends.
+        stopping = threading.Event()
+        with ThreadPoolExecutor(1) as pool:
+            waiting = pool.submit(
+                coordinator.execute,
+                smoke_descriptor(),
+                second_ledger_pass(),
+                stopping.is_set,
+            )
+            time.sleep(0.1)
+            assert not waiting.done() and pulled == []
+            first.close()
+            second = waiting.result(timeout=10)
+        assert pulled == [True]
+        assert coordinator.acquire("w1")["cell"]["index"] == 0
+        stopping.set()
+        assert list(second) == []
+        assert coordinator.status()["tasks"] == []
 
     def test_fail_requeues_the_cell_first(self, coordinator):
         register(coordinator, "w1")
-        coordinator.submit(smoke_descriptor())
+        start(coordinator)
         lease = coordinator.acquire("w1")
         index = lease["cell"]["index"]
         coordinator.fail(lease["lease_id"], "w1", "spec drift")
@@ -221,27 +276,35 @@ class TestLeaseLifecycle:
 
     def test_drain_stops_granting_but_reports_it(self, coordinator):
         register(coordinator, "w1")
-        coordinator.submit(smoke_descriptor())
+        start(coordinator)
         coordinator.drain()
         lease = coordinator.acquire("w1")
         assert lease["lease_id"] is None
         assert lease["draining"] is True
 
-    def test_abandon_marks_done_and_stops_dispatch(self, coordinator):
+    def test_stop_withdraws_pending_cells_and_leases(self, coordinator):
         register(coordinator, "w1")
-        task_id = coordinator.submit(smoke_descriptor())
-        coordinator.acquire("w1")
-        coordinator.abandon(task_id)
-        status = coordinator.task_status(task_id)
-        assert status["abandoned"] and status["done"]
+        stopping = threading.Event()
+        run = start(coordinator, stop=stopping.is_set)
+        lease = coordinator.acquire("w1")
+        stopping.set()
+        assert list(run) == []
+        status = coordinator.status()
+        assert status["tasks"] == [] and status["leases"] == 0
         assert coordinator.acquire("w1")["lease_id"] is None
+        # the withdrawn lease's upload is stale, never accepted
+        with pytest.raises(ProtocolError) as caught:
+            coordinator.complete(
+                lease["lease_id"], "w1", completion("w1", lease["cell"]["index"])
+            )
+        assert caught.value.code == "stale-lease"
 
 
 class TestFailureModel:
     def test_expired_lease_redispatches_same_cell(self, coordinator, clock):
         register(coordinator, "w1")
         register(coordinator, "w2")
-        coordinator.submit(smoke_descriptor())
+        start(coordinator)
         first = coordinator.acquire("w1")
         clock.advance(11.0)  # past the 10 s TTL, within heartbeat timeout
         coordinator.heartbeat("w1")
@@ -250,11 +313,11 @@ class TestFailureModel:
         assert retry["lease_id"] != first["lease_id"]
 
     def test_stale_completion_is_rejected_and_result_kept_once(
-        self, coordinator, clock, tmp_path
+        self, coordinator, clock
     ):
         register(coordinator, "w1")
         register(coordinator, "w2")
-        task_id = coordinator.submit(smoke_descriptor())
+        run = start(coordinator)
         dead = coordinator.acquire("w1")
         index = dead["cell"]["index"]
         clock.advance(11.0)
@@ -265,13 +328,13 @@ class TestFailureModel:
             coordinator.complete(dead["lease_id"], "w1", completion("w1", index))
         assert caught.value.status == 409
         assert caught.value.code == "stale-lease"
-        state = SweepLedger(preset("smoke"), root=tmp_path).read()
-        assert sorted(state.cells) == [index]
-        assert coordinator.task_status(task_id)["n_done"] == 1
+        cell, result, _ = next(run)
+        assert cell.index == index and result == {"cell": index, "ok": True}
+        assert coordinator.status()["tasks"][0]["n_done"] == 1
 
     def test_renew_keeps_a_long_cell_alive(self, coordinator, clock):
         register(coordinator, "w1")
-        coordinator.submit(smoke_descriptor())
+        start(coordinator)
         lease = coordinator.acquire("w1")
         for _ in range(3):
             clock.advance(8.0)  # would expire without the renew
@@ -285,7 +348,7 @@ class TestFailureModel:
     ):
         register(coordinator, "w1")
         register(coordinator, "w2")
-        coordinator.submit(smoke_descriptor())
+        start(coordinator)
         lost = coordinator.acquire("w1")
         clock.advance(20.0)
         coordinator.heartbeat("w2")  # w2 stays live; w1 goes silent
@@ -299,11 +362,9 @@ class TestFailureModel:
         register(coordinator, "w1")
         assert coordinator.acquire("w1")["lease_id"] is not None
 
-    def test_hash_mismatch_requeues_and_never_merges(
-        self, coordinator, tmp_path
-    ):
+    def test_hash_mismatch_requeues_and_never_merges(self, coordinator):
         register(coordinator, "w1")
-        coordinator.submit(smoke_descriptor())
+        run = start(coordinator)
         lease = coordinator.acquire("w1")
         index = lease["cell"]["index"]
         corrupt = completion("w1", index)
@@ -312,46 +373,124 @@ class TestFailureModel:
             coordinator.complete(lease["lease_id"], "w1", corrupt)
         assert caught.value.status == 400
         assert caught.value.code == "result-hash-mismatch"
-        assert SweepLedger(preset("smoke"), root=tmp_path).read().cells == {}
+        assert coordinator.status()["tasks"][0]["n_done"] == 0
         retry = coordinator.acquire("w1")
         assert retry["cell"]["index"] == index
         coordinator.complete(retry["lease_id"], "w1", completion("w1", index))
-        state = SweepLedger(preset("smoke"), root=tmp_path).read()
-        assert sorted(state.cells) == [index]
+        cell, result, _ = next(run)
+        assert cell.index == index and result == {"cell": index, "ok": True}
 
     def test_deregister_requeues_in_flight_work(self, coordinator):
         register(coordinator, "w1")
         register(coordinator, "w2")
-        coordinator.submit(smoke_descriptor())
+        start(coordinator)
         lease = coordinator.acquire("w1")
         farewell = coordinator.deregister("w1")
         assert farewell["worker_id"] == "w1"
         assert coordinator.acquire("w2")["cell"]["index"] == lease["cell"]["index"]
 
 
+class TestConcurrency:
+    def test_racing_workers_settle_each_cell_exactly_once(self, coordinator):
+        """Eight worker threads race one execution under a tiny switch
+        interval; a lost update would drop or repeat a cell."""
+        template = expand(preset("smoke"))[0]
+        cells = [
+            dataclasses.replace(template, index=index, cell_id=f"cell-{index}")
+            for index in range(200)
+        ]
+        workers = [f"w{n}" for n in range(8)]
+        for worker_id in workers:
+            register(coordinator, worker_id)
+        run = coordinator.execute(smoke_descriptor(), iter(cells), lambda: False)
+
+        def work(worker_id):
+            while (lease := coordinator.acquire(worker_id))["lease_id"] is not None:
+                index = lease["cell"]["index"]
+                coordinator.complete(
+                    lease["lease_id"], worker_id, completion(worker_id, index)
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(workers) + 1) as pool:
+                settled = pool.submit(lambda: [cell.index for cell, _, _ in run])
+                for future in [pool.submit(work, w) for w in workers]:
+                    future.result(timeout=60)
+                indices = settled.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(indices) == list(range(200))
+        status = coordinator.status()
+        assert sum(worker["completed"] for worker in status["workers"]) == 200
+        assert status["tasks"] == [] and status["leases"] == 0
+
+
+@pytest.fixture(scope="module")
+def smoke_results() -> dict[int, dict]:
+    """Real cell payloads, so ``run_sweep`` can build its report."""
+    return {cell.index: run_cell(cell).to_dict() for cell in expand(preset("smoke"))}
+
+
+def lease_when_queued(coordinator, worker_id: str) -> dict:
+    """Acquire once ``run_sweep`` (on another thread) has queued cells."""
+    deadline = time.monotonic() + 30
+    while (lease := coordinator.acquire(worker_id))["lease_id"] is None:
+        assert time.monotonic() < deadline, "run_sweep never queued a cell"
+        time.sleep(0.01)
+    return lease
+
+
 class TestResume:
-    def test_ledger_cells_count_as_hits_not_work(self, tmp_path, clock):
-        first = make_coordinator(tmp_path, clock)
+    def test_ledger_cells_count_as_hits_not_work(
+        self, tmp_path, clock, smoke_results
+    ):
+        spec = preset("smoke")
+        ledger = SweepLedger(spec, root=tmp_path)
+
+        def sweep(coordinator, should_stop=None):
+            return run_sweep(
+                spec,
+                sweep_dir=tmp_path,
+                should_stop=should_stop,
+                executor=partial(coordinator.execute, smoke_descriptor()),
+            )
+
+        def upload(coordinator, lease):
+            index = lease["cell"]["index"]
+            coordinator.complete(
+                lease["lease_id"], "w1", completion("w1", index, smoke_results[index])
+            )
+            return index
+
+        # The first coordinator gets two cells into the ledger, then its
+        # job stops (as if the daemon died).
+        first = make_coordinator(clock)
         register(first, "w1")
-        task_id = first.submit(smoke_descriptor())
-        for _ in range(2):
-            lease = first.acquire("w1")
-            first.complete(
-                lease["lease_id"], "w1", completion("w1", lease["cell"]["index"])
-            )
-        # a fresh coordinator process over the same sweep dir
-        second = make_coordinator(tmp_path, clock)
+        stopping = threading.Event()
+        with ThreadPoolExecutor(1) as pool:
+            running = pool.submit(sweep, first, stopping.is_set)
+            for _ in range(2):
+                upload(first, lease_when_queued(first, "w1"))
+            deadline = time.monotonic() + 30
+            while len(ledger.read().cells) < 2:
+                assert time.monotonic() < deadline, "uploads never reached the ledger"
+                time.sleep(0.01)
+            stopping.set()
+            stopped = running.result(timeout=30)
+        assert stopped.stopped and stopped.executed == [0, 1]
+
+        # A fresh coordinator over the same ledger leases only the rest.
+        second = make_coordinator(clock)
         register(second, "w1")
-        assert second.submit(smoke_descriptor()) == task_id
-        status = second.task_status(task_id)
-        assert status["ledger_hits"] == 2
-        assert status["n_pending"] == 2
-        remaining = set()
-        while (lease := second.acquire("w1"))["lease_id"] is not None:
-            remaining.add(lease["cell"]["index"])
-            second.complete(
-                lease["lease_id"], "w1", completion("w1", lease["cell"]["index"])
-            )
-        assert len(remaining) == 2
-        final = second.task_status(task_id)
-        assert final["done"] and final["executed"] == 2
+        with ThreadPoolExecutor(1) as pool:
+            running = pool.submit(sweep, second)
+            leased = [upload(second, lease_when_queued(second, "w1")) for _ in range(2)]
+            resumed = running.result(timeout=30)
+        assert leased == [2, 3]
+        assert resumed.ledger_hits == [0, 1]
+        assert resumed.executed == [2, 3]
+        assert resumed.report.complete
+        serial = run_sweep(spec, sweep_dir=tmp_path / "serial")
+        assert resumed.report.render() == serial.report.render()

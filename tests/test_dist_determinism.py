@@ -8,17 +8,23 @@ deregister, no goodbye.  The coordinator must expire the orphaned lease,
 re-dispatch the cell to the surviving workers, record every cell exactly
 once in the ledger, and serve a ``report`` artifact byte-identical to a
 serial run of the same preset.
+
+The second test SIGKILLs the coordinator itself.  The ledger is its only
+durable state, so a restarted coordinator given the same job again must
+count what reached the ledger as hits and still serve serial bytes.
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import os
 import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import repro
@@ -28,6 +34,7 @@ from repro.sweep.ledger import SweepLedger
 from repro.sweep.presets import preset
 from repro.sweep.spec import spec_fingerprint
 
+from tests.cli_daemon import CliDaemon
 from tests.test_service import poll_until, request, request_json, run_daemon
 
 _SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
@@ -167,3 +174,86 @@ def test_sigkilled_worker_never_changes_the_bytes(tmp_path):
     indices = [record["index"] for record in records]
     assert sorted(indices) == [0, 1, 2, 3]
     assert len(indices) == len(set(indices))
+
+
+def test_restarted_coordinator_resumes_from_the_ledger(tmp_path):
+    """SIGKILL the coordinator once a cell reached the ledger, restart it
+    on the same cache dir, resubmit the job: the ledger is its only
+    durable state, so the pre-kill cell is a ledger hit and the report
+    matches serial bytes."""
+    from repro.sweep.scheduler import run_sweep
+
+    spec = preset("smoke")
+    serial = run_sweep(spec, jobs=1, sweep_dir=tmp_path / "serial", cache=False)
+    expected = artifact_json_bytes(
+        {
+            "kind": "sweep-report",
+            "preset": "smoke",
+            "sweep_id": serial.sweep_id,
+            "spec_fingerprint": spec_fingerprint(spec),
+            "n_cells": serial.report.n_cells,
+            "n_done": len(serial.report.cells),
+            "stopped": False,
+            "rendered": serial.report.render(),
+        }
+    )
+    cache_dir = tmp_path / "dist"
+    ledger = SweepLedger(spec, root=cache_dir)
+    coordinator_args = (
+        "--role", "coordinator",
+        "--execution", "thread",
+        "--jobs", "1",
+        "--cache-dir", str(cache_dir),
+    )
+    sweep_job = {"kind": "sweep", "preset": "smoke"}
+
+    with CliDaemon(tmp_path / "first.log", *coordinator_args) as first:
+        first.submit(sweep_job)
+        # one worker, one cell: it uploads and leaves, the job waits on
+        summary = run_worker(
+            WorkerConfig(coordinator=first.url, worker_id="before", cache=False, max_cells=1)
+        )
+        assert summary.completed == 1
+        for _ in range(600):
+            if ledger.read().cells:
+                break
+            time.sleep(0.05)
+        first.kill()
+    before = set(ledger.read().cells)
+    assert len(before) == 1
+
+    stop = threading.Event()
+    with CliDaemon(tmp_path / "second.log", *coordinator_args) as second:
+        worker = threading.Thread(
+            target=run_worker,
+            args=(WorkerConfig(coordinator=second.url, worker_id="after", cache=False),),
+            kwargs={"stop": stop},
+            daemon=True,
+        )
+        worker.start()
+        try:
+            job_id = second.submit(sweep_job)
+            document = second.wait_for_job(job_id)
+            assert document["status"] == "done", document["error"]
+            assert document["summary"]["ledger_hits"] == 1
+            assert document["summary"]["executed"] == 3
+            assert document["progress"] == {
+                "n_cells": 4,
+                "cells_done": 4,
+                "executed": 3,
+                "ledger_hits": 1,
+            }
+            status, raw = second.request("GET", f"/v1/jobs/{job_id}/artifacts/report")
+            assert status == 200
+        finally:
+            stop.set()
+            worker.join(timeout=15)
+    assert not worker.is_alive()
+
+    assert hashlib.sha256(raw).hexdigest() == hashlib.sha256(expected).hexdigest()
+    records = [
+        json.loads(line)
+        for line in ledger.path.read_text().splitlines()
+        if json.loads(line).get("kind") == "cell"
+    ]
+    assert sorted(record["index"] for record in records) == [0, 1, 2, 3]

@@ -484,6 +484,54 @@ class TestByteIdentity:
         assert obs.validate_manifest(manifest, schema) == []
 
 
+class TestSweepJobs:
+    def test_sweep_job_matches_serial_bytes_and_reports_progress(self, tmp_path):
+        """The one sweep body, standalone: the ``report`` artifact is the
+        serial ``run_sweep`` document, and every settled cell published
+        progress."""
+        from repro.core.artifacts import artifact_json_bytes
+        from repro.sweep.presets import preset
+        from repro.sweep.scheduler import run_sweep
+        from repro.sweep.spec import spec_fingerprint
+
+        spec = preset("smoke")
+        serial = run_sweep(spec, sweep_dir=tmp_path / "serial")
+        expected = artifact_json_bytes(
+            {
+                "kind": "sweep-report",
+                "preset": "smoke",
+                "sweep_id": serial.sweep_id,
+                "spec_fingerprint": spec_fingerprint(spec),
+                "n_cells": serial.report.n_cells,
+                "n_done": len(serial.report.cells),
+                "stopped": False,
+                "rendered": serial.report.render(),
+            }
+        )
+
+        async def scenario(handle):
+            port = handle.port
+            _, document = await request_json(
+                port, "POST", "/v1/jobs", {"kind": "sweep", "preset": "smoke"}
+            )
+            document = await poll_until(
+                port, document["id"], "done", "failed", tries=3000
+            )
+            assert document["status"] == "done", document.get("error")
+            assert document["progress"] == {
+                "n_cells": 4,
+                "cells_done": 4,
+                "executed": 4,
+                "ledger_hits": 0,
+            }
+            _, scenario.raw = await request(
+                port, "GET", f"/v1/jobs/{document['id']}/artifacts/report"
+            )
+
+        run_daemon(scenario, sweep_dir=str(tmp_path / "daemon"))
+        assert scenario.raw == expected
+
+
 class TestWhatifJobs:
     """The long-running job kind: incremental progress + byte identity."""
 
@@ -643,3 +691,60 @@ class TestWhatifJobs:
         assert outcome.report.complete
         if scenario.final == "cancelled":
             assert outcome.sweep.ledger_hits, "cancel landed but no cell completed"
+
+    def test_coordinator_role_serves_the_same_bytes_and_progress(
+        self, tiny_whatif, tmp_path
+    ):
+        """One job body per kind: on a coordinator the pairing's cells
+        are leased to a worker, and the job ends with the same
+        ``detection`` bytes and final progress as on a standalone
+        daemon."""
+        from repro.service.dist import WorkerConfig, run_worker
+
+        async def finished(port):
+            _, document = await request_json(port, "POST", "/v1/jobs", tiny_whatif)
+            document = await poll_until(
+                port, document["id"], "done", "failed", tries=3000
+            )
+            assert document["status"] == "done", document.get("error")
+            status, raw = await request(
+                port, "GET", f"/v1/jobs/{document['id']}/artifacts/detection"
+            )
+            assert status == 200
+            return document["progress"], raw
+
+        async def standalone(handle):
+            standalone.result = await finished(handle.port)
+
+        async def coordinator(handle):
+            stop = threading.Event()
+            worker = threading.Thread(
+                target=run_worker,
+                args=(
+                    WorkerConfig(
+                        coordinator=f"http://127.0.0.1:{handle.port}",
+                        worker_id="w1",
+                    ),
+                ),
+                kwargs={"stop": stop},
+                daemon=True,
+            )
+            worker.start()
+            try:
+                coordinator.result = await finished(handle.port)
+            finally:
+                stop.set()
+                await asyncio.to_thread(worker.join, 15)
+            assert not worker.is_alive()
+
+        run_daemon(standalone, cache_dir=str(tmp_path / "standalone"))
+        run_daemon(
+            coordinator,
+            role="coordinator",
+            cache_dir=str(tmp_path / "coordinator"),
+            sweep_dir=str(tmp_path / "coordinator"),
+        )
+        assert coordinator.result == standalone.result
+        progress, _ = coordinator.result
+        assert progress["cells_done"] == progress["n_cells"] == 2
+        assert progress["executed"] == 2

@@ -7,11 +7,12 @@ exactly one execution — proven by the daemon's own
 herd member fetches the artifact under one byte-identical ETag that a
 conditional GET turns into a bodyless 304.
 
-The ``slow``-marked tests exercise the real multi-process execution
-path end-to-end: job bodies on the warm pool, a worker SIGKILLed
-mid-job (the pool re-warms and the next job completes), cooperative
-cancellation across the process boundary, and a small run of the
-``bench serve`` harness.
+The process-execution tests exercise the real multi-process path
+end-to-end — the ``serve`` default: job bodies on the warm pool, a
+worker SIGKILLed mid-job (the pool re-warms and the next job completes),
+cooperative cancellation across the process boundary, a ``serve``
+subprocess that must exit promptly on SIGTERM after a job built a shard
+sub-pool, and a small run of the ``bench serve`` harness.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+import subprocess
 import threading
 import time
 
@@ -27,6 +29,7 @@ import pytest
 from repro.service import JobResult
 from repro.util.parallel import shutdown_pool
 
+from tests.cli_daemon import CliDaemon
 from tests.test_service import (
     payload_for_seed,
     poll_until,
@@ -189,7 +192,6 @@ class TestConditionalGet:
         run_daemon(scenario, runner=runner)
 
 
-@pytest.mark.slow
 class TestProcessExecution:
     """The warm-pool execution path, end-to-end and under faults."""
 
@@ -309,7 +311,34 @@ class TestProcessExecution:
             shutdown_pool()
 
 
-@pytest.mark.slow
+class TestDrainExits:
+    #: generous for a 2-vCPU host; a daemon that hangs never exits at all
+    EXIT_BOUND_S = 30.0
+
+    def test_sigterm_exits_after_a_job_built_a_shard_sub_pool(self, tmp_path):
+        """``--jobs 2`` makes the job-pool worker's ``simulate`` fork its
+        own shard sub-pool on any host; the drain must still end the
+        daemon promptly instead of hanging on those grandchildren."""
+        with CliDaemon(
+            tmp_path / "daemon.log",
+            "--workers", "1",
+            "--jobs", "2",
+            "--execution", "process",
+            "--cache-dir", str(tmp_path / "cache"),
+        ) as daemon:
+            document = daemon.wait_for_job(daemon.submit(payload_for_seed(0)))
+            assert document["status"] == "done", document["error"]
+            daemon.process.send_signal(signal.SIGTERM)
+            try:
+                code = daemon.process.wait(timeout=self.EXIT_BOUND_S)
+            except subprocess.TimeoutExpired:
+                pytest.fail(
+                    f"daemon still running {self.EXIT_BOUND_S:g}s after SIGTERM"
+                )
+            assert code == 0
+            assert "drained" in daemon.log()
+
+
 class TestBenchHarness:
     def test_bench_serve_smoke(self, tmp_path):
         from repro.service import BenchConfig, run_bench
