@@ -1,6 +1,6 @@
 # Convenience targets for the DDoScovery reproduction.
 
-.PHONY: install test test-fast conformance conformance-scenarios ci bench bench-perf bench-serve profile sweep-smoke sweep-stability serve-smoke whatif-smoke dist-smoke examples artefacts clean
+.PHONY: install test test-fast conformance conformance-scenarios ci ablations bench bench-perf bench-serve profile sweep-smoke sweep-stability serve-smoke whatif-smoke dist-smoke examples artefacts clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -25,10 +25,16 @@ conformance: sweep-stability conformance-scenarios
 conformance-scenarios:
 	PYTHONPATH=src python scripts/conformance_scenarios.py
 
-# What CI runs: fast tier, full conformance, the counterfactual smoke,
-# the distributed smoke, and a compile pass.
-ci: test-fast conformance whatif-smoke dist-smoke
+# What CI runs: fast tier, full conformance, the ablation artefacts, the
+# counterfactual smoke, the distributed smoke, and a compile pass.
+ci: test-fast conformance ablations whatif-smoke dist-smoke
 	python -m compileall -q src
+
+# Re-run the deterministic ablation benchmarks and fail if any committed
+# benchmarks/results/ABL_*.txt artefact no longer matches what they write.
+ablations:
+	PYTHONPATH=src python -m pytest benchmarks/test_ablation_*.py --benchmark-disable
+	git diff --exit-code -- benchmarks/results/ABL_*.txt
 
 bench:
 	pytest benchmarks/ --benchmark-only

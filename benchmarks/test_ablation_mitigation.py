@@ -44,8 +44,7 @@ def run_telescope(mitigation_probability: float) -> int:
         mitigation=mitigation,
     )
     observations = Observations("UCSD")
-    for batch in generator.batches():
-        telescope.observe(batch, observations)
+    telescope.observe(generator.shard_batch(), observations)
     return len(observations)
 
 

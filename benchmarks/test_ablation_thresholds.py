@@ -18,7 +18,7 @@ from repro.util.rng import RngFactory
 CONFIG = ablation_substrate(40.0, 40.0)
 
 
-def run_with_threshold(min_packets: int, batches, plan) -> int:
+def run_with_threshold(min_packets: int, shard, plan) -> int:
     spec = dataclasses.replace(HOPSCOTCH_SPEC, min_packets=min_packets)
     honeypot = HoneypotPlatform(
         spec,
@@ -26,12 +26,11 @@ def run_with_threshold(min_packets: int, batches, plan) -> int:
         rir=plan.rir,
     )
     observations = Observations(honeypot.name)
-    for batch in batches:
-        honeypot.observe(batch, observations)
+    honeypot.observe(shard, observations)
     return len(observations.target_tuples())
 
 
-def make_batches():
+def make_shard():
     models = build_models(CONFIG)
     generator = GroundTruthGenerator(
         models.plan,
@@ -40,14 +39,14 @@ def make_batches():
         models.campaigns,
         rng_factory=RngFactory(CONFIG.seed),
     )
-    return list(generator.batches()), models.plan
+    return generator.shard_batch(), models.plan
 
 
 def test_ablation_thresholds(benchmark, report):
-    batches, plan = make_batches()
-    baseline = run_with_threshold(5, batches, plan)
+    shard, plan = make_shard()
+    baseline = run_with_threshold(5, shard, plan)
     benchmark.pedantic(
-        run_with_threshold, args=(5, batches, plan), rounds=2, iterations=1
+        run_with_threshold, args=(5, shard, plan), rounds=2, iterations=1
     )
 
     lines = [
@@ -57,7 +56,7 @@ def test_ablation_thresholds(benchmark, report):
     ]
     results = {}
     for threshold in (1, 5, 25, 100, 500, 2000):
-        count = run_with_threshold(threshold, batches, plan)
+        count = run_with_threshold(threshold, shard, plan)
         results[threshold] = count
         delta = (count - baseline) / baseline
         lines.append(f"{threshold:>10d} {count:>9d} {delta * 100:>+9.1f}%")

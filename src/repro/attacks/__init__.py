@@ -11,12 +11,7 @@ attacks, booter takedowns, campaign bursts).
 from repro.attacks.booters import BooterEcosystem, BooterMarket, BooterService, Takedown
 from repro.attacks.botnets import Botnet, estimate_population
 from repro.attacks.campaigns import Campaign, CampaignModel
-from repro.attacks.events import (
-    OBSERVATORY_KEYS,
-    AttackClass,
-    AttackEvent,
-    DayBatch,
-)
+from repro.attacks.events import OBSERVATORY_KEYS, AttackClass
 from repro.attacks.generator import GeneratorConfig, GroundTruthGenerator
 from repro.attacks.landscape import LandscapeModel, PiecewiseCurve
 from repro.attacks.ibr import IbrConfig, IbrGenerator
@@ -32,8 +27,6 @@ from repro.attacks.vectors import (
 
 __all__ = [
     "AttackClass",
-    "AttackEvent",
-    "DayBatch",
     "OBSERVATORY_KEYS",
     "Vector",
     "VECTORS",

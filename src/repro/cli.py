@@ -874,6 +874,8 @@ def _command_survey(_: argparse.Namespace) -> int:
 
 
 def _command_landscape(args: argparse.Namespace) -> int:
+    from collections import Counter
+
     from repro.attacks.campaigns import CampaignModel
     from repro.attacks.generator import GroundTruthGenerator
     from repro.attacks.landscape import LandscapeModel
@@ -896,17 +898,14 @@ def _command_landscape(args: argparse.Namespace) -> int:
             plan, calendar, landscape, campaigns, rng_factory=factory
         )
 
-        total = dp = ra = carpet = multi = 0
-        vector_counts: dict[str, int] = {}
-        for batch in generator.batches():
-            total += len(batch)
-            dp += int(batch.is_direct_path.sum())
-            ra += int(batch.is_reflection.sum())
-            carpet += int(batch.carpet.sum())
-            multi += int((batch.secondary_vector_id >= 0).sum())
-            for vector_id in batch.vector_id.tolist():
-                name = VECTORS[vector_id].name
-                vector_counts[name] = vector_counts.get(name, 0) + 1
+        shard = generator.shard_batch()
+        total = len(shard)
+        dp = int(shard.is_direct_path.sum())
+        ra = int(shard.is_reflection.sum())
+        carpet = int(shard.carpet.sum())
+        multi = int((shard.secondary_vector_id >= 0).sum())
+        # First-seen order breaks count ties, as most_common() sorts stably.
+        vector_counts = Counter(VECTORS[i].name for i in shard.vector_id.tolist())
 
         print(f"ground truth over {calendar.n_weeks} weeks (seed {args.seed}):")
         print(f"  attacks           {total}")
@@ -916,7 +915,7 @@ def _command_landscape(args: argparse.Namespace) -> int:
         print(f"  multi-vector      {multi} ({multi / total * 100:.1f}%)")
         print(f"  campaigns         {len(campaigns)}")
         print("\nvector mix:")
-        for name, count in sorted(vector_counts.items(), key=lambda kv: -kv[1]):
+        for name, count in vector_counts.most_common():
             print(f"  {name:12s} {count:7d} ({count / total * 100:5.1f}%)")
         return 0
 

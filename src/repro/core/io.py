@@ -128,28 +128,20 @@ def observations_from_csv(path: str | Path, name: str | None = None) -> Observat
             raw_duration = row.get("duration", "")
             durations.append(float(raw_duration) if raw_duration else float("nan"))
 
+    # Records must be day-sorted; a stable sort keeps the file order within
+    # each day.
+    day_array = np.asarray(days, dtype=np.int32)
+    order = np.argsort(day_array, kind="stable")
     observations = Observations(name or path.stem)
-    if days:
-        order = np.argsort(np.asarray(days), kind="stable")
-        day_array = np.asarray(days)[order]
-        # Append per day to keep the accumulator semantics.
-        target_array = np.asarray(targets, dtype=np.int64)[order]
-        class_array = np.asarray(classes, dtype=np.int8)[order]
-        vector_array = np.asarray(vectors, dtype=np.int16)[order]
-        spoofed_array = np.asarray(spoofed, dtype=bool)[order]
-        bps_array = np.asarray(bps, dtype=np.float64)[order]
-        duration_array = np.asarray(durations, dtype=np.float64)[order]
-        for day in np.unique(day_array):
-            mask = day_array == day
-            observations.append(
-                int(day),
-                target_array[mask],
-                class_array[mask],
-                vector_array[mask],
-                spoofed_array[mask],
-                bps_array[mask],
-                duration=duration_array[mask],
-            )
+    observations.append(
+        day_array[order],
+        np.asarray(targets, dtype=np.int64)[order],
+        np.asarray(classes, dtype=np.int8)[order],
+        np.asarray(vectors, dtype=np.int16)[order],
+        np.asarray(spoofed, dtype=bool)[order],
+        np.asarray(bps, dtype=np.float64)[order],
+        duration=np.asarray(durations, dtype=np.float64)[order],
+    )
     return observations
 
 

@@ -90,8 +90,8 @@ class Histogram:
     quantiles are computed over the sorted union of all observations
     (partition-independent), and :attr:`sum` uses :func:`math.fsum`,
     which is exactly rounded and therefore order-independent.  Intended
-    for bounded-cardinality phase-level measurements (per-day batch
-    sizes, shard widths), not per-event firehoses.
+    for bounded-cardinality phase-level measurements (per-day event
+    counts, shard widths), not per-event firehoses.
     """
 
     __slots__ = ("_values",)

@@ -1,8 +1,9 @@
 """Observatory base classes and observation accumulators.
 
-An :class:`Observatory` turns ground-truth day batches into
-:class:`Observations`: flat arrays of detected attack records (day, target,
-attack class, vector, spoofed flag, measured bps).  The analysis toolkit in
+An :class:`Observatory` turns a ground-truth
+:class:`~repro.attacks.events.ShardBatch` into :class:`Observations`: flat
+arrays of detected attack records (day, target, attack class, vector,
+spoofed flag, measured bps).  The analysis toolkit in
 :mod:`repro.core` consumes only these records — exactly the granularity the
 paper's data providers shared (daily attack counts and, for the federation
 analysis, (date, target-IP) tuples).
@@ -36,44 +37,6 @@ class SeriesKey:
         return f"{self.observatory} ({self.attack_class.label})"
 
 
-class _ColumnBuffer:
-    """Growable columnar numpy buffer (amortised O(1) append).
-
-    Keeps one contiguous array per column and doubles capacity on demand,
-    so millions of small per-day appends neither fragment into thousands
-    of tiny arrays nor trigger quadratic re-concatenation.
-    """
-
-    __slots__ = ("_data", "_size")
-
-    def __init__(self, dtype, capacity: int = 256) -> None:
-        self._data = np.empty(capacity, dtype=dtype)
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def extend(self, values: np.ndarray) -> None:
-        """Append ``values`` (already of the column dtype)."""
-        n = len(values)
-        needed = self._size + n
-        if needed > len(self._data):
-            capacity = max(needed, 2 * len(self._data))
-            grown = np.empty(capacity, dtype=self._data.dtype)
-            grown[: self._size] = self._data[: self._size]
-            self._data = grown
-        self._data[self._size : needed] = values
-        self._size = needed
-
-    def trimmed(self) -> np.ndarray:
-        """The filled portion, shrunk to size (owns its memory)."""
-        out = self._data[: self._size]
-        if len(self._data) != self._size:
-            out = out.copy()
-            self._data = out
-        return out
-
-
 #: Column names and dtypes of one observation record, in storage order.
 OBSERVATION_COLUMNS: tuple[tuple[str, type], ...] = (
     ("day", np.int32),
@@ -89,16 +52,17 @@ OBSERVATION_COLUMNS: tuple[tuple[str, type], ...] = (
 class Observations:
     """Accumulated attack records of one observatory.
 
-    Records are appended per day batch into columnar numpy buffers and
-    finalised into flat arrays.  Finalised instances pickle cheaply and can
-    be concatenated with :meth:`merge` — the primitive the sharded executor
-    in :mod:`repro.util.parallel` uses to combine per-shard sinks.
+    Appended records are held as copied column chunks and concatenated
+    once, on first read, into flat arrays.  Finalised instances pickle
+    cheaply and can be concatenated with :meth:`merge` — the primitive the
+    sharded executor in :mod:`repro.util.parallel` uses to combine
+    per-shard sinks.
     """
 
     def __init__(self, observatory: str) -> None:
         self.observatory = observatory
-        self._buffers: dict[str, _ColumnBuffer] | None = {
-            name: _ColumnBuffer(dtype) for name, dtype in OBSERVATION_COLUMNS
+        self._chunks: dict[str, list[np.ndarray]] | None = {
+            name: [] for name, _ in OBSERVATION_COLUMNS
         }
         self._final: dict[str, np.ndarray] | None = None
 
@@ -112,10 +76,9 @@ class Observations:
         bps: np.ndarray,
         duration: np.ndarray | None = None,
     ) -> None:
-        """Record detections (parallel arrays).
+        """Record detections (parallel arrays, copied).
 
-        ``day`` is either one scalar study day (per-day batches) or a
-        per-record array (fused multi-day shard sweeps); per-record days
+        ``day`` is either one scalar study day or a per-record array; days
         must be appended in non-decreasing order so downstream consumers
         can rely on day-sortedness.  ``duration`` (seconds) is optional
         for backwards compatibility with feeds that do not report it;
@@ -137,29 +100,29 @@ class Observations:
             raise ValueError("parallel arrays must have equal length")
         if n == 0:
             return
-        buffers = self._buffers
-        assert buffers is not None
-        buffers["day"].extend(days)
-        buffers["target"].extend(np.asarray(target, dtype=np.int64))
-        buffers["attack_class"].extend(np.asarray(attack_class, dtype=np.int8))
-        buffers["vector_id"].extend(np.asarray(vector_id, dtype=np.int16))
-        buffers["spoofed"].extend(np.asarray(spoofed, dtype=bool))
-        buffers["bps"].extend(np.asarray(bps, dtype=np.float64))
-        buffers["duration"].extend(
-            np.asarray(duration, dtype=np.float64)
-            if duration is not None
-            else np.full(n, np.nan)
-        )
+        if duration is None:
+            duration = np.full(n, np.nan)
+        chunks = self._chunks
+        assert chunks is not None
+        values = (days, target, attack_class, vector_id, spoofed, bps, duration)
+        for (name, dtype), value in zip(OBSERVATION_COLUMNS, values):
+            # np.array copies: a caller mutating its arrays afterwards
+            # cannot change the recorded data.
+            chunks[name].append(np.array(value, dtype=dtype))
 
     def _materialise(self) -> dict[str, np.ndarray]:
         if self._final is None:
-            buffers = self._buffers
-            assert buffers is not None
+            chunks = self._chunks
+            assert chunks is not None
             self._final = {
-                name: buffers[name].trimmed()
-                for name, _ in OBSERVATION_COLUMNS
+                name: (
+                    chunks[name][0]
+                    if len(chunks[name]) == 1
+                    else np.concatenate([np.empty(0, dtype), *chunks[name]])
+                )
+                for name, dtype in OBSERVATION_COLUMNS
             }
-            self._buffers = None
+            self._chunks = None
         return self._final
 
     # -- construction ----------------------------------------------------------
@@ -181,7 +144,7 @@ class Observations:
                 raise ValueError(f"column {name} length mismatch")
             final[name] = column
         observations = cls(observatory)
-        observations._buffers = None
+        observations._chunks = None
         observations._final = final
         return observations
 
@@ -212,7 +175,7 @@ class Observations:
 
     def __setstate__(self, state: dict) -> None:
         self.observatory = state["observatory"]
-        self._buffers = None
+        self._chunks = None
         self._final = state["columns"]
 
     # -- accessors -------------------------------------------------------------
@@ -351,10 +314,6 @@ class Observatory(abc.ABC):
     reported_classes: tuple[AttackClass, ...]
     outages: tuple[tuple[int, int], ...] = ()
 
-    def in_outage(self, day: int) -> bool:
-        """Whether the platform was dark on a study day."""
-        return any(start <= day < end for start, end in self.outages)
-
     def outage_mask(self, days: np.ndarray) -> np.ndarray:
         """Boolean mask of per-event days that fall inside an outage."""
         mask = np.zeros(len(days), dtype=bool)
@@ -364,20 +323,14 @@ class Observatory(abc.ABC):
 
     @abc.abstractmethod
     def observe(self, batch, into: Observations) -> None:
-        """Process one ground-truth batch, appending detections.
+        """Sweep one ground-truth batch, appending detections to ``into``.
 
-        ``batch`` is any columnar batch shape — a per-day
-        :class:`~repro.attacks.events.DayBatch` or a multi-day
-        :class:`~repro.attacks.events.ShardBatch`; implementations read
-        ``batch.days`` and must never assume a single day.
+        ``batch`` is a :class:`~repro.attacks.events.ShardBatch` covering
+        any range of days; implementations read ``batch.days`` and must
+        never assume a single day.  The RNG draws of one call cover the
+        whole batch, so the same events fed in several calls detect
+        differently from one call.
         """
-
-    def run(self, batches) -> Observations:
-        """Convenience: run over an iterable of day batches."""
-        observations = Observations(self.name)
-        for batch in batches:
-            self.observe(batch, observations)
-        return observations
 
     def series_keys(self) -> list[SeriesKey]:
         """The time series this observatory contributes."""

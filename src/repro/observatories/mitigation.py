@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.events import DayBatch
+from repro.attacks.events import ShardBatch
 from repro.net.plan import InternetPlan
 
 
@@ -56,13 +56,13 @@ class MitigationInterference:
             sorted(plan.netscout_customer_asns), dtype=np.int64
         )
 
-    def _is_protected(self, batch: DayBatch) -> np.ndarray:
+    def _is_protected(self, batch: ShardBatch) -> np.ndarray:
         """Targets whose operators have DDoS protection in place."""
         by_asn = np.isin(batch.origin_asn, self._protected_asns)
         by_prefix = self.plan.akamai_customer_mask(batch.target)
         return by_asn | by_prefix
 
-    def effective_durations(self, batch: DayBatch) -> np.ndarray:
+    def effective_durations(self, batch: ShardBatch) -> np.ndarray:
         """Telescope-visible duration per event, after mitigation.
 
         Unprotected targets keep their full attack duration; mitigated

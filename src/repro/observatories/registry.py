@@ -107,56 +107,15 @@ class ObservatorySet:
                 return observatory
         raise KeyError(name)
 
-    def run_all(self, batches) -> dict[str, Observations]:
-        """Feed every observatory from one pass over the day batches."""
-        sinks = {obs.name: Observations(obs.name) for obs in self.all()}
-        # Span keys are precomputed: the observe loop runs per (day,
-        # platform) and per-call tag formatting would dominate the span
-        # bookkeeping itself.
-        pairs = [
-            (obs, sinks[obs.name], f"observe[platform={obs.name}]")
-            for obs in self.all()
-        ]
-        for batch in batches:
-            for observatory, sink, key in pairs:
-                with span(key):
-                    observatory.observe(batch, sink)
-        for name, sink in sinks.items():
-            counter("observe.records", platform=name).inc(len(sink))
-        return sinks
-
-    def run_with_ground_truth(
-        self, batches, calendar: StudyCalendar
-    ) -> tuple[dict[str, Observations], dict[AttackClass, np.ndarray]]:
-        """One pass over the batches, also accumulating per-class weekly
-        ground-truth counts — the unit of work of one simulation shard."""
-        ground_truth = {
-            attack_class: np.zeros(calendar.n_weeks)
-            for attack_class in AttackClass
-        }
-        dp = ground_truth[AttackClass.DIRECT_PATH]
-        ra = ground_truth[AttackClass.REFLECTION_AMPLIFICATION]
-
-        def counted():
-            for batch in batches:
-                week = batch.day // 7
-                dp[week] += int(batch.is_direct_path.sum())
-                ra[week] += int(batch.is_reflection.sum())
-                yield batch
-
-        sinks = self.run_all(counted())
-        return sinks, ground_truth
-
     def run_shard(
         self, shard, calendar: StudyCalendar
     ) -> tuple[dict[str, Observations], dict[AttackClass, np.ndarray]]:
         """Fused sweep: every observatory crosses one columnar shard once.
 
-        The shard-parallel executor's unit of work — instead of re-walking
-        1,638 per-day batches once per platform, each platform evaluates
-        its visibility masks over the whole multi-day shard in one
-        vectorised pass, and the per-class weekly ground-truth counts fall
-        out of two bincounts.
+        The shard-parallel executor's unit of work: each platform
+        evaluates its visibility masks over the whole multi-day shard in
+        one vectorised pass, and the per-class weekly ground-truth counts
+        fall out of two bincounts.
         """
         weeks = shard.days // 7
         n_weeks = calendar.n_weeks

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import datetime as dt
 
+import numpy as np
 import pytest
 
+from repro.attacks.events import EVENT_COLUMNS, OBSERVATORY_KEYS, ShardBatch
 from repro.core.golden import small_pinned_config
 from repro.core.study import Study, StudyConfig
 from repro.net.plan import PlanConfig, build_internet_plan
@@ -64,6 +66,43 @@ def small_study_config(seed: int = 0) -> StudyConfig:
         SMALL_CALENDAR.end,
     )
     return config
+
+
+def one_day_batch(
+    n: int, *, day: int = 0, bias: float = 1.0, **columns
+) -> ShardBatch:
+    """A hand-built :class:`ShardBatch` of ``n`` events, all on ``day``.
+
+    Keywords set event columns; scalars broadcast to every event.  Unset
+    columns describe spoofed mono-vector direct-path attacks (vector 10,
+    600 s at 1,000 pps from AS 64500) on consecutive targets, starting at
+    midnight; every observatory bias is ``bias``.
+    """
+    values = {
+        "attack_class": 0,
+        "target": np.arange(n) + 10_000,
+        "origin_asn": 64500,
+        "start": day * 86400.0,
+        "duration": 600.0,
+        "pps": 1000.0,
+        "bps": 1000.0 * 512,
+        "vector_id": 10,
+        "secondary_vector_id": -1,
+        "carpet": False,
+        "carpet_prefix_len": 0,
+        "spoofed": True,
+        "hp_selected": 0,
+        **columns,
+    }
+    dtypes = dict(EVENT_COLUMNS)
+    return ShardBatch(
+        days=np.full(n, day, dtype=np.int32),
+        bias={key: np.full(n, float(bias)) for key in OBSERVATORY_KEYS},
+        **{
+            name: np.broadcast_to(np.asarray(value, dtype=dtypes.get(name)), n).copy()
+            for name, value in values.items()
+        },
+    )
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attacks.events import OBSERVATORY_KEYS, AttackClass, DayBatch
+from repro.attacks.events import AttackClass
 from repro.attacks.vectors import vector_id
 from repro.net.rir import RirRegistry
 from repro.net.addr import parse_prefix
@@ -20,6 +20,7 @@ from repro.observatories.honeypot import (
     HoneypotPlatform,
 )
 from repro.util.rng import RngFactory
+from tests.conftest import one_day_batch
 
 
 def batch(
@@ -38,34 +39,26 @@ def batch(
     day=0,
     bias=1.0,
 ):
-    vec = vector_id(vector)
-    packet_bps = bps if bps is not None else pps * 512 * 8
-    return DayBatch(
-        day,
-        attack_class=np.full(n, int(attack_class), dtype=np.int8),
-        target=(
-            np.asarray(targets, dtype=np.int64)
-            if targets is not None
-            else np.arange(n, dtype=np.int64) + 50_000
-        ),
-        origin_asn=np.full(n, asn, dtype=np.int64),
-        start=np.full(n, day * 86400.0),
-        duration=np.full(n, duration),
-        pps=np.full(n, pps),
-        bps=np.full(n, packet_bps),
-        vector_id=np.full(n, vec, dtype=np.int16),
-        secondary_vector_id=np.full(n, -1, dtype=np.int16),
-        carpet=np.full(n, carpet),
-        carpet_prefix_len=np.full(n, carpet_len if carpet else 0, dtype=np.int8),
-        spoofed=np.ones(n, dtype=bool),
-        hp_selected=np.full(n, hp_selected, dtype=np.uint8),
-        bias={key: np.full(n, float(bias)) for key in OBSERVATORY_KEYS},
+    return one_day_batch(
+        n,
+        day=day,
+        bias=bias,
+        attack_class=int(attack_class),
+        target=targets if targets is not None else np.arange(n) + 50_000,
+        origin_asn=asn,
+        duration=duration,
+        pps=pps,
+        bps=bps if bps is not None else pps * 512 * 8,
+        vector_id=vector_id(vector),
+        carpet=carpet,
+        carpet_prefix_len=carpet_len if carpet else 0,
+        hp_selected=hp_selected,
     )
 
 
-def run(observatory, day_batch):
+def run(observatory, shard):
     observations = Observations(observatory.name)
-    observatory.observe(day_batch, observations)
+    observatory.observe(shard, observations)
     return observations
 
 

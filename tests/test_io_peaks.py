@@ -17,16 +17,24 @@ class TestObservationsCsv:
     def test_round_trip(self, small_study, tmp_path):
         original = small_study.observations["Hopscotch"]
         path = observations_to_csv(original, tmp_path / "hopscotch.csv")
-        restored = observations_from_csv(path)
-        assert len(restored) == len(original)
-        assert restored.target_tuples() == original.target_tuples()
-        assert set(np.unique(restored.vector_id)) == set(
-            np.unique(original.vector_id)
-        )
-        # Weekly counts are identical after the round trip.
-        a = original.weekly_counts(small_study.calendar)
-        b = restored.weekly_counts(small_study.calendar)
-        assert np.array_equal(a, b)
+        # The same rows with the days in reverse order (each day's rows in
+        # file order) must come back day-sorted, exactly as written.
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        rows.sort(key=lambda row: -int(row.split(",", 1)[0]))
+        reversed_days = tmp_path / "reversed-days.csv"
+        reversed_days.write_text(header + "".join(rows), encoding="utf-8")
+        for source in (path, reversed_days):
+            restored = observations_from_csv(source)
+            assert len(restored) == len(original)
+            assert restored.target_tuples() == original.target_tuples()
+            for column in ("day", "target", "attack_class", "vector_id", "spoofed"):
+                assert np.array_equal(
+                    getattr(restored, column), getattr(original, column)
+                ), (source.name, column)
+            # Weekly counts are identical after the round trip.
+            a = original.weekly_counts(small_study.calendar)
+            b = restored.weekly_counts(small_study.calendar)
+            assert np.array_equal(a, b)
 
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

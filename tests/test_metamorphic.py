@@ -177,7 +177,8 @@ def test_observatory_subset_independence(seed: int) -> None:
             config=config.generator,
             rng_factory=RngFactory(config.seed),
         )
-        return subset.run_all(generator.batches())
+        sinks, _ = subset.run_shard(generator.shard_batch(), config.calendar)
+        return sinks
 
     full = run(_build_observatories(config, models.plan))
     rebuilt = _build_observatories(config, models.plan)

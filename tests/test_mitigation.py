@@ -1,34 +1,23 @@
 """Tests for the mitigation-interference model (paper Section 5)."""
 
-import numpy as np
 import pytest
 
-from repro.attacks.events import OBSERVATORY_KEYS, DayBatch
 from repro.net.plan import UCSD_TELESCOPE_PREFIXES
 from repro.observatories.base import Observations
 from repro.observatories.mitigation import MitigationInterference
 from repro.observatories.telescope import NetworkTelescope, TelescopeConfig
 from repro.util.rng import RngFactory
+from tests.conftest import one_day_batch
 
 
 def batch_on(targets, asns, duration=600.0, pps=50_000.0):
-    n = len(targets)
-    return DayBatch(
-        0,
-        attack_class=np.zeros(n, dtype=np.int8),
-        target=np.asarray(targets, dtype=np.int64),
-        origin_asn=np.asarray(asns, dtype=np.int64),
-        start=np.zeros(n),
-        duration=np.full(n, duration),
-        pps=np.full(n, pps),
-        bps=np.full(n, pps * 512),
-        vector_id=np.full(n, 10, dtype=np.int16),
-        secondary_vector_id=np.full(n, -1, dtype=np.int16),
-        carpet=np.zeros(n, dtype=bool),
-        carpet_prefix_len=np.zeros(n, dtype=np.int8),
-        spoofed=np.ones(n, dtype=bool),
-        hp_selected=np.zeros(n, dtype=np.uint8),
-        bias={key: np.ones(n) for key in OBSERVATORY_KEYS},
+    return one_day_batch(
+        len(targets),
+        target=targets,
+        origin_asn=asns,
+        duration=duration,
+        pps=pps,
+        bps=pps * 512,
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.attacks.events import AttackClass
 from repro.core.study import Study
-from repro.observatories.base import SeriesKey
+from repro.observatories.base import Observations, SeriesKey
 from repro.observatories.registry import ACADEMIC_OBSERVATORIES
 from tests.conftest import small_study_config
 
@@ -234,3 +234,25 @@ class TestObservationsLifecycle:
                 np.asarray([True]),
                 np.asarray([1.0]),
             )
+
+    @pytest.mark.parametrize("appends", [1, 3])
+    def test_appended_arrays_are_copied(self, appends):
+        observations = Observations("X")
+        target = np.asarray([1, 2], dtype=np.int64)
+        expected_days, expected_targets = [], []
+        for day in range(appends):
+            observations.append(
+                day,
+                target,
+                np.zeros(2, dtype=np.int8),
+                np.zeros(2, dtype=np.int16),
+                np.ones(2, dtype=bool),
+                np.ones(2),
+            )
+            expected_days += [day, day]
+            expected_targets += target.tolist()
+            # Mutating after the append must not change what was recorded.
+            target += 10
+        assert observations.day.tolist() == expected_days
+        assert observations.target.tolist() == expected_targets
+        assert np.isnan(observations.duration).all()

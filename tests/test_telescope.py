@@ -1,13 +1,12 @@
 """Tests for the telescope macro model."""
 
-import numpy as np
 import pytest
 
-from repro.attacks.events import OBSERVATORY_KEYS, DayBatch
 from repro.net.plan import ORION_TELESCOPE_PREFIX, UCSD_TELESCOPE_PREFIXES
 from repro.observatories.base import Observations, VisibilityNoise
 from repro.observatories.telescope import NetworkTelescope, TelescopeConfig
 from repro.util.rng import RngFactory
+from tests.conftest import one_day_batch
 
 
 def make_telescope(name="ucsd", response_ratio=1.0, noise=None):
@@ -23,22 +22,14 @@ def make_telescope(name="ucsd", response_ratio=1.0, noise=None):
 
 
 def rsdos_batch(n, pps, duration=600.0, spoofed=True, bias=1.0, day=0):
-    return DayBatch(
-        day,
-        attack_class=np.zeros(n, dtype=np.int8),
-        target=np.arange(n, dtype=np.int64) + 10_000,
-        origin_asn=np.full(n, 64500, dtype=np.int64),
-        start=np.full(n, day * 86400.0),
-        duration=np.full(n, duration),
-        pps=np.full(n, pps),
-        bps=np.full(n, pps * 512),
-        vector_id=np.full(n, 10, dtype=np.int16),
-        secondary_vector_id=np.full(n, -1, dtype=np.int16),
-        carpet=np.zeros(n, dtype=bool),
-        carpet_prefix_len=np.zeros(n, dtype=np.int8),
-        spoofed=np.full(n, spoofed),
-        hp_selected=np.zeros(n, dtype=np.uint8),
-        bias={key: np.full(n, bias) for key in OBSERVATORY_KEYS},
+    return one_day_batch(
+        n,
+        day=day,
+        bias=bias,
+        duration=duration,
+        pps=pps,
+        bps=pps * 512,
+        spoofed=spoofed,
     )
 
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.attacks.events import (
+    EVENT_COLUMNS,
     HP_BIT,
     OBSERVATORY_KEYS,
     AttackClass,
-    AttackEvent,
-    DayBatch,
+    ShardBatch,
 )
 from repro.attacks.vectors import (
     DP_VECTORS,
@@ -20,6 +20,7 @@ from repro.attacks.vectors import (
     vector_id,
     vector_ids,
 )
+from tests.conftest import one_day_batch
 
 
 class TestVectorCatalogue:
@@ -70,28 +71,24 @@ class TestVectorCatalogue:
         assert vector_by_name("SLP").port == 427
 
 
-def _batch(n=3, day=5):
-    bias = {key: np.ones(n) for key in OBSERVATORY_KEYS}
-    return DayBatch(
-        day,
-        attack_class=np.asarray([0, 1, 1], dtype=np.int8)[:n],
-        target=np.arange(n, dtype=np.int64) + 100,
-        origin_asn=np.full(n, 64500, dtype=np.int64),
-        start=np.full(n, day * 86400.0) + np.arange(n),
-        duration=np.full(n, 120.0),
-        pps=np.full(n, 1000.0),
-        bps=np.full(n, 1e6),
-        vector_id=np.asarray([10, 0, 1], dtype=np.int16)[:n],
-        secondary_vector_id=np.full(n, -1, dtype=np.int16),
-        carpet=np.zeros(n, dtype=bool),
-        carpet_prefix_len=np.zeros(n, dtype=np.int8),
-        spoofed=np.asarray([True, True, True])[:n],
-        hp_selected=np.asarray([0, 1, 2], dtype=np.uint8)[:n],
-        bias=bias,
+def _batch():
+    return one_day_batch(
+        3,
+        day=5,
+        attack_class=[0, 1, 1],
+        vector_id=[10, 0, 1],
+        hp_selected=[0, 1, 2],
     )
 
 
+def _columns(n):
+    """Every event column, ``n`` zeros each."""
+    return {name: np.zeros(n, dtype=dtype) for name, dtype in EVENT_COLUMNS}
+
+
 class TestDayBatch:
+    """Masks and validation of a one-day :class:`ShardBatch`."""
+
     def test_masks(self):
         batch = _batch()
         assert batch.is_direct_path.tolist() == [True, False, False]
@@ -104,79 +101,30 @@ class TestDayBatch:
         assert batch.hp_selected_mask("amppot").tolist() == [False, False, True]
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            DayBatch(
-                0,
-                attack_class=np.zeros(2, dtype=np.int8),
-                target=np.zeros(3, dtype=np.int64),
-                origin_asn=np.zeros(3, dtype=np.int64),
-                start=np.zeros(3),
-                duration=np.zeros(3),
-                pps=np.zeros(3),
-                bps=np.zeros(3),
-                vector_id=np.zeros(3, dtype=np.int16),
-                secondary_vector_id=np.zeros(3, dtype=np.int16),
-                carpet=np.zeros(3, dtype=bool),
-                carpet_prefix_len=np.zeros(3, dtype=np.int8),
-                spoofed=np.zeros(3, dtype=bool),
-                hp_selected=np.zeros(3, dtype=np.uint8),
+        with pytest.raises(ValueError, match="attack_class length mismatch"):
+            ShardBatch(
+                days=np.zeros(3, dtype=np.int32),
                 bias={key: np.ones(3) for key in OBSERVATORY_KEYS},
+                **{**_columns(3), "attack_class": np.zeros(2, dtype=np.int8)},
             )
 
     def test_missing_bias_rejected(self):
-        with pytest.raises(ValueError):
-            _batch_with_partial_bias()
+        bias = {key: np.ones(1) for key in OBSERVATORY_KEYS if key != "ucsd"}
+        with pytest.raises(ValueError, match="bias array missing"):
+            ShardBatch(days=np.zeros(1, dtype=np.int32), bias=bias, **_columns(1))
 
-    def test_event_materialisation(self):
-        batch = _batch()
-        event = batch.event(1)
-        assert isinstance(event, AttackEvent)
-        assert event.attack_class is AttackClass.REFLECTION_AMPLIFICATION
-        assert event.target == 101
-        assert event.hp_is_selected("hopscotch")
-        assert not event.hp_is_selected("amppot")
-        assert event.day == 5
-
-    def test_events_iteration(self):
-        batch = _batch()
-        events = list(batch.events())
-        assert len(events) == len(batch) == 3
-        assert [e.event_id for e in events] == [0, 1, 2]
-
-
-def _batch_with_partial_bias():
-    n = 1
-    bias = {key: np.ones(n) for key in OBSERVATORY_KEYS if key != "ucsd"}
-    return DayBatch(
-        0,
-        attack_class=np.zeros(n, dtype=np.int8),
-        target=np.zeros(n, dtype=np.int64),
-        origin_asn=np.zeros(n, dtype=np.int64),
-        start=np.zeros(n),
-        duration=np.zeros(n),
-        pps=np.zeros(n),
-        bps=np.zeros(n),
-        vector_id=np.zeros(n, dtype=np.int16),
-        secondary_vector_id=np.zeros(n, dtype=np.int16),
-        carpet=np.zeros(n, dtype=bool),
-        carpet_prefix_len=np.zeros(n, dtype=np.int8),
-        spoofed=np.zeros(n, dtype=bool),
-        hp_selected=np.zeros(n, dtype=np.uint8),
-        bias=bias,
-    )
+    def test_unexpected_column_rejected(self):
+        with pytest.raises(ValueError, match="unexpected columns"):
+            ShardBatch(
+                days=np.zeros(1, dtype=np.int32),
+                bias={key: np.ones(1) for key in OBSERVATORY_KEYS},
+                event_id=np.zeros(1, dtype=np.int64),
+                **_columns(1),
+            )
 
 
 class TestAttackEvent:
-    def test_vectors_property(self):
-        batch = _batch()
-        event = batch.event(0)
-        assert len(event.vectors) == 1
-        assert event.vector.name == VECTORS[10].name
-
-    def test_end_and_day(self):
-        event = _batch().event(0)
-        assert event.end == event.start + event.duration
-        assert event.day == int(event.start // 86400)
+    """Per-event constants: honeypot bits and class labels."""
 
     def test_hp_bit_layout(self):
         assert HP_BIT == {"hopscotch": 0, "amppot": 1, "newkid": 2}
