@@ -1,6 +1,6 @@
 # Convenience targets for the DDoScovery reproduction.
 
-.PHONY: install test test-fast conformance conformance-scenarios ci ablations bench bench-perf bench-serve profile sweep-smoke sweep-stability serve-smoke whatif-smoke dist-smoke examples artefacts clean
+.PHONY: install test test-fast conformance conformance-scenarios ci ablations bench bench-perf profile sweep-smoke sweep-stability serve-smoke whatif-smoke dist-smoke examples artefacts clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -42,14 +42,8 @@ bench:
 bench-perf:
 	pytest benchmarks/test_perf_pipeline.py benchmarks/test_perf_parallel.py --benchmark-only
 
-# Regenerate the checked-in service load-test baseline: 16 concurrent
-# clients against a process-mode daemon, mixed submit/poll/fetch
-# workload plus the thundering-herd coalescing proof (see docs/SERVICE.md).
-bench-serve:
-	PYTHONPATH=src python -m repro.cli bench serve --out benchmarks/results/PERF_service.txt
-
-# Regenerate the checked-in full-window profile baseline (cache bypassed,
-# so the simulation itself is measured; see docs/OBSERVABILITY.md).
+# Regenerate the checked-in full-window profile (cache bypassed, so the
+# simulation itself is measured; see docs/OBSERVABILITY.md).
 profile:
 	PYTHONPATH=src python -m repro.cli profile --seed 0 --out benchmarks/results/PROFILE_seed0.txt
 

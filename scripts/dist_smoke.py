@@ -11,12 +11,14 @@ worker` subprocesses and runs the same preset as a distributed job:
    comparison is honest), and poll to completion,
 
 Timing fairness: every cell — serial and leased alike — pays the same
-fixed `REPRO_SWEEP_CELL_STALL_S` ingest stall inside `run_cell`, so the
-smoke measures what distribution actually buys (overlapping blocked
-time across workers) independent of how many cores the CI container
-happens to grant; and the distributed clock starts only once both
-workers are registered, so subprocess interpreter start-up is excluded
-exactly as it is from the (warm, in-process) serial baseline.
+fixed `CELL_STALL_S` ingest stall.  The script adds it by wrapping
+`repro.sweep.scheduler.run_cell` (`stall_cells`) in its own process and
+in each worker subprocess it starts.  So the smoke measures what
+distribution actually buys (overlapping blocked time across workers),
+independent of how many cores the CI container happens to grant.  The
+distributed clock starts only once both workers are registered, so
+subprocess interpreter start-up is excluded exactly as it is from the
+(warm, in-process) serial baseline.
 
 3. assert the per-worker completion counts sum to the cell count and
    that *both* workers did real work,
@@ -47,6 +49,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+import repro.sweep.scheduler as scheduler  # noqa: E402
 from repro.core.artifacts import artifact_json_bytes  # noqa: E402
 from repro.sweep.presets import preset  # noqa: E402
 from repro.sweep.scheduler import run_sweep  # noqa: E402
@@ -59,6 +62,28 @@ MIN_SPEEDUP = 1.5
 # baseline and by every leased cell — see the module docstring.
 CELL_STALL_S = 6.0
 RESULT = REPO / "benchmarks" / "results" / "PERF_dist.txt"
+# `python -c` body of each worker subprocess: stall its cells the same
+# way, then run the ordinary `ddoscovery` entry point on the arguments.
+WORKER_PRELUDE = (
+    "import sys, dist_smoke; dist_smoke.stall_cells(); "
+    "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def stall_cells() -> None:
+    """Make every `run_cell` in this process sleep `CELL_STALL_S` first.
+
+    `run_sweep`'s inline executor and the dist worker both look
+    `run_cell` up on `repro.sweep.scheduler` when they call it, so
+    rebinding the module attribute reaches serial and leased cells alike.
+    """
+    run_cell = scheduler.run_cell
+
+    def stalled_run_cell(*args, **kwargs):
+        time.sleep(CELL_STALL_S)
+        return run_cell(*args, **kwargs)
+
+    scheduler.run_cell = stalled_run_cell
 
 
 def http(method: str, url: str, body: dict | None = None) -> tuple[int, bytes]:
@@ -98,9 +123,9 @@ def serial_baseline(sweep_dir: Path) -> tuple[float, bytes]:
 def main() -> int:
     n_cells = len(expand(preset(PRESET)))
     scratch = Path(tempfile.mkdtemp(prefix="dist-smoke-"))
-    os.environ["REPRO_SWEEP_CELL_STALL_S"] = str(CELL_STALL_S)
+    stall_cells()
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src")
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO / "scripts")])
 
     print(f"dist-smoke: serial baseline ({PRESET}, {n_cells} cells) ...")
     serial_s, expected = serial_baseline(scratch / "serial")
@@ -149,8 +174,8 @@ def main() -> int:
             subprocess.Popen(
                 [
                     sys.executable,
-                    "-m",
-                    "repro.cli",
+                    "-c",
+                    WORKER_PRELUDE,
                     "dist",
                     "worker",
                     "--coordinator",
@@ -242,8 +267,8 @@ def main() -> int:
             "",
             f"preset:            {PRESET} ({n_cells} cells, cache bypassed)",
             f"workers:           {WORKERS} (subprocesses via 'ddoscovery dist worker')",
-            f"per-cell stall:    {CELL_STALL_S:.1f} s (REPRO_SWEEP_CELL_STALL_S,"
-            " paid by serial and leased cells alike)",
+            f"per-cell stall:    {CELL_STALL_S:.1f} s (scripts/dist_smoke.py wraps"
+            " run_cell; paid by serial and leased cells alike)",
             f"serial wall-clock: {serial_s:.2f} s",
             f"dist wall-clock:   {dist_s:.2f} s (workers registered,"
             " submit -> job done)",

@@ -47,14 +47,9 @@ Subcommands:
     persistent multi-process warm pool by default (``--execution
     process``) and artifact responses carry content-fingerprint ETags
     honoured by ``If-None-Match`` — see ``docs/SERVICE.md``.
-``ddoscovery bench``
-    Load-test harness: ``bench serve`` runs the daemon in-process under
-    N concurrent socket clients (mixed submit / poll / fetch /
-    conditional-fetch workload plus a thundering-herd phase) and
-    reports p50/p99 latency, throughput, and the coalescing invariant —
-    the report behind ``benchmarks/results/PERF_service.txt``.
 
-``run``, ``landscape``, ``conformance``, and ``profile`` accept
+``run``, ``landscape``, ``conformance``, ``profile``, ``artifact get``,
+``sweep run``, ``whatif run``, ``serve``, and ``dist worker`` accept
 ``--trace OUT.json`` (write a run manifest: config fingerprint, schema
 versions, host info, span tree, metrics) and ``--metrics`` (print the
 merged metrics table to stderr) — see ``docs/OBSERVABILITY.md``.
@@ -82,7 +77,6 @@ Examples::
     ddoscovery artifact list
     ddoscovery artifact get fig2_trends table2 --preset seed0-small
     ddoscovery serve --port 8350 --workers 2 --execution process
-    ddoscovery bench serve --clients 16 --out benchmarks/results/PERF_service.txt
 """
 
 from __future__ import annotations
@@ -519,13 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the profile report to a file "
         "(e.g. benchmarks/results/PROFILE_seed0.txt)",
     )
-    profile.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="diff against a saved profile report: append a per-phase "
-        "self-time comparison and flag phases regressing >20%%",
-    )
 
     artifact = commands.add_parser(
         "artifact",
@@ -717,68 +704,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit the status document as canonical JSON",
     )
 
-    bench = commands.add_parser(
-        "bench",
-        help="load-test the service daemon (mixed workload, herd, 304s)",
-    )
-    bench_actions = bench.add_subparsers(dest="action", required=True)
-    bench_serve = bench_actions.add_parser(
-        "serve",
-        help="run the in-process daemon under N concurrent clients and "
-        "report p50/p99 latency, RPS, and coalescing behaviour",
-    )
-    bench_serve.add_argument(
-        "--clients", type=int, default=16, help="concurrent clients (default 16)"
-    )
-    bench_serve.add_argument(
-        "--requests",
-        type=int,
-        default=25,
-        help="requests per client in the mixed phase (default 25)",
-    )
-    bench_serve.add_argument(
-        "--herd",
-        type=int,
-        default=16,
-        help="simultaneous identical submissions in the herd phase "
-        "(default 16)",
-    )
-    bench_serve.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="daemon job workers under test (default 2)",
-    )
-    bench_serve.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="simulation shards per job (default 1)",
-    )
-    bench_serve.add_argument(
-        "--execution",
-        choices=("process", "thread"),
-        default="process",
-        help="daemon execution mode under test (default process)",
-    )
-    bench_serve.add_argument(
-        "--seed", type=int, default=0, help="study seed (default 0)"
-    )
-    bench_serve.add_argument(
-        "--weeks",
-        type=int,
-        default=16,
-        help="study window in weeks (default 16: small enough to warm "
-        "quickly, large enough to be a real artifact)",
-    )
-    bench_serve.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="write the report to a file "
-        "(e.g. benchmarks/results/PERF_service.txt)",
-    )
-
     return parser
 
 
@@ -789,21 +714,24 @@ def _calendar_for(weeks: int | None) -> StudyCalendar:
         raise SystemExit(str(error))
 
 
-def _observed_command(args: argparse.Namespace, command: str, config, body) -> int:
+def _observed_command(
+    args: argparse.Namespace, command: str, config, body, sweep: dict | None = None
+) -> int:
     """Run ``body()`` in a fresh observability context; honour the shared
     ``--trace`` / ``--metrics`` flags.
 
     Every invocation collects into its own registry and tracer (so
     repeated ``main()`` calls in one process — the test suite — never
     bleed metrics into each other); the manifest is built from exactly
-    what this command recorded.
+    what this command recorded.  ``sweep`` is the manifest's sweep
+    provenance block, if the command runs a sweep.
     """
     trace_path = getattr(args, "trace", None)
     with obs.collecting() as registry, obs.tracing() as tracer:
         with obs.span(f"cli.{command}"):
             code = body()
         manifest = obs.build_manifest(
-            command, config=config, registry=registry, tracer=tracer
+            command, config=config, registry=registry, tracer=tracer, sweep=sweep
         )
     if getattr(args, "metrics", False):
         print(obs.render_metrics(registry.summary()), file=sys.stderr)
@@ -1166,23 +1094,9 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
     # The run-level manifest carries the sweep id with a null cell index;
     # per-cell manifests live under the ledger's cells/ directory.
-    trace_path = getattr(args, "trace", None)
-    with obs.collecting() as registry, obs.tracing() as tracer:
-        with obs.span("cli.sweep"):
-            code = body()
-        manifest = obs.build_manifest(
-            "sweep",
-            config=spec.base,
-            registry=registry,
-            tracer=tracer,
-            sweep=sweep_provenance(spec),
-        )
-    if getattr(args, "metrics", False):
-        print(obs.render_metrics(registry.summary()), file=sys.stderr)
-    if trace_path is not None:
-        obs.write_manifest(trace_path, manifest)
-        print(f"wrote {trace_path}", file=sys.stderr)
-    return code
+    return _observed_command(
+        args, "sweep", spec.base, body, sweep=sweep_provenance(spec)
+    )
 
 
 def _command_whatif(args: argparse.Namespace) -> int:
@@ -1288,23 +1202,9 @@ def _command_whatif(args: argparse.Namespace) -> int:
 
     # Same manifest convention as sweep run: the run-level manifest
     # carries the pairing's sweep id with a null cell index.
-    trace_path = getattr(args, "trace", None)
-    with obs.collecting() as registry, obs.tracing() as tracer:
-        with obs.span("cli.whatif"):
-            code = body()
-        manifest = obs.build_manifest(
-            "whatif",
-            config=spec.base,
-            registry=registry,
-            tracer=tracer,
-            sweep=sweep_provenance(spec),
-        )
-    if getattr(args, "metrics", False):
-        print(obs.render_metrics(registry.summary()), file=sys.stderr)
-    if trace_path is not None:
-        obs.write_manifest(trace_path, manifest)
-        print(f"wrote {trace_path}", file=sys.stderr)
-    return code
+    return _observed_command(
+        args, "whatif", spec.base, body, sweep=sweep_provenance(spec)
+    )
 
 
 def _command_profile(args: argparse.Namespace) -> int:
@@ -1346,29 +1246,6 @@ def _command_profile(args: argparse.Namespace) -> int:
         "",
         obs.render_metrics(registry.summary()),
     ]
-    if args.baseline is not None:
-        try:
-            baseline_text = args.baseline.read_text(encoding="utf-8")
-        except OSError as error:
-            print(f"cannot read baseline: {error}", file=sys.stderr)
-            return 2
-        baseline_rows = obs.parse_profile(baseline_text)
-        if not baseline_rows:
-            print(
-                f"no profile rows found in baseline {args.baseline}",
-                file=sys.stderr,
-            )
-            return 2
-        diff, regressed = obs.render_profile_diff(
-            obs.profile_rows(tracer.root), baseline_rows, top=args.top
-        )
-        lines += ["", f"baseline: {args.baseline}", "", diff]
-        if regressed:
-            print(
-                f"warning: {len(regressed)} phase(s) regressed >20% "
-                f"vs {args.baseline}",
-                file=sys.stderr,
-            )
     text = "\n".join(lines)
     print(text)
     if args.out is not None:
@@ -1544,27 +1421,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     return _observed_command(args, "serve", None, body)
 
 
-def _command_bench(args: argparse.Namespace) -> int:
-    from repro.service import BenchConfig, run_bench
-
-    if args.clients < 1 or args.requests < 1 or args.herd < 2:
-        raise SystemExit("need --clients/--requests >= 1 and --herd >= 2")
-    config = BenchConfig(
-        clients=args.clients,
-        requests_per_client=args.requests,
-        herd_size=args.herd,
-        seed=args.seed,
-        weeks=args.weeks,
-        workers=args.workers,
-        jobs=args.jobs,
-        execution=args.execution,
-        out=args.out,
-    )
-    return run_bench(
-        config, log=lambda message: print(message, file=sys.stderr, flush=True)
-    )
-
-
 _COMMANDS = {
     "run": _command_run,
     "survey": _command_survey,
@@ -1578,7 +1434,6 @@ _COMMANDS = {
     "artifact": _command_artifact,
     "serve": _command_serve,
     "dist": _command_dist,
-    "bench": _command_bench,
 }
 
 

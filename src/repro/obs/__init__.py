@@ -28,11 +28,8 @@ from repro.obs.manifest import (
     build_manifest,
     host_info,
     load_manifest,
-    parse_profile,
-    profile_rows,
     render_metrics,
     render_profile,
-    render_profile_diff,
     validate_manifest,
     write_manifest,
 )
@@ -76,10 +73,7 @@ __all__ = [
     "metric_key",
     "registry",
     "render_metrics",
-    "parse_profile",
-    "profile_rows",
     "render_profile",
-    "render_profile_diff",
     "set_enabled",
     "span",
     "span_key",

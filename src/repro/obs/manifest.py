@@ -195,13 +195,13 @@ def render_metrics(summary: dict[str, dict]) -> str:
     return "\n".join(lines)
 
 
-def profile_rows(root: SpanNode) -> dict[str, list[float]]:
-    """Aggregate per-key phase stats: ``{key: [calls, total, self,
-    self_cpu, errors]}``.
+def render_profile(root: SpanNode, top: int | None = None) -> str:
+    """Self-time table of the hottest phases, one row per span key.
 
-    Every node sharing a key is summed wherever it sits in the tree —
-    the same aggregation :func:`render_profile` tabulates and
-    :func:`render_profile_diff` compares against a baseline.
+    Rows aggregate every node sharing a key (wherever it sits in the
+    tree) and sort by self wall time — the time a phase spent *not*
+    inside an instrumented child — so the top row is the best
+    optimisation target.
     """
     rows: dict[str, list[float]] = {}
     for _, node in root.walk():
@@ -211,18 +211,6 @@ def profile_rows(root: SpanNode) -> dict[str, list[float]]:
         row[2] += node.self_wall_s
         row[3] += node.self_cpu_s
         row[4] += node.errors
-    return rows
-
-
-def render_profile(root: SpanNode, top: int | None = None) -> str:
-    """Self-time table of the hottest phases, one row per span key.
-
-    Rows aggregate every node sharing a key (wherever it sits in the
-    tree) and sort by self wall time — the time a phase spent *not*
-    inside an instrumented child — so the top row is the best
-    optimisation target.
-    """
-    rows = profile_rows(root)
     ordered = sorted(rows.items(), key=lambda item: -item[1][2])
     if top is not None:
         ordered = ordered[:top]
@@ -240,104 +228,3 @@ def render_profile(root: SpanNode, top: int | None = None) -> str:
     if not ordered:
         lines.append("(no spans recorded)")
     return "\n".join(lines)
-
-
-def parse_profile(text: str) -> dict[str, list[float]]:
-    """Parse a :func:`render_profile` table back into phase rows.
-
-    Accepts a whole saved report (``PROFILE_*.txt``): anything that is
-    not a data row — headers, rules, the metrics section — is skipped.
-    Span keys never contain whitespace, so a data row is exactly a key
-    followed by four numeric fields (plus an optional ``!errors`` tag).
-    """
-    rows: dict[str, list[float]] = {}
-    for line in text.splitlines():
-        parts = line.split()
-        if len(parts) not in (5, 6) or parts[0] in ("phase",):
-            continue
-        try:
-            calls = int(parts[1].replace(",", ""))
-            total, self_wall, self_cpu = (float(p) for p in parts[2:5])
-        except ValueError:
-            continue
-        errors = 0
-        if len(parts) == 6:
-            if not parts[5].startswith("!"):
-                continue
-            try:
-                errors = int(parts[5][1:])
-            except ValueError:
-                continue
-        rows[parts[0]] = [calls, total, self_wall, self_cpu, errors]
-    return rows
-
-
-#: A phase must regress by more than this fraction of baseline self time
-#: to be flagged by :func:`render_profile_diff`.
-PROFILE_REGRESSION_THRESHOLD = 0.20
-
-#: ... and by at least this many absolute seconds, so sub-millisecond
-#: phases cannot trip the flag on timer jitter alone.
-PROFILE_REGRESSION_FLOOR_S = 0.025
-
-
-def render_profile_diff(
-    current: dict[str, list[float]],
-    baseline: dict[str, list[float]],
-    *,
-    threshold: float = PROFILE_REGRESSION_THRESHOLD,
-    floor_s: float = PROFILE_REGRESSION_FLOOR_S,
-    top: int | None = None,
-) -> tuple[str, list[str]]:
-    """Compare current phase self-times against a saved baseline.
-
-    Returns ``(table, regressed_keys)``: the rendered comparison, and
-    the phases whose self time grew by more than ``threshold`` *and* by
-    at least ``floor_s`` seconds.  Phases absent from one side are shown
-    as ``new``/``gone`` but never flagged — renames should be visible,
-    not alarming.
-    """
-    keys = sorted(
-        set(current) | set(baseline),
-        key=lambda key: -(current.get(key, baseline.get(key))[2]),
-    )
-    if top is not None:
-        keys = keys[:top]
-    header = (
-        f"{'phase':44s} {'base self(s)':>13s} {'self(s)':>10s} "
-        f"{'delta':>8s}"
-    )
-    lines = [header, "-" * len(header)]
-    regressed: list[str] = []
-    for key in keys:
-        now = current.get(key)
-        base = baseline.get(key)
-        if base is None:
-            lines.append(f"{key:44s} {'-':>13s} {now[2]:>10.3f} {'new':>8s}")
-            continue
-        if now is None:
-            lines.append(f"{key:44s} {base[2]:>13.3f} {'-':>10s} {'gone':>8s}")
-            continue
-        if base[2] > 0:
-            delta = f"{(now[2] - base[2]) / base[2]:+8.1%}"
-        else:
-            delta = f"{'-':>8s}"
-        flag = ""
-        if (
-            now[2] > base[2] * (1 + threshold)
-            and now[2] - base[2] >= floor_s
-        ):
-            flag = "  REGRESSED"
-            regressed.append(key)
-        lines.append(
-            f"{key:44s} {base[2]:>13.3f} {now[2]:>10.3f} {delta}{flag}"
-        )
-    if regressed:
-        lines += [
-            "",
-            f"{len(regressed)} phase(s) regressed >"
-            f"{threshold:.0%} vs baseline: {', '.join(regressed)}",
-        ]
-    else:
-        lines += ["", f"no phase regressed >{threshold:.0%} vs baseline"]
-    return "\n".join(lines), regressed

@@ -27,21 +27,14 @@ worker count.
 The load tier (``docs/SERVICE.md``): job bodies run on the persistent
 multi-process warm pool by default (``execution="process"``), artifact
 responses carry content-fingerprint ``ETag`` headers honoured by
-``If-None-Match`` conditional GETs (:mod:`repro.service.hotcache`),
-large bodies stream in chunks, and ``ddoscovery bench serve``
-(:mod:`repro.service.bench`) load-tests the whole stack — including the
-thundering-herd coalescing invariant — under concurrent clients.
+``If-None-Match`` conditional GETs (:mod:`repro.service.hotcache`), and
+large bodies stream in chunks.  The repository benchmark's ``service``
+workload (``perfbench/README.md``) measures the whole stack under
+concurrent clients.
 """
 
 from repro.service.app import ROUTES, App, Route
-from repro.service.bench import BenchConfig, run_bench
-from repro.service.daemon import (
-    ServiceConfig,
-    ServiceHandle,
-    free_port,
-    run_service,
-    serve,
-)
+from repro.service.daemon import ServiceConfig, ServiceHandle, run_service, serve
 from repro.service.dist import (
     DIST_CAPABILITIES,
     DIST_PROTOCOL_VERSION,
@@ -90,7 +83,6 @@ __all__ = [
     "RUNNING",
     "TIMEOUT",
     "App",
-    "BenchConfig",
     "CoordinatorClient",
     "DistCoordinator",
     "Draining",
@@ -109,12 +101,10 @@ __all__ = [
     "WorkerConfig",
     "WorkerSummary",
     "etag_matches",
-    "free_port",
     "make_etag",
     "make_runner",
     "openapi_document",
     "parse_submission",
-    "run_bench",
     "run_service",
     "run_worker",
     "serve",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import asyncio
 import signal
-import socket
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -256,10 +255,3 @@ def run_service(config: ServiceConfig, *, log: Log = _silent) -> int:
         log(f"cannot listen on {config.host}:{config.port}: {error}")
         return 1
     return 0
-
-
-def free_port(host: str = "127.0.0.1") -> int:
-    """An ephemeral port (for smoke scripts that need to know it early)."""
-    with socket.socket() as probe:
-        probe.bind((host, 0))
-        return probe.getsockname()[1]

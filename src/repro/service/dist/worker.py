@@ -22,18 +22,12 @@ Robustness:
 * a ``stale-lease`` answer to an upload (we were evicted mid-cell and
   the cell re-dispatched) is counted and dropped — cell results are
   deterministic, so whichever copy merged first is byte-identical.
-
-Chaos hook: ``REPRO_DIST_CELL_DELAY_S`` sleeps that many seconds before
-each cell body (in small stop-aware increments) — how the
-lease-expiry/SIGKILL determinism tests hold a worker mid-cell long
-enough to kill it.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import os
 import random
 import signal
 import threading
@@ -54,9 +48,6 @@ from repro.service.dist.protocol import (
 )
 
 Log = Callable[[str], None]
-
-#: Chaos/test hook: seconds to sleep (stop-aware) before each cell body.
-CELL_DELAY_ENV = "REPRO_DIST_CELL_DELAY_S"
 
 
 def _silent(_: str) -> None:
@@ -275,7 +266,6 @@ def run_worker(
     )
     keepalive_thread.start()
 
-    delay_s = float(os.environ.get(CELL_DELAY_ENV, "0") or 0)
     idle_since: float | None = None
     try:
         while not stop.is_set():
@@ -322,8 +312,6 @@ def run_worker(
             idle_since = None
             _execute_lease(
                 client, config, worker_id, lease, summary,
-                stop=stop,
-                delay_s=delay_s,
                 current_lease=current_lease,
                 lease_lock=lease_lock,
                 log=log,
@@ -351,13 +339,13 @@ def _execute_lease(
     lease: dict[str, Any],
     summary: WorkerSummary,
     *,
-    stop: threading.Event,
-    delay_s: float,
     current_lease: dict[str, str | None],
     lease_lock: threading.Lock,
     log: Log,
 ) -> None:
     """Run one leased cell end-to-end and upload (or fail) it."""
+    # Imported per lease so that a wrapper bound to the module attribute
+    # (scripts/dist_smoke.py's stall) runs here as it does inline.
     from repro.sweep.scheduler import run_cell
     from repro.sweep.spec import expand
 
@@ -388,8 +376,6 @@ def _execute_lease(
                 {"worker_id": worker_id, "message": error.message},
             )
             return
-        if delay_s > 0:
-            _stop_aware_sleep(delay_s, stop)
         started = time.perf_counter()
         with obs.span("service.dist.cell"):
             result = run_cell(

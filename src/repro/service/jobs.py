@@ -55,8 +55,6 @@ FAILED = "failed"
 CANCELLED = "cancelled"
 TIMEOUT = "timeout"
 
-TERMINAL = frozenset({DONE, FAILED, CANCELLED, TIMEOUT})
-
 
 class JobCancelled(Exception):
     """Raised by a job body at a cancellation checkpoint."""

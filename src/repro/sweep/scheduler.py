@@ -30,7 +30,6 @@ sweep provenance (sweep id, cell index, spec fingerprint).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -95,23 +94,6 @@ def sweep_provenance(
     }
 
 
-#: Optional per-cell stall (seconds) paid by *every* ``run_cell`` call,
-#: serial or distributed.  Models a blocking ingest/fetch phase so that
-#: latency-bound sweeps can be benchmarked on hosts whose core count
-#: cannot parallelise the compute itself (``make dist-smoke`` uses it to
-#: measure lease-pipeline overlap on single-core CI containers).  Unset
-#: or invalid means no stall.
-CELL_STALL_ENV = "REPRO_SWEEP_CELL_STALL_S"
-
-
-def _cell_stall_s() -> float:
-    raw = os.environ.get(CELL_STALL_ENV, "")
-    try:
-        return max(0.0, float(raw))
-    except ValueError:
-        return 0.0
-
-
 def run_cell(
     cell: SweepCell,
     *,
@@ -119,10 +101,7 @@ def run_cell(
     cache: bool | None = None,
     cache_dir: str | Path | None = None,
 ) -> CellResult:
-    """Execute one cell: stall (if configured), simulate, extract."""
-    stall = _cell_stall_s()
-    if stall:
-        time.sleep(stall)
+    """Execute one cell: simulate, extract."""
     study = Study(cell.config, jobs=jobs, cache=cache, cache_dir=cache_dir)
     study.observations
     return extract_cell(study, cell)
@@ -142,7 +121,8 @@ def _execute_inline(
 
     Cells are pulled one at a time, so ``run_sweep`` appends each result
     (and polls ``stop``) before the next cell starts; ``stop`` itself
-    needs no second poll here.
+    needs no second poll here.  ``run_cell`` is read from this module at
+    each call, so a wrapper bound to it reaches every cell.
     """
     for cell in cells:
         started = time.perf_counter()

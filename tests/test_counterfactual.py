@@ -10,6 +10,8 @@ random numbers keep every other stream identical).
 from __future__ import annotations
 
 import datetime as dt
+import json
+from pathlib import Path
 
 import pytest
 
@@ -34,8 +36,10 @@ from repro.counterfactual import (
     whatif_preset,
 )
 from repro.net.plan import PlanConfig
+from repro.obs import load_manifest, validate_manifest
 from repro.observatories.tuning import ObservatoryTuning
 from repro.scenarios.config import BooterTakedownScenario, ScenarioConfig
+from repro.sweep.ledger import SweepLedger
 from repro.sweep.spec import expand
 from repro.util.calendar import StudyCalendar
 
@@ -446,3 +450,21 @@ class TestCli:
         )
         printed = capsys.readouterr().out
         assert out.read_text(encoding="utf-8").strip() == printed.strip()
+
+    def test_run_trace_manifest_carries_the_pairing_sweep_id(
+        self, tiny_preset, tmp_path
+    ):
+        """Same convention as ``sweep run``: the run-level manifest names
+        the pairing's sweep id with a null cell index."""
+        trace = tmp_path / "whatif-manifest.json"
+        argv = ["whatif", "run", "--preset", tiny_preset, "--cache-dir", str(tmp_path)]
+        assert main(argv + ["--trace", str(trace)]) == 0
+        schema = json.loads(
+            (Path(__file__).parent / "manifest_schema.json").read_text(encoding="utf-8")
+        )
+        manifest = load_manifest(trace)
+        assert validate_manifest(manifest, schema) == []
+        assert manifest["command"] == "whatif"
+        assert manifest["sweep"]["cell_index"] is None
+        pairing_spec = _tiny_preset().pairing().spec()
+        assert manifest["sweep"]["sweep_id"] == SweepLedger(pairing_spec).sweep_id

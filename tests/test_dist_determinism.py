@@ -2,12 +2,12 @@
 
 The distributed tier's headline invariant is that worker failures are
 invisible in the output.  This test makes the failure real: a worker
-*subprocess* acquires a lease, stalls inside the cell body (via the
-``REPRO_DIST_CELL_DELAY_S`` chaos hook), and is SIGKILLed — no drain, no
-deregister, no goodbye.  The coordinator must expire the orphaned lease,
-re-dispatch the cell to the surviving workers, record every cell exactly
-once in the ledger, and serve a ``report`` artifact byte-identical to a
-serial run of the same preset.
+*subprocess* acquires a lease, stalls inside the cell body (its script
+wraps ``repro.sweep.scheduler.run_cell`` in a 60 s sleep), and is
+SIGKILLed — no drain, no deregister, no goodbye.  The coordinator must
+expire the orphaned lease, re-dispatch the cell to the surviving
+workers, record every cell exactly once in the ledger, and serve a
+``report`` artifact byte-identical to a serial run of the same preset.
 
 The second test SIGKILLs the coordinator itself.  The ledger is its only
 durable state, so a restarted coordinator given the same job again must
@@ -41,8 +41,21 @@ _SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
 _VICTIM = """
 import sys
+import time
+
+import repro.sweep.scheduler as scheduler
 from repro.service.dist import WorkerConfig, run_worker
 
+run_cell = scheduler.run_cell
+
+
+def stalled_run_cell(*args, **kwargs):
+    time.sleep(60)
+    return run_cell(*args, **kwargs)
+
+
+# The worker imports run_cell from the module at each lease.
+scheduler.run_cell = stalled_run_cell
 run_worker(
     WorkerConfig(coordinator=sys.argv[1], worker_id="victim", cache=False),
     log=lambda line: None,
@@ -54,7 +67,6 @@ def spawn_victim(port: int) -> subprocess.Popen:
     """A worker subprocess that will stall 60 s inside its first cell."""
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC_DIR
-    env["REPRO_DIST_CELL_DELAY_S"] = "60"
     return subprocess.Popen(
         [sys.executable, "-c", _VICTIM, f"http://127.0.0.1:{port}"],
         env=env,

@@ -10,9 +10,11 @@ conditional GET turns into a bodyless 304.
 The process-execution tests exercise the real multi-process path
 end-to-end — the ``serve`` default: job bodies on the warm pool, a
 worker SIGKILLed mid-job (the pool re-warms and the next job completes),
-cooperative cancellation across the process boundary, a ``serve``
+cooperative cancellation across the process boundary, and a ``serve``
 subprocess that must exit promptly on SIGTERM after a job built a shard
-sub-pool, and a small run of the ``bench serve`` harness.
+sub-pool.  Throughput and latency under concurrent clients are the
+repository benchmark's ``service`` workload (``perfbench/``), not a
+test here.
 """
 
 from __future__ import annotations
@@ -337,31 +339,3 @@ class TestDrainExits:
                 )
             assert code == 0
             assert "drained" in daemon.log()
-
-
-class TestBenchHarness:
-    def test_bench_serve_smoke(self, tmp_path):
-        from repro.service import BenchConfig, run_bench
-
-        out = tmp_path / "PERF_service.txt"
-        code = run_bench(
-            BenchConfig(
-                clients=4,
-                requests_per_client=8,
-                herd_size=4,
-                weeks=16,
-                workers=1,
-                jobs=1,
-                execution="thread",
-                out=out,
-            )
-        )
-        assert code == 0
-        report = out.read_text(encoding="utf-8")
-        assert "thundering herd (coalescing)" in report
-        assert "service.jobs.executed moved by 1" in report
-        assert "1 distinct ETag(s)" in report
-        assert "p50 ms" in report and "p99 ms" in report
-        assert "req/s" in report
-        assert "304" in report
-        assert "all invariants held" in report
