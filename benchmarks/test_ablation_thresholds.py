@@ -27,7 +27,7 @@ def run_with_threshold(min_packets: int, shard, plan) -> int:
     )
     observations = Observations(honeypot.name)
     honeypot.observe(shard, observations)
-    return len(observations.target_tuples())
+    return len(observations.target_keys())
 
 
 def make_shard():

@@ -14,7 +14,7 @@ def test_fig8_highly_visible(benchmark, full_study, report):
     result = benchmark.pedantic(full_study.figure8, rounds=1, iterations=1)
     report("F8_highly_visible", render_figure8(full_study))
 
-    assert len(result.tuples) > 100
+    assert len(result.keys) > 100
     # Small share of the universe (paper 0.55%).
     assert 0.001 < result.share_of_universe < 0.02
     # New targets keep appearing: the CDF grows throughout, with no

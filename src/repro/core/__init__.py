@@ -34,7 +34,7 @@ from repro.core.consensus import consensus, evaluate_consensus
 from repro.core.golden import GoldenStore, study_fingerprints, verify_study
 from repro.core.correlation import correlation_matrix, quarterly_correlations
 from repro.core.interventions import intervention_effect, takedown_effects
-from repro.core.overlap import pairwise_overlap_shares, upset
+from repro.core.overlap import membership, pairwise_overlap_shares, upset
 from repro.core.shares import share_series
 from repro.core.stats import pearson, spearman
 from repro.core.study import Study, StudyConfig, run_study
@@ -53,6 +53,7 @@ __all__ = [
     "spearman",
     "correlation_matrix",
     "quarterly_correlations",
+    "membership",
     "upset",
     "pairwise_overlap_shares",
     "share_series",

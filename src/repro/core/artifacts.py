@@ -139,7 +139,7 @@ def _upset_payload(result) -> dict[str, Any]:
 
 def _highly_visible_payload(result) -> dict[str, Any]:
     return {
-        "n_tuples": len(result.tuples),
+        "n_tuples": len(result.keys),
         "n_distinct_ips": len(result.distinct_ips),
         "share_of_universe": float(result.share_of_universe),
         "new_per_week": _floats(result.new_per_week),

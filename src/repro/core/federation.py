@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.overlap import UpsetResult
-from repro.core.targets import TargetTuple
+from repro.core.overlap import Membership, UpsetResult
 
 
 @dataclass(frozen=True)
@@ -67,62 +66,52 @@ class FederationResult:
 
 
 def subsample_baseline(
-    baseline: set[TargetTuple], fraction: float, rng: np.random.Generator
-) -> set[TargetTuple]:
-    """A seeded subsample of an industry baseline (the paper's ~28% / ~23%)."""
+    baseline: np.ndarray, fraction: float, rng: np.random.Generator
+) -> np.ndarray:
+    """A seeded subsample of a sorted industry baseline (the paper's ~28% /
+    ~23%): one uniform draw per key, in key order."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
     if fraction == 1.0:
-        return set(baseline)
-    ordered = sorted(baseline)
-    keep = rng.random(len(ordered)) < fraction
-    return {element for element, kept in zip(ordered, keep) if kept}
+        return baseline
+    return baseline[rng.random(len(baseline)) < fraction]
 
 
 def federate(
-    academic_sets: dict[str, set[TargetTuple]],
+    members: Membership,
     academic_upset: UpsetResult,
     industry_name: str,
-    industry_baseline: set[TargetTuple],
+    industry_baseline: np.ndarray,
 ) -> FederationResult:
-    """Join academic target sets against one industry baseline."""
-    union: set[TargetTuple] = set().union(*academic_sets.values())
+    """Join academic target sets against one industry baseline.
+
+    ``members`` is the academic membership that ``academic_upset``
+    decomposes; ``industry_baseline`` is a unique key array.
+    """
+    # The membership bitmask of every baseline key in the academic union.
+    seen = members.mask[np.isin(members.keys, industry_baseline, assume_unique=True)]
 
     # Forward: confirmation share per exclusive academic intersection.
-    forward: list[ConfirmationRow] = []
-    for row in academic_upset.rows:
-        members = row.members
-        subset = set.intersection(*(academic_sets[name] for name in members))
-        for name in academic_sets:
-            if name not in members:
-                subset = subset - academic_sets[name]
-        confirmed = len(subset & industry_baseline)
-        forward.append(
-            ConfirmationRow(
-                members=members,
-                academic_count=len(subset),
-                confirmed_count=confirmed,
-            )
+    confirmed = np.bincount(seen, minlength=1 << len(members.names))
+    forward = [
+        ConfirmationRow(
+            members=row.members,
+            academic_count=row.count,
+            confirmed_count=int(confirmed[members.bits(*row.members)]),
         )
+        for row in academic_upset.rows
+    ]
 
     # Reverse: how much of the industry baseline does academia see?
+    size = len(industry_baseline)
     reverse = {
-        name: (
-            len(industry_baseline & academic_sets[name]) / len(industry_baseline)
-            if industry_baseline
-            else 0.0
-        )
-        for name in academic_sets
+        name: (np.count_nonzero(seen & members.bits(name)) / size if size else 0.0)
+        for name in members.names
     }
-    reverse_union = (
-        len(industry_baseline & union) / len(industry_baseline)
-        if industry_baseline
-        else 0.0
-    )
     return FederationResult(
         industry_name=industry_name,
-        baseline_size=len(industry_baseline),
+        baseline_size=size,
         forward=forward,
         reverse=reverse,
-        reverse_union=reverse_union,
+        reverse_union=len(seen) / size if size else 0.0,
     )

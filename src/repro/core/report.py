@@ -125,7 +125,7 @@ def render_figure8(study: Study) -> str:
     lines = [
         "Figure 8 - targets observed by all four academic observatories",
         "",
-        f"tuples: {len(result.tuples)}   distinct IPs: {len(result.distinct_ips)}",
+        f"tuples: {len(result.keys)}   distinct IPs: {len(result.distinct_ips)}",
         f"share of universe: {format_percent(result.share_of_universe, 2)} (paper: 0.55%)",
         f"new/week       |{sparkline(result.new_per_week)}|",
         f"recurring/week |{sparkline(result.recurring_per_week)}|",

@@ -45,9 +45,15 @@ from repro.core.correlation import (
     quarterly_correlations,
 )
 from repro.core.federation import FederationResult, federate, subsample_baseline
-from repro.core.overlap import UpsetResult, pairwise_overlap_shares, upset
+from repro.core.overlap import (
+    Membership,
+    UpsetResult,
+    membership,
+    pairwise_overlap_shares,
+    upset,
+)
 from repro.core.shares import ShareSeries, share_series
-from repro.core.targets import TargetTuple, weekly_tuple_counts
+from repro.core.targets import weekly_target_counts
 from repro.core.timeseries import WeeklySeries
 from repro.core.trends import TrendClassification, classify_trend
 from repro.core.visibility import AsRow, HighlyVisible, highly_visible, top_target_ases
@@ -342,18 +348,32 @@ class Study:
     # -- academic target sets ------------------------------------------------------
 
     @cached_property
-    def academic_target_sets(self) -> dict[str, set[TargetTuple]]:
-        """(day, IP) tuples of the four academic observatories (Section 7)."""
+    def academic_target_sets(self) -> dict[str, np.ndarray]:
+        """Packed target keys of the four academic observatories (Section 7)."""
         with span("analysis.targets"):
             return {
-                name: self.observations[name].target_tuples()
+                name: self.observations[name].target_keys()
                 for name in ACADEMIC_OBSERVATORIES
             }
 
     @cached_property
-    def academic_universe(self) -> set[TargetTuple]:
-        """Union of all academic target tuples."""
-        return set().union(*self.academic_target_sets.values())
+    def academic_membership(self) -> Membership:
+        """The academic target union with each key's observatory bitmask."""
+        target_sets = self.academic_target_sets
+        with span("analysis.targets.membership"):
+            return membership(target_sets)
+
+    @cached_property
+    def academic_universe(self) -> np.ndarray:
+        """Union of all academic target keys."""
+        return self.academic_membership.keys
+
+    @cached_property
+    def academic_upset(self) -> UpsetResult:
+        """UpSet decomposition of the academic target sets (Figure 7)."""
+        members = self.academic_membership
+        with span("analysis.targets.upset"):
+            return upset(members)
 
     # -- figures ------------------------------------------------------------------
 
@@ -405,15 +425,15 @@ class Study:
 
     def _figure7(self) -> UpsetResult:
         """UpSet decomposition of academic target tuples (Figure 7)."""
-        target_sets = self.academic_target_sets
-        with span("analysis.targets.upset"):
-            return upset(target_sets)
+        return self.academic_upset
 
     def _figure8(self) -> HighlyVisible:
         """Highly-visible targets over time (Figure 8)."""
-        intersection = set.intersection(*self.academic_target_sets.values())
+        members = self.academic_membership
         return highly_visible(
-            intersection, len(self.academic_universe), self.calendar
+            members.keys[members.holding(*members.names)],
+            len(members.keys),
+            self.calendar,
         )
 
     def _figure9(self) -> FederationResult:
@@ -563,7 +583,7 @@ class Study:
 
     def _table4(self) -> list[AsRow]:
         """Top-10 ASes among highly-visible targets (Table 4)."""
-        return top_target_ases(self._figure8().tuples, self.plan)
+        return top_target_ases(self._figure8().keys, self.plan)
 
     # -- the artifact registry (the public surface) ---------------------------------
 
@@ -608,49 +628,38 @@ class Study:
         fraction: float,
         stream_label: str | None = None,
     ) -> FederationResult:
-        baseline = self.observations[industry_name].target_tuples()
+        baseline = self.observations[industry_name].target_keys()
         rng = self._rng_factory.stream(
             stream_label or f"federation/{industry_name}"
         )
         sampled = subsample_baseline(baseline, fraction, rng)
-        target_sets = self.academic_target_sets
+        members = self.academic_membership
         upset_result = self._figure7()
         with span("analysis.federation"):
-            return federate(
-                target_sets,
-                upset_result,
-                industry_name,
-                sampled,
-            )
+            return federate(members, upset_result, industry_name, sampled)
 
     def _overlap_figure(self, a: str, b: str) -> TargetOverlapFigure:
-        set_a = self.academic_target_sets[a]
-        set_b = self.academic_target_sets[b]
-        shared = set_a & set_b
-        universe = len(self.academic_universe)
-        union = set_a | set_b
-        exclusive = union - set.union(
-            *(
-                self.academic_target_sets[name]
-                for name in self.academic_target_sets
-                if name not in (a, b)
-            )
-        )
+        members = self.academic_membership
+        pair = members.bits(a, b)
+        union = np.count_nonzero(members.mask & pair)
+        # Held by a or b and by no other set: the mask lies inside the pair.
+        exclusive = np.count_nonzero((members.mask | pair) == pair)
+        universe = len(members.keys)
         return TargetOverlapFigure(
             label_a=a,
             label_b=b,
-            weekly_a=weekly_tuple_counts(set_a, self.calendar),
-            weekly_b=weekly_tuple_counts(set_b, self.calendar),
-            weekly_shared=weekly_tuple_counts(shared, self.calendar),
-            union_share_of_universe=len(union) / universe if universe else 0.0,
-            exclusive_share_of_universe=(
-                len(exclusive) / universe if universe else 0.0
+            weekly_a=weekly_target_counts(self.academic_target_sets[a], self.calendar),
+            weekly_b=weekly_target_counts(self.academic_target_sets[b], self.calendar),
+            weekly_shared=weekly_target_counts(
+                members.keys[members.holding(a, b)], self.calendar
             ),
+            union_share_of_universe=union / universe if universe else 0.0,
+            exclusive_share_of_universe=exclusive / universe if universe else 0.0,
         )
 
     def pairwise_target_overlaps(self) -> dict[tuple[str, str], float]:
         """Directed pairwise overlap shares of academic target sets."""
-        return pairwise_overlap_shares(self.academic_target_sets)
+        return pairwise_overlap_shares(self.academic_membership)
 
     # -- conformance ----------------------------------------------------------------
 

@@ -2,63 +2,53 @@
 
 The paper identifies a target as the tuple *(attack start date, target IP
 address)* and deduplicates the resulting set; weekly plots count distinct
-per-day tuples summed over the week.
+per-day tuples summed over the week.  A target set here is a sorted,
+unique int64 array of packed keys ``day << 32 | ip``, as
+:meth:`~repro.observatories.base.Observations.target_keys` returns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.observatories.base import Observations
-from repro.util.calendar import StudyCalendar
-
-#: A target identity: (study-day index, target IP as int).
-TargetTuple = tuple[int, int]
+from repro.net.addr import IPV4_BITS, IPV4_MAX
+from repro.util.calendar import DAYS_PER_WEEK, StudyCalendar
 
 
-def target_tuples(observations: Observations) -> set[TargetTuple]:
-    """Distinct (day, IP) tuples of one observatory."""
-    return observations.target_tuples()
+def key_days(keys: np.ndarray) -> np.ndarray:
+    """Study-day index of each packed target key."""
+    return keys >> IPV4_BITS
 
 
-def distinct_ips(tuples: set[TargetTuple]) -> set[int]:
-    """Distinct IPs among target tuples."""
-    return {ip for _, ip in tuples}
+def key_ips(keys: np.ndarray) -> np.ndarray:
+    """Target IP of each packed target key."""
+    return keys & IPV4_MAX
 
 
-def weekly_tuple_counts(
-    tuples: set[TargetTuple], calendar: StudyCalendar
-) -> np.ndarray:
-    """Distinct per-day tuples summed per week (Figure 10's series)."""
-    counts = np.zeros(calendar.n_weeks, dtype=np.float64)
-    for day, _ in tuples:
-        week = day // 7
-        if week < calendar.n_weeks:
-            counts[week] += 1
-    return counts
+def _weekly(weeks: np.ndarray, calendar: StudyCalendar) -> np.ndarray:
+    return np.bincount(weeks, minlength=calendar.n_weeks).astype(np.float64)
+
+
+def weekly_target_counts(keys: np.ndarray, calendar: StudyCalendar) -> np.ndarray:
+    """Distinct per-day targets summed per week (Figure 10's series)."""
+    weeks = key_days(keys) // DAYS_PER_WEEK
+    return _weekly(weeks[weeks < calendar.n_weeks], calendar)
 
 
 def split_new_recurring(
-    tuples: set[TargetTuple], calendar: StudyCalendar
+    keys: np.ndarray, calendar: StudyCalendar
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weekly counts of first-time vs recurring target IPs (Figure 8).
 
-    A tuple is *new* if its IP has not appeared on any earlier day.
+    A target is *new* if its IP has not appeared on any earlier day.
     Returns (new_per_week, recurring_per_week).
     """
-    new_counts = np.zeros(calendar.n_weeks, dtype=np.float64)
-    recurring_counts = np.zeros(calendar.n_weeks, dtype=np.float64)
-    seen: set[int] = set()
-    for day, ip in sorted(tuples):
-        week = day // 7
-        if week >= calendar.n_weeks:
-            continue
-        if ip in seen:
-            recurring_counts[week] += 1
-        else:
-            seen.add(ip)
-            new_counts[week] += 1
-    return new_counts, recurring_counts
+    keys = keys[key_days(keys) < calendar.n_days]
+    weeks = key_days(keys) // DAYS_PER_WEEK
+    # Keys sort by day first, so an IP's first index is its first sighting.
+    new = np.zeros(len(keys), dtype=bool)
+    new[np.unique(key_ips(keys), return_index=True)[1]] = True
+    return _weekly(weeks[new], calendar), _weekly(weeks[~new], calendar)
 
 
 def cumulative_share(values: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.attacks.vectors import VECTORS, VectorKind
 from repro.attacks.events import AttackClass
+from repro.net.addr import IPV4_MAX
 from repro.observatories.base import Observations
 from repro.util.calendar import StudyCalendar
 
@@ -55,9 +56,9 @@ def validate_observations(
 ) -> ValidationReport:
     """Check an observation feed for structural problems.
 
-    Errors (data unusable): out-of-window days, unknown attack classes or
-    vector ids, class/vector kind mismatches, non-finite or negative
-    sizes.  Warnings (suspicious but workable): heavy same-day duplicate
+    Errors (data unusable): out-of-window days, target addresses outside
+    IPv4, unknown attack classes or vector ids, class/vector kind
+    mismatches, non-finite or negative sizes.  Warnings (suspicious but workable): heavy same-day duplicate
     records, empty feeds, unexpected attack classes for the platform.
     """
     report = ValidationReport(
@@ -72,6 +73,14 @@ def validate_observations(
         report.errors.append(
             f"day indices outside study window "
             f"[{int(days.min())}, {int(days.max())}] vs 0..{calendar.n_days - 1}"
+        )
+
+    targets = observations.target
+    targets_in_range = int(targets.min()) >= 0 and int(targets.max()) <= IPV4_MAX
+    if not targets_in_range:
+        report.errors.append(
+            f"target addresses outside [0, 2**32) "
+            f"[{int(targets.min())}, {int(targets.max())}]"
         )
 
     classes = observations.attack_class
@@ -136,9 +145,12 @@ def validate_observations(
 
     # Duplicate (day, target) records are legitimate in small numbers
     # (repeated attacks in one day) but a mostly-duplicated feed smells
-    # like a doubled export.
-    tuples = observations.target_tuples()
-    duplicate_share = 1.0 - len(tuples) / len(observations)
+    # like a doubled export.  (Target keys need in-range addresses.)
+    duplicate_share = (
+        1.0 - len(observations.target_keys()) / len(observations)
+        if targets_in_range
+        else 0.0
+    )
     if duplicate_share > duplicate_warning_share:
         report.warnings.append(
             f"{duplicate_share * 100:.0f}% same-day duplicate records"

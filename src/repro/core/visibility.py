@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.targets import (
-    TargetTuple,
-    cumulative_share,
-    split_new_recurring,
-)
+from repro.core.targets import cumulative_share, key_ips, split_new_recurring
 from repro.net.plan import InternetPlan
 from repro.util.calendar import StudyCalendar
 
@@ -26,8 +22,8 @@ from repro.util.calendar import StudyCalendar
 class HighlyVisible:
     """The all-observatory target intersection and its derived series."""
 
-    tuples: set[TargetTuple]
-    distinct_ips: set[int]
+    keys: np.ndarray  # sorted packed target keys
+    distinct_ips: np.ndarray  # sorted
     share_of_universe: float
     new_per_week: np.ndarray
     recurring_per_week: np.ndarray
@@ -40,16 +36,16 @@ class HighlyVisible:
 
 
 def highly_visible(
-    tuples: set[TargetTuple],
+    keys: np.ndarray,
     universe_size: int,
     calendar: StudyCalendar,
 ) -> HighlyVisible:
     """Package the all-observatory intersection into Figure-8 series."""
-    new_counts, recurring_counts = split_new_recurring(tuples, calendar)
+    new_counts, recurring_counts = split_new_recurring(keys, calendar)
     return HighlyVisible(
-        tuples=tuples,
-        distinct_ips={ip for _, ip in tuples},
-        share_of_universe=(len(tuples) / universe_size) if universe_size else 0.0,
+        keys=keys,
+        distinct_ips=np.unique(key_ips(keys)),
+        share_of_universe=(len(keys) / universe_size) if universe_size else 0.0,
         new_per_week=new_counts,
         recurring_per_week=recurring_counts,
         cdf=cumulative_share(new_counts + recurring_counts),
@@ -69,24 +65,21 @@ class AsRow:
 
 
 def top_target_ases(
-    tuples: set[TargetTuple],
+    keys: np.ndarray,
     plan: InternetPlan,
     top_n: int = 10,
 ) -> list[AsRow]:
-    """Attribute target tuples to origin ASes; return the top rows.
+    """Attribute targets to origin ASes; return the top rows.
 
-    Tuples whose IP has no route (should not happen for generated targets)
-    are dropped.
+    Targets whose IP has no route (should not happen for generated
+    targets) are dropped.
     """
     counts: dict[int, int] = {}
-    memo: dict[int, int | None] = {}
-    for _, ip in tuples:
-        asn = memo.get(ip, -1)
-        if asn == -1:
-            asn = memo[ip] = plan.origin_as(ip)
-        if asn is None:
-            continue
-        counts[asn] = counts.get(asn, 0) + 1
+    ips, per_ip = np.unique(key_ips(keys), return_counts=True)
+    for ip, count in zip(ips.tolist(), per_ip.tolist()):
+        asn = plan.origin_as(ip)
+        if asn is not None:
+            counts[asn] = counts.get(asn, 0) + count
     total = sum(counts.values())
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     rows: list[AsRow] = []

@@ -26,7 +26,7 @@ class TestObservationsCsv:
         for source in (path, reversed_days):
             restored = observations_from_csv(source)
             assert len(restored) == len(original)
-            assert restored.target_tuples() == original.target_tuples()
+            assert np.array_equal(restored.target_keys(), original.target_keys())
             for column in ("day", "target", "attack_class", "vector_id", "spoofed"):
                 assert np.array_equal(
                     getattr(restored, column), getattr(original, column)

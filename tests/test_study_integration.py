@@ -117,9 +117,9 @@ class TestFigures:
 
     def test_figure8_highly_visible_subset_of_universe(self, small_study):
         result = small_study.artifact_result("fig8_highly_visible")
-        assert result.tuples <= small_study.academic_universe
+        assert np.isin(result.keys, small_study.academic_universe).all()
         assert 0 <= result.share_of_universe < 0.1
-        assert result.total_per_week.sum() == len(result.tuples)
+        assert result.total_per_week.sum() == len(result.keys)
 
     def test_figure9_confirmation_shares_bounded(self, small_study):
         result = small_study.artifact_result("federation")

@@ -7,17 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.overlap import (
-    intersection_of,
-    pairwise_overlap_shares,
-    upset,
-)
+from repro.core.overlap import membership, pairwise_overlap_shares, upset
 from repro.core.targets import (
     cumulative_share,
     split_new_recurring,
-    weekly_tuple_counts,
+    weekly_target_counts,
 )
 from repro.util.calendar import StudyCalendar
+from tests.conftest import key_sets, pack_targets
 
 CALENDAR = StudyCalendar(dt.date(2019, 1, 1), dt.date(2019, 6, 30))
 
@@ -25,21 +22,21 @@ CALENDAR = StudyCalendar(dt.date(2019, 1, 1), dt.date(2019, 6, 30))
 class TestWeeklyTupleCounts:
     def test_counts_per_week(self):
         tuples = {(0, 1), (1, 2), (6, 3), (7, 4), (8, 4)}
-        counts = weekly_tuple_counts(tuples, CALENDAR)
+        counts = weekly_target_counts(pack_targets(tuples), CALENDAR)
         assert counts[0] == 3  # days 0, 1, 6
         assert counts[1] == 2  # days 7, 8
         assert counts[2:].sum() == 0
 
     def test_out_of_window_days_dropped(self):
         tuples = {(CALENDAR.n_days + 100, 1)}
-        counts = weekly_tuple_counts(tuples, CALENDAR)
+        counts = weekly_target_counts(pack_targets(tuples), CALENDAR)
         assert counts.sum() == 0
 
 
 class TestSplitNewRecurring:
     def test_first_sighting_is_new(self):
         tuples = {(0, 10), (3, 10), (14, 10), (14, 20)}
-        new, recurring = split_new_recurring(tuples, CALENDAR)
+        new, recurring = split_new_recurring(pack_targets(tuples), CALENDAR)
         assert new[0] == 1  # IP 10 first seen day 0
         assert recurring[0] == 1  # IP 10 again day 3
         assert recurring[2] == 1  # IP 10 day 14
@@ -47,7 +44,7 @@ class TestSplitNewRecurring:
 
     def test_totals_match_tuple_count(self):
         tuples = {(d, ip) for d in range(0, 20) for ip in (1, 2, 3)}
-        new, recurring = split_new_recurring(tuples, CALENDAR)
+        new, recurring = split_new_recurring(pack_targets(tuples), CALENDAR)
         assert new.sum() + recurring.sum() == len(tuples)
         assert new.sum() == 3
 
@@ -77,12 +74,12 @@ class TestUpset:
         }
 
     def test_rows_partition_universe(self):
-        result = upset(self.sets())
+        result = upset(membership(key_sets(self.sets())))
         assert result.universe_size == 6
         assert sum(row.count for row in result.rows) == 6
 
     def test_exclusive_intersections(self):
-        result = upset(self.sets())
+        result = upset(membership(key_sets(self.sets())))
         assert result.exclusive("A").count == 2  # {1, 2}
         assert result.exclusive("A", "B").count == 1  # {3}
         assert result.exclusive("A", "B", "C").count == 1  # {4}
@@ -90,13 +87,13 @@ class TestUpset:
         assert result.exclusive("B", "C").count == 0
 
     def test_seen_by_all(self):
-        result = upset(self.sets())
+        result = upset(membership(key_sets(self.sets())))
         row = result.seen_by_all()
         assert row.count == 1
         assert row.share == pytest.approx(1 / 6)
 
     def test_set_shares_not_exclusive(self):
-        result = upset(self.sets())
+        result = upset(membership(key_sets(self.sets())))
         assert result.set_sizes == {"A": 4, "B": 3, "C": 2}
         assert result.set_shares["A"] == pytest.approx(4 / 6)
         # Shares sum to more than 100% (the paper notes this).
@@ -104,10 +101,10 @@ class TestUpset:
 
     def test_requires_two_sets(self):
         with pytest.raises(ValueError):
-            upset({"A": {1}})
+            upset(membership(key_sets({"A": {1}})))
 
     def test_empty_universe(self):
-        result = upset({"A": set(), "B": set()})
+        result = upset(membership(key_sets({"A": set(), "B": set()})))
         assert result.universe_size == 0
         assert result.rows == []
 
@@ -120,7 +117,7 @@ class TestUpset:
         )
     )
     def test_partition_property(self, named_sets):
-        result = upset(named_sets)
+        result = upset(membership(key_sets(named_sets)))
         assert sum(row.count for row in result.rows) == result.universe_size
         for row in result.rows:
             assert row.count > 0
@@ -128,21 +125,13 @@ class TestUpset:
 
 class TestPairwiseOverlap:
     def test_directed_shares(self):
-        shares = pairwise_overlap_shares({"A": {1, 2, 3, 4}, "B": {3, 4}})
+        shares = pairwise_overlap_shares(
+            membership(key_sets({"A": {1, 2, 3, 4}, "B": {3, 4}}))
+        )
         assert shares[("A", "B")] == pytest.approx(0.5)
         assert shares[("B", "A")] == pytest.approx(1.0)
 
     def test_empty_set_share_zero(self):
-        shares = pairwise_overlap_shares({"A": set(), "B": {1}})
+        shares = pairwise_overlap_shares(membership(key_sets({"A": set(), "B": {1}})))
         assert shares[("A", "B")] == 0.0
 
-
-class TestIntersectionOf:
-    def test_plain_intersection(self):
-        sets = {"A": {1, 2, 3}, "B": {2, 3}, "C": {3, 4}}
-        assert intersection_of(sets, ["A", "B"]) == {2, 3}
-        assert intersection_of(sets, ["A", "B", "C"]) == {3}
-
-    def test_empty_names_rejected(self):
-        with pytest.raises(ValueError):
-            intersection_of({"A": {1}}, [])

@@ -57,6 +57,13 @@ class TestValidation:
         assert not report.ok
         assert any("window" in error for error in report.errors)
 
+    def test_out_of_range_targets(self):
+        observations = feed([0, 1])
+        observations.target[1] = 1 << 32
+        report = validate_observations(observations, SMALL_CALENDAR)
+        assert not report.ok
+        assert any("target addresses" in error for error in report.errors)
+
     def test_unknown_vector_ids(self):
         report = validate_observations(
             feed([0], vectors=[len(VECTORS) + 3]), SMALL_CALENDAR
