@@ -116,8 +116,7 @@ def quarterly_correlations(
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     coefficients: list[float] = []
-    for quarter in calendar.quarters():
-        weeks = calendar.weeks_in_quarter(quarter)
+    for weeks in calendar.quarter_weeks.values():
         if len(weeks) < 4:
             continue
         sub_a, sub_b = a[weeks], b[weeks]

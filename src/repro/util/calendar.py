@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
+from functools import cached_property
 
 SECONDS_PER_DAY = 86_400
 DAYS_PER_WEEK = 7
@@ -123,19 +124,25 @@ class StudyCalendar:
 
     # -- quarters ----------------------------------------------------------
 
+    @cached_property
+    def quarter_weeks(self) -> dict[str, list[int]]:
+        """Week indices per quarter label, both in calendar order.
+
+        A week belongs to the quarter of its first day.  Built in one pass
+        and kept: the window never changes after construction.
+        """
+        grouped: dict[str, list[int]] = {}
+        for week in self.weeks():
+            grouped.setdefault(week.quarter, []).append(week.index)
+        return grouped
+
     def quarters(self) -> list[str]:
         """Ordered distinct quarter labels covered by the study weeks."""
-        seen: list[str] = []
-        for week in self.weeks():
-            if not seen or seen[-1] != week.quarter:
-                if week.quarter in seen:
-                    continue
-                seen.append(week.quarter)
-        return seen
+        return list(self.quarter_weeks)
 
     def weeks_in_quarter(self, quarter: str) -> list[int]:
         """Week indices whose first day falls in ``quarter``."""
-        return [w.index for w in self.weeks() if w.quarter == quarter]
+        return list(self.quarter_weeks.get(quarter, ()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
