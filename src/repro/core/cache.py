@@ -321,7 +321,11 @@ class StudyCache:
 
     def clear(self) -> int:
         """Delete every cache entry (and the activity stats); returns the
-        number of entries removed."""
+        number of entries removed.
+
+        Also removes the ``*.tmp`` files a writer killed between its temp
+        file and the rename leaves behind; they are not entries.
+        """
         removed = 0
         for path in self.entries():
             try:
@@ -329,10 +333,12 @@ class StudyCache:
                 removed += 1
             except OSError:
                 continue
-        try:
-            self.stats_path.unlink()
-        except OSError:
-            pass
+        leftovers = sorted(self.root.glob("*.tmp")) if self.root.is_dir() else []
+        for path in [*leftovers, self.stats_path]:
+            try:
+                path.unlink()
+            except OSError:
+                pass
         return removed
 
     def total_bytes(self) -> int:

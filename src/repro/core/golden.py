@@ -26,6 +26,7 @@ import datetime as _dt
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -210,14 +211,19 @@ class GoldenStore:
             return None
 
     def save(self, name: str, payload: dict) -> Path:
-        """Write one golden document (pretty-printed for reviewable diffs)."""
+        """Write one golden document (pretty-printed for reviewable diffs),
+        atomically: a temp file renamed over the old one."""
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(name)
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
-            + "\n",
-            encoding="utf-8",
-        )
+        text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
+        fd, tmp_name = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=self.root)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+            os.replace(tmp_name, path)
+        except BaseException:
+            os.unlink(tmp_name)
+            raise
         return path
 
 

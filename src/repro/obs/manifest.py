@@ -22,6 +22,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 from pathlib import Path
 from typing import Any
 
@@ -100,13 +101,21 @@ def build_manifest(
 
 
 def write_manifest(path: str | Path, manifest: dict[str, Any]) -> Path:
-    """Write one manifest as pretty-printed JSON; returns the path."""
+    """Write one manifest as pretty-printed JSON; returns the path.
+
+    Written to a temp file and renamed over ``path``, so a killed writer
+    leaves the old manifest or the new one, never a torn one.
+    """
     path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        os.replace(tmp_name, path)
+    except BaseException:
+        os.unlink(tmp_name)
+        raise
     return path
 
 

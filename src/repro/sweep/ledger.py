@@ -8,7 +8,9 @@ One directory per sweep under ``<cache root>/sweeps/<sweep id>/``:
     labels, config fingerprint, elapsed time, and the full extracted
     :class:`~repro.sweep.report.CellResult` payload.  Records are
     appended with a flush+fsync after each cell, so a killed sweep loses
-    at most the cell it was simulating.
+    at most the cell it was simulating.  A kill mid-append leaves a torn
+    last line; the next run cuts it off before its first append, so its
+    records never land on the end of that line.
 ``cells/cell-NNN.json``
     A run manifest per cell (:func:`repro.obs.build_manifest`) carrying
     sweep provenance: sweep id, cell index, spec fingerprint.
@@ -67,6 +69,7 @@ class SweepLedger:
         self.sweep_id = sweep_id(spec)
         self.spec_fingerprint = spec_fingerprint(spec)
         self.dir = sweeps_root(root) / self.sweep_id
+        self._tail_repaired = False
 
     @property
     def path(self) -> Path:
@@ -176,7 +179,21 @@ class SweepLedger:
 
     def _append(self, record: dict[str, Any]) -> None:
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        if not self._tail_repaired:
+            self._truncate_torn_tail()
+            self._tail_repaired = True
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
             handle.flush()
             os.fsync(handle.fileno())
+
+    def _truncate_torn_tail(self) -> None:
+        """Cut the file back to the end of its last complete line."""
+        try:
+            with open(self.path, "r+b") as handle:
+                data = handle.read()
+                end = data.rfind(b"\n") + 1
+                if end < len(data):
+                    handle.truncate(end)
+        except FileNotFoundError:
+            pass

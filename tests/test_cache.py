@@ -138,6 +138,16 @@ class TestStoreLoad:
         assert cache.clear() == 2
         assert cache.entries() == []
 
+    def test_clear_removes_temp_files_of_killed_writers(
+        self, tiny_config, tiny_result, tmp_path
+    ):
+        cache = StudyCache(tmp_path)
+        cache.store(config_fingerprint(tiny_config), *tiny_result)
+        (tmp_path / "study-abc123.tmp").write_bytes(b"torn npz")
+        (tmp_path / "stats9x.tmp").write_text("{", encoding="utf-8")
+        assert cache.clear() == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEnvironment:
     def test_cache_dir_env_override(self, tmp_path, monkeypatch):

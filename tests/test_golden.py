@@ -1,6 +1,7 @@
 """Tests for the golden-fingerprint layer."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -86,6 +87,21 @@ class TestStore:
         assert path.exists()
         assert store.load("demo") == payload
         assert store.names() == ["demo"]
+
+    def test_save_killed_before_the_rename_keeps_the_old_document(
+        self, tmp_path, monkeypatch
+    ):
+        store = GoldenStore(tmp_path)
+        store.save("demo", {"schema": 1})
+
+        def killed(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            store.save("demo", {"schema": 2})
+        assert store.load("demo") == {"schema": 1}
+        assert [path.name for path in tmp_path.iterdir()] == ["demo.json"]
 
     def test_missing_or_corrupt_loads_none(self, tmp_path):
         store = GoldenStore(tmp_path)

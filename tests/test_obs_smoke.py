@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import statistics
 import time
 from pathlib import Path
@@ -212,6 +213,22 @@ class TestCacheInfo:
     def test_fresh_cache_has_no_rate(self, capsys, tmp_path):
         assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
         assert "n/a (no lookups yet)" in capsys.readouterr().out
+
+
+class TestWriteManifest:
+    def test_write_killed_before_the_rename_keeps_the_old_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        path = write_manifest(tmp_path / "run.json", {"command": "run"})
+
+        def killed(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            write_manifest(path, {"command": "sweep"})
+        assert load_manifest(path) == {"command": "run"}
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestSchemaValidator:

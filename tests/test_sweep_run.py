@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import datetime as dt
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -255,3 +256,34 @@ class TestKillAndResume:
         baseline = run_sweep(SPEC4, jobs=1, sweep_dir=tmp_path / "baseline")
         assert baseline.report.render() == outcome.report.render()
         assert baseline.report.cells == outcome.report.cells
+
+
+class TestTornRecord:
+    """A kill in the middle of an append tears the ledger's last record.
+    A resume must re-run exactly that cell, and its record must read back,
+    not vanish behind the torn line."""
+
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("torn-baseline")
+        return root, run_sweep(SPEC2, jobs=1, sweep_dir=root).report.render()
+
+    @pytest.mark.parametrize("cut", ["1", "middle", "length-1"])
+    def test_resume_reruns_only_the_torn_cell(self, finished, tmp_path, cut):
+        root, baseline_report = finished
+        shutil.copytree(root, tmp_path, dirs_exist_ok=True)
+        ledger = SweepLedger(SPEC2, root=tmp_path)
+        *head, last = ledger.path.read_bytes().splitlines(keepends=True)
+        record = last.rstrip(b"\n")
+        keep = {"1": 1, "middle": len(record) // 2, "length-1": len(record) - 1}
+        ledger.path.write_bytes(b"".join(head) + record[: keep[cut]])
+        assert ledger.read().completed == {0}
+
+        resumed = run_sweep(SPEC2, jobs=1, resume=True, sweep_dir=tmp_path)
+        assert resumed.ledger_hits == [0]
+        assert resumed.executed == [1]
+        assert resumed.report.render() == baseline_report
+
+        again = run_sweep(SPEC2, jobs=1, resume=True, sweep_dir=tmp_path)
+        assert again.executed == []
+        assert again.report.render() == baseline_report
