@@ -1,6 +1,6 @@
 # Convenience targets for the DDoScovery reproduction.
 
-.PHONY: install test test-fast conformance conformance-scenarios ci ablations bench bench-perf profile sweep-smoke sweep-stability serve-smoke whatif-smoke dist-smoke examples artefacts clean
+.PHONY: install test test-fast conformance conformance-scenarios ci ablations perfbench-check bench bench-perf profile sweep-smoke sweep-stability serve-smoke whatif-smoke dist-smoke examples artefacts clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -26,8 +26,9 @@ conformance-scenarios:
 	PYTHONPATH=src python scripts/conformance_scenarios.py
 
 # What CI runs: fast tier, full conformance, the ablation artefacts, the
-# counterfactual smoke, the distributed smoke, and a compile pass.
-ci: test-fast conformance ablations whatif-smoke dist-smoke
+# counterfactual smoke, the distributed smoke, the repo benchmark's own
+# checks, and a compile pass.
+ci: test-fast conformance ablations whatif-smoke dist-smoke perfbench-check
 	python -m compileall -q src
 
 # Re-run the deterministic ablation benchmarks and fail if any committed
@@ -35,6 +36,11 @@ ci: test-fast conformance ablations whatif-smoke dist-smoke
 ablations:
 	PYTHONPATH=src python -m pytest benchmarks/test_ablation_*.py --benchmark-disable
 	git diff --exit-code -- benchmarks/results/ABL_*.txt
+
+# Run every perfbench workload once with all its output checks, the
+# traced replay included (about 20 s; see perfbench/README.md).
+perfbench-check:
+	python3 -m pytest perfbench/tests -q
 
 bench:
 	pytest benchmarks/ --benchmark-only
