@@ -58,8 +58,9 @@ def validate_observations(
 
     Errors (data unusable): out-of-window days, target addresses outside
     IPv4, unknown attack classes or vector ids, class/vector kind
-    mismatches, non-finite or negative sizes.  Warnings (suspicious but workable): heavy same-day duplicate
-    records, empty feeds, unexpected attack classes for the platform.
+    mismatches, non-finite or negative sizes.  Warnings (suspicious but
+    workable): heavy same-day duplicate records, empty feeds, unexpected
+    attack classes for the platform.
     """
     report = ValidationReport(
         observatory=observations.observatory, records=len(observations)

@@ -73,14 +73,6 @@ def pack_targets(tuples) -> np.ndarray:
     return np.array(sorted(day << 32 | ip for day, ip in tuples), dtype=np.int64)
 
 
-def key_sets(named_sets: dict) -> dict[str, np.ndarray]:
-    """Named sets of int keys as sorted int64 arrays."""
-    return {
-        name: np.array(sorted(values), dtype=np.int64)
-        for name, values in named_sets.items()
-    }
-
-
 def one_day_batch(
     n: int, *, day: int = 0, bias: float = 1.0, **columns
 ) -> ShardBatch:

@@ -126,7 +126,9 @@ class TestShareSeries:
 class TestHighlyVisible:
     def test_series_and_cdf(self):
         tuples = {(0, 1), (7, 1), (7, 2), (14, 3)}
-        result = highly_visible(pack_targets(tuples), universe_size=100, calendar=CALENDAR)
+        result = highly_visible(
+            pack_targets(tuples), universe_size=100, calendar=CALENDAR
+        )
         assert result.share_of_universe == pytest.approx(0.04)
         assert result.new_per_week[0] == 1
         assert result.new_per_week[1] == 1  # IP 2 new in week 1

@@ -14,9 +14,17 @@ from repro.core.targets import (
     weekly_target_counts,
 )
 from repro.util.calendar import StudyCalendar
-from tests.conftest import key_sets, pack_targets
+from tests.conftest import pack_targets
 
 CALENDAR = StudyCalendar(dt.date(2019, 1, 1), dt.date(2019, 6, 30))
+
+
+def key_sets(named_sets: dict) -> dict[str, np.ndarray]:
+    """Named sets of int keys as sorted int64 arrays."""
+    return {
+        name: np.array(sorted(values), dtype=np.int64)
+        for name, values in named_sets.items()
+    }
 
 
 class TestWeeklyTupleCounts:
