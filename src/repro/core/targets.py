@@ -11,18 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.net.addr import IPV4_BITS, IPV4_MAX
+from repro.observatories.base import key_days, key_ips
 from repro.util.calendar import DAYS_PER_WEEK, StudyCalendar
-
-
-def key_days(keys: np.ndarray) -> np.ndarray:
-    """Study-day index of each packed target key."""
-    return keys >> IPV4_BITS
-
-
-def key_ips(keys: np.ndarray) -> np.ndarray:
-    """Target IP of each packed target key."""
-    return keys & IPV4_MAX
 
 
 def _weekly(weeks: np.ndarray, calendar: StudyCalendar) -> np.ndarray:

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.targets import cumulative_share, key_ips, split_new_recurring
+from repro.core.targets import cumulative_share, split_new_recurring
 from repro.net.plan import InternetPlan
+from repro.observatories.base import key_ips
 from repro.util.calendar import StudyCalendar
 
 

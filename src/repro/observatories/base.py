@@ -50,6 +50,16 @@ OBSERVATION_COLUMNS: tuple[tuple[str, type], ...] = (
 )
 
 
+def key_days(keys: np.ndarray) -> np.ndarray:
+    """Study-day index of each packed target key (``day << 32 | ip``)."""
+    return keys >> IPV4_BITS
+
+
+def key_ips(keys: np.ndarray) -> np.ndarray:
+    """Target IP of each packed target key (``day << 32 | ip``)."""
+    return keys & IPV4_MAX
+
+
 def unique_keys(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values of an int64 key array (``np.unique``'s result).
 
