@@ -8,7 +8,8 @@ An Empirical Comparison of Industry and Academic DDoS Assessments"
     IPv4 addressing, prefix trie, RIR allocations, AS registry, and a
     synthetic-but-realistic Internet routing substrate.
 ``repro.traffic``
-    Packet and flow models with idle-timeout flow tables.
+    Packet records and sliding-window rate estimation for the packet-level
+    RSDoS detector.
 ``repro.attacks``
     The ground-truth DDoS landscape: amplification vectors, booter and
     botnet infrastructure, SAV deployment, a 4.5-year scenario, the attack

@@ -1,9 +1,10 @@
 """Packet-trace synthesis for micro-level detector validation.
 
 The macro observatory models apply detection thresholds analytically; these
-helpers generate actual packet streams so the packet-level detectors
-(:mod:`repro.observatories.rsdos`, honeypot flow logic) can be exercised
-and compared against the analytic rules.
+helpers generate telescope packet streams (backscatter, ICMP backscatter
+and scan noise) so the packet-level RSDoS detector
+(:mod:`repro.observatories.rsdos`) can be exercised and compared against
+the telescopes' analytic rule.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.traffic.packet import (
     FLAG_SYN,
     ICMP,
     TCP,
-    UDP,
     Packet,
 )
 
@@ -79,40 +79,6 @@ def backscatter_trace(
             )
         )
     return packets
-
-
-def reflector_trace(
-    rng: np.random.Generator,
-    victim: int,
-    sensor: int,
-    service_port: int,
-    request_pps: float,
-    duration: float,
-    *,
-    start: float = 0.0,
-    request_size: int = 64,
-    src_port: int | None = None,
-) -> list[Packet]:
-    """Spoofed requests arriving at one honeypot sensor.
-
-    Source IP is the victim (spoofed); destination is the sensor's service
-    port.  ``src_port`` fixes the spoofed source port (booter tooling often
-    does); ``None`` rotates it per packet, which fragments flows under
-    AmpPot's (src IP, src port, dst IP, dst port) identifier.
-    """
-    arrivals = _poisson_arrivals(rng, request_pps, start, duration)
-    return [
-        Packet(
-            timestamp=float(timestamp),
-            src_ip=victim,
-            dst_ip=sensor,
-            protocol=UDP,
-            src_port=src_port if src_port is not None else int(rng.integers(1024, 65536)),
-            dst_port=service_port,
-            size=request_size,
-        )
-        for timestamp in arrivals
-    ]
 
 
 def scan_trace(

@@ -572,19 +572,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--role",
-        choices=("standalone", "coordinator", "worker"),
+        choices=("standalone", "coordinator"),
         default="standalone",
         help="'standalone' serves jobs locally (default); 'coordinator' "
         "additionally leases the cells of sweep/whatif jobs to dist "
-        "workers; 'worker' joins a coordinator (needs --coordinator) "
-        "instead of listening",
-    )
-    serve.add_argument(
-        "--coordinator",
-        default=None,
-        metavar="HOST:PORT",
-        help="coordinator address for --role worker "
-        "(e.g. 127.0.0.1:8350)",
+        "workers ('ddoscovery dist worker')",
     )
     serve.add_argument(
         "--lease-ttl",
@@ -653,8 +645,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dist_actions = dist.add_subparsers(dest="action", required=True)
     dist_worker = dist_actions.add_parser(
         "worker",
-        help="run one dist worker against a coordinator "
-        "(same as 'serve --role worker')",
+        help="run one dist worker against a coordinator",
         parents=[
             _execution_parent(
                 1,
@@ -1308,19 +1299,17 @@ def _command_artifact(args: argparse.Namespace) -> int:
 
 
 def _run_dist_worker(args: argparse.Namespace) -> int:
-    """Shared body for ``dist worker`` and ``serve --role worker``."""
+    """Body of ``dist worker``."""
     from repro.service import ProtocolError, WorkerConfig, run_worker
 
-    if not args.coordinator:
-        raise SystemExit("--role worker needs --coordinator HOST:PORT")
     config = WorkerConfig(
         coordinator=args.coordinator,
-        worker_id=getattr(args, "worker_id", None),
+        worker_id=args.worker_id,
         jobs=args.jobs,
         cache=False if args.no_cache else None,
         cache_dir=args.cache_dir,
-        max_cells=getattr(args, "max_cells", None),
-        idle_exit_s=getattr(args, "idle_exit", None),
+        max_cells=args.max_cells,
+        idle_exit_s=args.idle_exit,
     )
 
     def body() -> int:
@@ -1388,8 +1377,6 @@ def _command_dist(args: argparse.Namespace) -> int:
 def _command_serve(args: argparse.Namespace) -> int:
     from repro.service import ServiceConfig, run_service
 
-    if args.role == "worker":
-        return _run_dist_worker(args)
     if args.workers < 1:
         raise SystemExit("--workers must be at least 1")
     if args.queue_size < 1:

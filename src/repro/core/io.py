@@ -1,8 +1,8 @@
-"""Data interchange: observatory records and weekly series as CSV.
+"""Data interchange: observatory records as CSV and npz items.
 
 The analysis toolkit is simulation-agnostic — these helpers let a real
-attack feed (daily attack records, or pre-aggregated weekly counts) flow
-into the same pipeline, and let simulation output leave it.
+attack feed (daily attack records) flow into the same pipeline, and let
+simulation output leave it.
 
 Formats:
 
@@ -11,8 +11,6 @@ Formats:
   0-based study-day index, ``target`` a dotted-quad IPv4 address,
   ``vector`` a catalogue name (see :mod:`repro.attacks.vectors`);
   ``duration`` (seconds) may be empty for feeds that do not report it.
-* **weekly CSV** — ``week,label1,label2,...`` wide format for count
-  series.
 * **columnar npz items** — flat ``{key: array}`` mappings packing many
   observatories' records for binary storage (the on-disk study cache in
   :mod:`repro.core.cache`).
@@ -21,7 +19,6 @@ Formats:
 from __future__ import annotations
 
 import csv
-import io as _io
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +27,6 @@ from repro.attacks.events import AttackClass
 from repro.attacks.vectors import VECTORS, vector_id
 from repro.net.addr import format_ip, parse_ip
 from repro.observatories.base import OBSERVATION_COLUMNS, Observations
-from repro.util.calendar import StudyCalendar
 
 _RECORD_FIELDS = ("day", "target", "attack_class", "vector", "spoofed", "bps", "duration")
 
@@ -150,65 +146,3 @@ def _class_from_label(label: str) -> int:
         if attack_class.label == label:
             return int(attack_class)
     raise ValueError(f"unknown attack class label: {label!r}")
-
-
-def weekly_series_to_csv(
-    series: dict[str, np.ndarray], path: str | Path
-) -> Path:
-    """Write named weekly count series as a wide CSV."""
-    lengths = {len(values) for values in series.values()}
-    if len(lengths) != 1:
-        raise ValueError("series must have equal length")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    labels = list(series)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["week", *labels])
-        for week in range(lengths.pop()):
-            writer.writerow(
-                [week, *(f"{float(series[label][week]):.6g}" for label in labels)]
-            )
-    return path
-
-
-def weekly_series_from_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a wide weekly-series CSV back into named arrays."""
-    path = Path(path)
-    with path.open("r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if not header or header[0] != "week":
-            raise ValueError("weekly CSV must start with a 'week' column")
-        labels = header[1:]
-        columns: list[list[float]] = [[] for _ in labels]
-        for row in reader:
-            for column, value in zip(columns, row[1:]):
-                column.append(float(value))
-    return {
-        label: np.asarray(column, dtype=np.float64)
-        for label, column in zip(labels, columns)
-    }
-
-
-def study_series_csv(
-    series: dict[str, "object"], calendar: StudyCalendar, path: str | Path
-) -> Path:
-    """Write a study's main series (WeeklySeries objects) to CSV."""
-    return weekly_series_to_csv(
-        {label: weekly.counts for label, weekly in series.items()}, path
-    )
-
-
-def csv_string(series: dict[str, np.ndarray]) -> str:
-    """Weekly series as an in-memory CSV string (for piping/tests)."""
-    buffer = _io.StringIO()
-    labels = list(series)
-    writer = csv.writer(buffer)
-    writer.writerow(["week", *labels])
-    length = len(next(iter(series.values())))
-    for week in range(length):
-        writer.writerow(
-            [week, *(f"{float(series[label][week]):.6g}" for label in labels)]
-        )
-    return buffer.getvalue()

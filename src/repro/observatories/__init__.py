@@ -23,15 +23,8 @@ from repro.observatories.flowmon import (
 )
 from repro.observatories.honeypot import HoneypotPlatform
 from repro.observatories.registry import ObservatorySet, build_observatories
-from repro.observatories.hp_detector import HoneypotAttack, HoneypotDetector
 from repro.observatories.mitigation import MitigationInterference
 from repro.observatories.rsdos import RSDoSAlert, RsdosDetector
-from repro.observatories.rtbh import (
-    BlackholeAnnouncement,
-    RouteServer,
-    RtbhAttack,
-    infer_attacks,
-)
 from repro.observatories.telescope import NetworkTelescope
 
 __all__ = [
@@ -49,11 +42,5 @@ __all__ = [
     "IxpBlackholing",
     "ObservatorySet",
     "build_observatories",
-    "HoneypotDetector",
-    "HoneypotAttack",
     "MitigationInterference",
-    "RouteServer",
-    "BlackholeAnnouncement",
-    "RtbhAttack",
-    "infer_attacks",
 ]

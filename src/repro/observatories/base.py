@@ -359,9 +359,5 @@ class Observatory(abc.ABC):
         differently from one call.
         """
 
-    def series_keys(self) -> list[SeriesKey]:
-        """The time series this observatory contributes."""
-        return [SeriesKey(self.name, cls) for cls in self.reported_classes]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"

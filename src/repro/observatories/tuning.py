@@ -43,8 +43,3 @@ class ObservatoryTuning:
             value = getattr(self, spec.name)
             if not value > 0:
                 raise ValueError(f"{spec.name} must be positive, got {value!r}")
-
-    @property
-    def is_neutral(self) -> bool:
-        """True when every scale is exactly 1.0 (a no-op tuning)."""
-        return all(getattr(self, spec.name) == 1.0 for spec in fields(self))

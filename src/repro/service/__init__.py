@@ -19,7 +19,7 @@ same route table the dispatcher runs on (:mod:`repro.service.openapi`).
 
 The distributed tier (``docs/DISTRIBUTED.md``): a ``--role
 coordinator`` daemon additionally mounts ``/v1/dist/*`` and leases the
-cells of sweep/what-if jobs to ``--role worker`` processes
+cells of sweep/what-if jobs to ``ddoscovery dist worker`` processes
 (:mod:`repro.service.dist`); ``run_sweep`` appends their results to the
 ordinary resumable ledger — byte-identical to a serial run for any
 worker count.

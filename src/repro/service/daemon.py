@@ -66,9 +66,9 @@ class ServiceConfig:
     cache_dir: str | Path | None = None
     #: "standalone" serves jobs locally; "coordinator" additionally
     #: activates the ``/v1/dist/*`` tier and leases the cells of
-    #: sweep/whatif jobs to registered workers.  (The worker role never
-    #: reaches :func:`serve` — ``ddoscovery serve --role worker`` runs
-    #: :func:`repro.service.dist.run_worker`.)
+    #: sweep/whatif jobs to registered workers.  Workers are separate
+    #: processes (``ddoscovery dist worker`` runs
+    #: :func:`repro.service.dist.run_worker`), never a daemon role.
     role: str = "standalone"
     #: dist lease lifetime; an expired lease re-queues its cell.
     lease_ttl_s: float = 60.0

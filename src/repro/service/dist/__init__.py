@@ -4,8 +4,8 @@ On a coordinator daemon (``ddoscovery serve --role coordinator``) sweep
 and what-if jobs run :func:`repro.sweep.scheduler.run_sweep` with the
 :class:`DistCoordinator` as their cell executor: the cells the ledger
 does not hold become **cell leases** dispatched to worker processes
-(``ddoscovery dist worker`` or ``ddoscovery serve --role worker``) over
-the versioned ``/v1/dist/*`` wire protocol:
+(``ddoscovery dist worker``) over the versioned ``/v1/dist/*`` wire
+protocol:
 
 * registration + heartbeat with an explicit protocol/capability
   handshake (:data:`~repro.service.dist.protocol.DIST_PROTOCOL_VERSION`;

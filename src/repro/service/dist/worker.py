@@ -1,11 +1,11 @@
 """The dist worker: lease loop, heartbeats, and retrying RPCs.
 
-``ddoscovery dist worker --coordinator URL`` (or ``serve --role
-worker``) runs :func:`run_worker`: register (protocol handshake), then
-loop — acquire a lease, re-expand the task's preset locally, verify the
-spec and cell fingerprints, run the cell through the ordinary
-:func:`repro.sweep.scheduler.run_cell` path (sharded, cached), and
-upload the result with its canonical-bytes sha256.
+``ddoscovery dist worker --coordinator URL`` runs :func:`run_worker`:
+register (protocol handshake), then loop — acquire a lease, re-expand
+the task's preset locally, verify the spec and cell fingerprints, run
+the cell through the ordinary :func:`repro.sweep.scheduler.run_cell`
+path (sharded, cached), and upload the result with its canonical-bytes
+sha256.
 
 Robustness:
 

@@ -1,12 +1,10 @@
-"""Traffic substrate: packet records, flow tables, rate estimation.
+"""Traffic substrate: packet records and rate estimation.
 
-These primitives back the micro-level (packet-stream) detectors: the
-Corsaro-style RSDoS detector of the telescopes (paper Appendix J) and the
-per-platform honeypot flow logic (paper Table 2).
+These primitives back the micro-level (packet-stream) RSDoS detector of
+the telescopes (paper Appendix J, :mod:`repro.observatories.rsdos`).
 """
 
 from repro.traffic.packet import ICMP, TCP, UDP, Packet, protocol_name
-from repro.traffic.flows import Flow, FlowTable
 from repro.traffic.rates import SlidingRate
 
 __all__ = [
@@ -15,7 +13,5 @@ __all__ = [
     "UDP",
     "ICMP",
     "protocol_name",
-    "Flow",
-    "FlowTable",
     "SlidingRate",
 ]

@@ -87,6 +87,14 @@ def test_execution_choices_are_uniform(command, action):
 def test_execution_defaults_fit_each_command():
     # serve keeps the warm process pool; the cell-running commands have
     # no --execution at all (--jobs alone decides whether they pre-warm).
+    # serve is a daemon in either role: a worker starts only as
+    # 'dist worker', so serve takes no coordinator address.
+    serve = _command_parser("serve", None)
+    assert tuple(serve._option_string_actions["--role"].choices) == (
+        "standalone",
+        "coordinator",
+    )
+    assert "--coordinator" not in serve._option_string_actions
     defaults = {
         (command, action): _command_parser(command, action)
         ._option_string_actions["--execution"]

@@ -52,6 +52,13 @@ class TestPipeline:
             small_study.observations["ORION"]
         )
 
+    def test_simulated_durations_are_recorded(self, small_study):
+        durations = small_study.observations["Netscout"].duration
+        assert np.isfinite(durations).all()  # simulation reports every one
+        # Generator floors durations at 60 s with a ~600 s median.
+        assert np.median(durations) >= 60.0
+        assert 0.0 < (durations < 600.0).mean() < 1.0
+
 
 class TestDeterminism:
     def test_same_seed_reproduces_counts(self, small_study):
@@ -84,6 +91,15 @@ class TestFigures:
         slopes = figure.trend_slopes()
         for label in figure.series:
             assert 2019 in slopes[label]
+
+    def test_direct_path_peaks_do_not_coincide(self, small_study):
+        # Section 6.1: the platforms' peaks "did not coincide in time".
+        weeks = [
+            weekly.peak_week()
+            for label, weekly in small_study.main_series().items()
+            if "(RA)" not in label
+        ]
+        assert max(weeks) - min(weeks) > 3
 
     def test_figure3_has_no_takedowns_in_short_window(self, small_study):
         figure = small_study.artifact_result("fig3_trends")

@@ -1,10 +1,9 @@
-"""Tests for packets, flow tables, and sliding-rate estimation."""
+"""Tests for packets and sliding-rate estimation."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.traffic.flows import FlowTable
 from repro.traffic.packet import (
     FLAG_ACK,
     FLAG_RST,
@@ -60,69 +59,6 @@ class TestPacket:
             packet(size=0)
         with pytest.raises(ValueError):
             packet(src_port=70_000)
-
-
-class TestFlowTable:
-    def key_fn(self, pkt):
-        return (pkt.protocol, pkt.src_ip)
-
-    def test_accumulates_packets(self):
-        table = FlowTable(self.key_fn, timeout=60.0)
-        flow = table.observe(packet(ts=0.0, size=100, src_port=1, dst_port=2))
-        table.observe(packet(ts=1.0, size=100, src_port=3, dst_port=2))
-        assert flow.packets == 2
-        assert flow.octets == 200
-        assert flow.src_ports == {1, 3}
-        assert flow.duration == 1.0
-
-    def test_distinct_keys_distinct_flows(self):
-        table = FlowTable(self.key_fn, timeout=60.0)
-        a = table.observe(packet(ts=0.0, src="10.0.0.1"))
-        b = table.observe(packet(ts=0.0, src="10.0.0.2"))
-        assert a is not b
-        assert len(table) == 2
-
-    def test_idle_timeout_expires_flow(self):
-        expired = []
-        table = FlowTable(self.key_fn, timeout=10.0, on_expire=expired.append)
-        table.observe(packet(ts=0.0, src="10.0.0.1"))
-        table.observe(packet(ts=20.0, src="10.0.0.2"))
-        assert len(expired) == 1
-        assert expired[0].key == (UDP, packet(src="10.0.0.1").src_ip)
-
-    def test_activity_keeps_flow_alive(self):
-        table = FlowTable(self.key_fn, timeout=10.0)
-        first = table.observe(packet(ts=0.0))
-        again = table.observe(packet(ts=9.0))
-        later = table.observe(packet(ts=18.0))
-        assert first is again is later
-        assert first.packets == 3
-
-    def test_explicit_expire_all(self):
-        table = FlowTable(self.key_fn, timeout=10.0)
-        table.observe(packet(ts=0.0, src="10.0.0.1"))
-        table.observe(packet(ts=0.0, src="10.0.0.2"))
-        flows = table.expire()
-        assert len(flows) == 2
-        assert len(table) == 0
-
-    def test_expire_at_time(self):
-        table = FlowTable(self.key_fn, timeout=10.0)
-        table.observe(packet(ts=0.0, src="10.0.0.1"))
-        table.observe(packet(ts=8.0, src="10.0.0.2"))
-        flows = table.expire(now=15.0)
-        assert len(flows) == 1
-        assert len(table) == 1
-
-    def test_out_of_order_rejected(self):
-        table = FlowTable(self.key_fn, timeout=10.0)
-        table.observe(packet(ts=5.0))
-        with pytest.raises(ValueError):
-            table.observe(packet(ts=4.0))
-
-    def test_non_positive_timeout_rejected(self):
-        with pytest.raises(ValueError):
-            FlowTable(self.key_fn, timeout=0.0)
 
 
 class TestSlidingRate:
