@@ -1,6 +1,6 @@
 # Convenience targets for the DDoScovery reproduction.
 
-.PHONY: install test test-fast conformance conformance-scenarios ci ablations perfbench-check bench bench-perf profile sweep-smoke sweep-stability serve-smoke whatif-smoke dist-smoke examples artefacts clean
+.PHONY: install test test-fast conformance conformance-scenarios ci ablations paper-artefacts perfbench-check bench bench-perf profile sweep-smoke sweep-stability serve-smoke whatif-smoke dist-smoke examples artefacts clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -25,10 +25,10 @@ conformance: sweep-stability conformance-scenarios
 conformance-scenarios:
 	PYTHONPATH=src python scripts/conformance_scenarios.py
 
-# What CI runs: fast tier, full conformance, the ablation artefacts, the
-# counterfactual smoke, the distributed smoke, the repo benchmark's own
-# checks, and a compile pass.
-ci: test-fast conformance ablations whatif-smoke dist-smoke perfbench-check
+# What CI runs: fast tier, full conformance, the ablation and paper
+# artefacts, the counterfactual smoke, the distributed smoke, the repo
+# benchmark's own checks, and a compile pass.
+ci: test-fast conformance ablations paper-artefacts whatif-smoke dist-smoke perfbench-check
 	python -m compileall -q src
 
 # Re-run the deterministic ablation benchmarks and fail if any committed
@@ -36,6 +36,18 @@ ci: test-fast conformance ablations whatif-smoke dist-smoke perfbench-check
 ablations:
 	PYTHONPATH=src python -m pytest benchmarks/test_ablation_*.py --benchmark-disable
 	git diff --exit-code -- benchmarks/results/ABL_*.txt
+
+# Re-run the deterministic paper and extension benchmarks (every
+# benchmarks/test_*.py except the host-timing perf files and the ablations
+# above) and fail if any committed result file they write no longer
+# matches.  SWEEP_seed_stability.txt is `make conformance`'s output.
+PAPER_BENCHMARKS = $(filter-out benchmarks/test_perf_% benchmarks/test_ablation_%,$(wildcard benchmarks/test_*.py))
+
+paper-artefacts:
+	PYTHONPATH=src python -m pytest $(PAPER_BENCHMARKS) --benchmark-disable
+	git diff --exit-code -- benchmarks/results/T*.txt benchmarks/results/F*.txt \
+		benchmarks/results/S3_*.txt benchmarks/results/EXT_*.txt \
+		benchmarks/results/AI_*.txt benchmarks/results/AJ_*.txt
 
 # Run every perfbench workload once with all its output checks, the
 # traced replay included (about 20 s; see perfbench/README.md).

@@ -11,7 +11,9 @@ from repro.core.report import render_figure10
 
 
 def test_fig10_target_overlap(benchmark, full_study, report):
-    figures = benchmark.pedantic(full_study.figure10, rounds=1, iterations=1)
+    figures = benchmark.pedantic(
+        lambda: full_study.artifact_result("fig10_overlap"), rounds=1, iterations=1
+    )
     report("F10_target_overlap", render_figure10(full_study))
 
     telescopes = figures["telescopes"]

@@ -9,7 +9,9 @@ from repro.core.report import render_figure12
 
 
 def test_fig12_newkid(benchmark, full_study, report):
-    series = benchmark.pedantic(full_study.figure12, rounds=3, iterations=1)
+    series = benchmark.pedantic(
+        lambda: full_study.artifact_result("fig12_newkid"), rounds=3, iterations=1
+    )
     report("F12_newkid", render_figure12(full_study))
 
     counts = series.counts

@@ -15,7 +15,9 @@ def _is_ra(label: str) -> bool:
 
 
 def test_fig14_quarterly(benchmark, full_study, report):
-    figure = benchmark.pedantic(full_study.figure14, rounds=1, iterations=1)
+    figure = benchmark.pedantic(
+        lambda: full_study.artifact_result("fig14_quarterly"), rounds=1, iterations=1
+    )
     report("F14_quarterly", render_figure14(full_study))
 
     assert len(figure.pairs) == 45  # all 10-choose-2 pairs

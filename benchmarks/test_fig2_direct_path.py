@@ -10,7 +10,8 @@ from repro.core.report import render_figure2
 
 def test_fig2_direct_path(benchmark, full_study, report):
     figure = benchmark.pedantic(
-        full_study.figure2, rounds=3, iterations=1, warmup_rounds=1
+        lambda: full_study.artifact_result("fig2_trends"),
+        rounds=3, iterations=1, warmup_rounds=1
     )
     report("F2_direct_path", render_figure2(full_study))
 

@@ -12,7 +12,8 @@ from repro.core.report import render_figure3
 
 def test_fig3_reflection(benchmark, full_study, report):
     figure = benchmark.pedantic(
-        full_study.figure3, rounds=3, iterations=1, warmup_rounds=1
+        lambda: full_study.artifact_result("fig3_trends"),
+        rounds=3, iterations=1, warmup_rounds=1
     )
     report("F3_reflection", render_figure3(full_study))
 
@@ -42,7 +43,9 @@ def test_fig3_reflection(benchmark, full_study, report):
 def test_fig3_carpet_spike_is_honeypot_only(benchmark, full_study):
     # Mid-2022 (weeks ~179-185): the SSDP carpet wave lifts honeypots
     # relative to their neighbourhood, but not the industry feeds.
-    series = benchmark.pedantic(full_study.figure3, rounds=1, iterations=1).series
+    series = benchmark.pedantic(
+        lambda: full_study.artifact_result("fig3_trends"), rounds=1, iterations=1
+    ).series
     window = slice(179, 186)
     neighbourhood = slice(160, 176)
 

@@ -11,7 +11,8 @@ from repro.core.report import render_figure4
 
 def test_fig4_heatmap(benchmark, full_study, report):
     figure = benchmark.pedantic(
-        full_study.figure4, rounds=3, iterations=1, warmup_rounds=1
+        lambda: full_study.artifact_result("fig4_heatmap"),
+        rounds=3, iterations=1, warmup_rounds=1
     )
     report("F4_heatmap", render_figure4(full_study))
 

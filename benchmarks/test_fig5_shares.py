@@ -10,7 +10,8 @@ from repro.core.report import render_figure5
 
 def test_fig5_shares(benchmark, full_study, report):
     shares = benchmark.pedantic(
-        full_study.figure5, rounds=5, iterations=1, warmup_rounds=1
+        lambda: full_study.artifact_result("fig5_shares"),
+        rounds=5, iterations=1, warmup_rounds=1
     )
     report("F5_shares", render_figure5(full_study))
 

@@ -31,7 +31,8 @@ def _group_means(matrix):
 
 def test_fig6_correlation(benchmark, full_study, report):
     figure = benchmark.pedantic(
-        full_study.figure6, rounds=2, iterations=1, warmup_rounds=1
+        lambda: full_study.artifact_result("fig6_correlation"),
+        rounds=2, iterations=1, warmup_rounds=1
     )
     report("F6_correlation", render_figure6(full_study))
 

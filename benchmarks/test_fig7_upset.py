@@ -11,7 +11,7 @@ from repro.core.report import render_figure7
 
 def test_fig7_upset(benchmark, full_study, report):
     result = benchmark.pedantic(
-        full_study.figure7, rounds=1, iterations=1
+        lambda: full_study.artifact_result("fig7_upset"), rounds=1, iterations=1
     )
     report("F7_upset", render_figure7(full_study))
 

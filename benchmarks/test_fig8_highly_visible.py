@@ -11,7 +11,11 @@ from repro.core.report import render_figure8
 
 
 def test_fig8_highly_visible(benchmark, full_study, report):
-    result = benchmark.pedantic(full_study.figure8, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: full_study.artifact_result("fig8_highly_visible"),
+        rounds=1,
+        iterations=1,
+    )
     report("F8_highly_visible", render_figure8(full_study))
 
     assert len(result.keys) > 100

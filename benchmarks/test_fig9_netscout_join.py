@@ -11,7 +11,9 @@ from repro.observatories.registry import ACADEMIC_OBSERVATORIES
 
 
 def test_fig9_netscout_join(benchmark, full_study, report):
-    result = benchmark.pedantic(full_study.figure9, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: full_study.artifact_result("federation"), rounds=1, iterations=1
+    )
     report("F9_netscout_join", render_figure9(full_study))
 
     all_four = result.forward_row(*ACADEMIC_OBSERVATORIES)

@@ -10,7 +10,9 @@ from repro.core.trends import Trend
 
 
 def test_table1_trends(benchmark, full_study, report):
-    rows = benchmark.pedantic(full_study.table1, rounds=2, iterations=1)
+    rows = benchmark.pedantic(
+        lambda: full_study.artifact_result("table1"), rounds=2, iterations=1
+    )
     report("T1_trends", render_table1(full_study))
 
     dp_row, ra_row = rows

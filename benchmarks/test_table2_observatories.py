@@ -10,7 +10,9 @@ from repro.core.report import render_table2
 
 
 def test_table2_observatories(benchmark, full_study, report):
-    rows = benchmark.pedantic(full_study.table2, rounds=3, iterations=1)
+    rows = benchmark.pedantic(
+        lambda: full_study.artifact_result("table2"), rounds=3, iterations=1
+    )
     report("T2_observatories", render_table2(full_study))
 
     by_platform = {row.platform: row for row in rows}

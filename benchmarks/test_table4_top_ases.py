@@ -8,7 +8,9 @@ from repro.core.report import render_table4
 
 
 def test_table4_top_ases(benchmark, full_study, report):
-    rows = benchmark.pedantic(full_study.table4, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        lambda: full_study.artifact_result("table4"), rounds=1, iterations=1
+    )
     report("T4_top_ases", render_table4(full_study))
 
     assert len(rows) == 10

@@ -1,5 +1,7 @@
 """Tests for the ddoscovery command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import main
@@ -33,6 +35,11 @@ class TestLandscape:
         assert "ground truth over 16 weeks" in output
         assert "direct-path" in output
         assert "SYN-flood" in output
+        # The whole report is pinned: any change to how the command builds
+        # its plan, landscape, campaigns or generator moves these bytes.
+        assert hashlib.sha256(output.encode()).hexdigest() == (
+            "bb8f172ae50fb396d0ceb532c7e3e8d54debfc4d50b25d0508305a594c7c2ca5"
+        )
 
 
 class TestRun:
