@@ -6,32 +6,23 @@ the interference model on and measures how many telescope detections the
 protection footprints erase.
 """
 
-from repro.attacks.generator import GroundTruthGenerator
 from repro.net.plan import UCSD_TELESCOPE_PREFIXES
 from repro.observatories.base import Observations
 from repro.observatories.mitigation import MitigationInterference
 from repro.observatories.telescope import NetworkTelescope, TelescopeConfig
 from repro.sweep import ablation_substrate
-from repro.util.parallel import build_models
+from repro.util.parallel import generate_shard, models_for
 from repro.util.rng import RngFactory
 
 CONFIG = ablation_substrate(60.0, 20.0)
 
 
 def run_telescope(mitigation_probability: float) -> int:
-    models = build_models(CONFIG)
     factory = RngFactory(CONFIG.seed)
-    generator = GroundTruthGenerator(
-        models.plan,
-        CONFIG.calendar,
-        models.landscape,
-        models.campaigns,
-        rng_factory=factory,
-    )
     mitigation = None
     if mitigation_probability > 0:
         mitigation = MitigationInterference(
-            models.plan,
+            models_for(CONFIG).plan,
             factory.stream("mitigation"),
             mitigation_probability=mitigation_probability,
         )
@@ -44,7 +35,7 @@ def run_telescope(mitigation_probability: float) -> int:
         mitigation=mitigation,
     )
     observations = Observations("UCSD")
-    telescope.observe(generator.shard_batch(), observations)
+    telescope.observe(generate_shard(CONFIG), observations)
     return len(observations)
 
 

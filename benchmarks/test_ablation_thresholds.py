@@ -8,11 +8,10 @@ count relative to the paper's 5-packet default.
 
 import dataclasses
 
-from repro.attacks.generator import GroundTruthGenerator
 from repro.observatories.base import Observations
 from repro.observatories.honeypot import HOPSCOTCH_SPEC, HoneypotPlatform
 from repro.sweep import ablation_substrate
-from repro.util.parallel import build_models
+from repro.util.parallel import generate_shard, models_for
 from repro.util.rng import RngFactory
 
 CONFIG = ablation_substrate(40.0, 40.0)
@@ -31,15 +30,7 @@ def run_with_threshold(min_packets: int, shard, plan) -> int:
 
 
 def make_shard():
-    models = build_models(CONFIG)
-    generator = GroundTruthGenerator(
-        models.plan,
-        CONFIG.calendar,
-        models.landscape,
-        models.campaigns,
-        rng_factory=RngFactory(CONFIG.seed),
-    )
-    return generator.shard_batch(), models.plan
+    return generate_shard(CONFIG), models_for(CONFIG).plan
 
 
 def test_ablation_thresholds(benchmark, report):

@@ -10,6 +10,7 @@ import datetime as dt
 from repro.attacks.campaigns import CampaignModel
 from repro.attacks.generator import GroundTruthGenerator
 from repro.attacks.landscape import LandscapeModel
+from repro.core.study import StudyConfig
 from repro.net.plan import PlanConfig, build_internet_plan
 from repro.observatories.registry import build_observatories
 from repro.util.calendar import StudyCalendar
@@ -30,7 +31,7 @@ def build_pipeline():
     generator = GroundTruthGenerator(
         plan, CALENDAR, landscape, campaigns, rng_factory=factory
     )
-    observatories = build_observatories(plan, factory, calendar=CALENDAR)
+    observatories = build_observatories(StudyConfig(calendar=CALENDAR), plan)
     return generator, observatories
 
 

@@ -218,8 +218,9 @@ class GroundTruthGenerator:
         calendar: StudyCalendar,
         landscape: LandscapeModel,
         campaigns: CampaignModel,
+        *,
+        rng_factory: RngFactory,
         config: GeneratorConfig | None = None,
-        rng_factory: RngFactory | None = None,
         day_range: tuple[int, int] | None = None,
         scenario=None,
     ) -> None:
@@ -238,7 +239,7 @@ class GroundTruthGenerator:
                 f"(0..{calendar.n_days})"
             )
         self.day_range = (int(start), int(stop))
-        self._factory = rng_factory or RngFactory(0)
+        self._factory = rng_factory
         self._rng = self._factory.stream("attacks/generator")
         self._pool = _VictimPool(self.config.victim_pool_size)
         self._samplers = {

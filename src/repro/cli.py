@@ -219,13 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--ra-per-day", type=float, default=70.0, help="reflection base rate"
     )
-    run.add_argument(
-        "--shard-days",
-        type=int,
-        default=None,
-        help="days per simulation shard (default 28; output is identical "
-        "for any --jobs at a fixed shard size)",
-    )
 
     commands.add_parser("survey", help="industry-report survey (Section 3)")
 
@@ -733,8 +726,6 @@ def _observed_command(
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    if args.shard_days is not None and args.shard_days <= 0:
-        raise SystemExit("--shard-days must be positive")
     config = StudyConfig(
         seed=args.seed,
         calendar=_calendar_for(args.weeks),
@@ -746,7 +737,6 @@ def _command_run(args: argparse.Namespace) -> int:
         study = Study(
             config,
             jobs=args.jobs,
-            shard_days=args.shard_days,
             cache=False if args.no_cache else None,
             cache_dir=args.cache_dir,
         )
@@ -795,29 +785,13 @@ def _command_survey(_: argparse.Namespace) -> int:
 def _command_landscape(args: argparse.Namespace) -> int:
     from collections import Counter
 
-    from repro.attacks.campaigns import CampaignModel
-    from repro.attacks.generator import GroundTruthGenerator
-    from repro.attacks.landscape import LandscapeModel
     from repro.attacks.vectors import VECTORS
-    from repro.net.plan import PlanConfig, build_internet_plan
-    from repro.util.rng import RngFactory
+    from repro.util.parallel import generate_shard, models_for
 
-    calendar = _calendar_for(args.weeks)
+    config = StudyConfig(seed=args.seed, calendar=_calendar_for(args.weeks))
 
     def body() -> int:
-        plan = build_internet_plan(PlanConfig(seed=args.seed))
-        factory = RngFactory(args.seed)
-        landscape = LandscapeModel(calendar, dp_per_day=90.0, ra_per_day=70.0)
-        campaigns = CampaignModel(
-            calendar,
-            factory,
-            candidate_asns=[i.asn for i in plan.ases if i.target_weight > 0],
-        )
-        generator = GroundTruthGenerator(
-            plan, calendar, landscape, campaigns, rng_factory=factory
-        )
-
-        shard = generator.shard_batch()
+        shard = generate_shard(config)
         total = len(shard)
         dp = int(shard.is_direct_path.sum())
         ra = int(shard.is_reflection.sum())
@@ -826,13 +800,13 @@ def _command_landscape(args: argparse.Namespace) -> int:
         # First-seen order breaks count ties, as most_common() sorts stably.
         vector_counts = Counter(VECTORS[i].name for i in shard.vector_id.tolist())
 
-        print(f"ground truth over {calendar.n_weeks} weeks (seed {args.seed}):")
+        print(f"ground truth over {config.calendar.n_weeks} weeks (seed {args.seed}):")
         print(f"  attacks           {total}")
         print(f"  direct-path       {dp} ({dp / total * 100:.1f}%)")
         print(f"  reflection-ampl.  {ra} ({ra / total * 100:.1f}%)")
         print(f"  carpet-bombing    {carpet} ({carpet / total * 100:.1f}%)")
         print(f"  multi-vector      {multi} ({multi / total * 100:.1f}%)")
-        print(f"  campaigns         {len(campaigns)}")
+        print(f"  campaigns         {len(models_for(config).campaigns)}")
         print("\nvector mix:")
         for name, count in vector_counts.most_common():
             print(f"  {name:12s} {count:7d} ({count / total * 100:5.1f}%)")

@@ -19,7 +19,6 @@ Typical use::
 
 from __future__ import annotations
 
-import datetime as _dt
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -30,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.observatories.tuning import ObservatoryTuning
     from repro.scenarios.config import ScenarioConfig
 
-from repro.attacks.booters import BooterMarket
 from repro.attacks.campaigns import CampaignConfig, CampaignModel
 from repro.attacks.events import AttackClass
 from repro.attacks.generator import GeneratorConfig
@@ -58,7 +56,7 @@ from repro.core.timeseries import WeeklySeries
 from repro.core.trends import TrendClassification, classify_trend
 from repro.core.visibility import AsRow, HighlyVisible, highly_visible, top_target_ases
 from repro.industry.survey import TrendCounts, trend_counts
-from repro.net.plan import InternetPlan, PlanConfig, build_internet_plan
+from repro.net.plan import InternetPlan, PlanConfig
 from repro.obs import span
 from repro.observatories.base import Observations, SeriesKey
 from repro.observatories.registry import (
@@ -69,7 +67,7 @@ from repro.observatories.registry import (
 )
 from repro.observatories.telescope import TelescopeConfig
 from repro.util.calendar import STUDY_CALENDAR, TAKEDOWN_DATES, StudyCalendar
-from repro.util.parallel import simulate
+from repro.util.parallel import SimulationModels, models_for, simulate
 from repro.util.rng import RngFactory
 
 
@@ -208,14 +206,12 @@ class Study:
         config: StudyConfig | None = None,
         *,
         jobs: int | None = 1,
-        shard_days: int | None = None,
         cache: bool | None = None,
         cache_dir: str | None = None,
     ) -> None:
         self.config = config or StudyConfig()
         self.calendar = self.config.calendar
         self.jobs = jobs
-        self.shard_days = shard_days
         self._cache_enabled = cache_enabled() if cache is None else bool(cache)
         self._cache = StudyCache(cache_dir)
         self._rng_factory = RngFactory(self.config.seed)
@@ -223,55 +219,29 @@ class Study:
     # -- pipeline ---------------------------------------------------------------
 
     @cached_property
+    def models(self) -> SimulationModels:
+        """The plan, landscape and campaigns the simulation runs on."""
+        return models_for(self.config)
+
+    @property
     def plan(self) -> InternetPlan:
         """The synthetic Internet plan."""
-        plan_config = self.config.plan or PlanConfig(seed=self.config.seed)
-        return build_internet_plan(plan_config)
+        return self.models.plan
 
-    @cached_property
+    @property
     def landscape(self) -> LandscapeModel:
         """The scenario model."""
-        scenario = self.config.scenario
-        if scenario is not None and scenario.booter is not None:
-            booters = scenario.booter.market(self.calendar)
-        elif self.config.include_takedowns:
-            booters = BooterMarket.default(self.calendar)
-        else:
-            booters = BooterMarket.without_takedowns()
-        return LandscapeModel(
-            self.calendar,
-            dp_per_day=self.config.dp_per_day,
-            ra_per_day=self.config.ra_per_day,
-            sav=self.config.sav,
-            booters=booters,
-        )
+        return self.models.landscape
 
-    @cached_property
+    @property
     def campaigns(self) -> CampaignModel:
         """The campaign model."""
-        candidate_asns = [
-            info.asn for info in self.plan.ases if info.target_weight > 0
-        ]
-        return CampaignModel(
-            self.calendar,
-            self._rng_factory,
-            config=self.config.campaigns,
-            candidate_asns=candidate_asns,
-        )
+        return self.models.campaigns
 
     @cached_property
     def observatories(self) -> ObservatorySet:
         """The configured observatories (ten, plus any scenario additions)."""
-        return build_observatories(
-            self.plan,
-            self._rng_factory,
-            telescope_config=self.config.telescope,
-            aggregate_carpet=self.config.aggregate_carpet,
-            calendar=self.calendar,
-            paper_outages=self.config.paper_outages,
-            scenario=self.config.scenario,
-            tuning=self.config.tuning,
-        )
+        return build_observatories(self.config, self.plan)
 
     @cached_property
     def observations(self) -> dict[str, Observations]:
@@ -289,9 +259,7 @@ class Study:
                 sinks, ground_truth = cached
                 self._ground_truth_weekly = ground_truth
                 return sinks
-        sinks, ground_truth = simulate(
-            self.config, jobs=self.jobs, shard_days=self.shard_days
-        )
+        sinks, ground_truth = simulate(self.config, jobs=self.jobs)
         self._ground_truth_weekly = ground_truth
         if self._cache_enabled:
             self._cache.store(fingerprint, sinks, ground_truth)

@@ -20,6 +20,7 @@ NewKid                    HP      RA           1 sensor IP
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,9 +39,12 @@ from repro.observatories.honeypot import (
     NEWKID_SPEC,
     HoneypotPlatform,
 )
-from repro.observatories.telescope import NetworkTelescope, TelescopeConfig
+from repro.observatories.telescope import NetworkTelescope
 from repro.util.calendar import StudyCalendar
 from repro.util.rng import RngFactory
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (study -> registry)
+    from repro.core.study import StudyConfig
 
 #: Platform dark windows the paper notes in Section 6.1 ("Missing data:
 #: ORION in 2019Q3-Q4, IXP in Jan 2019"), as date ranges.
@@ -136,34 +140,28 @@ class ObservatorySet:
         return sinks, ground_truth
 
 
-def build_observatories(
-    plan: InternetPlan,
-    rng_factory: RngFactory,
-    *,
-    telescope_config: TelescopeConfig | None = None,
-    aggregate_carpet: bool = True,
-    visibility_noise_sigma: float = 0.55,
-    calendar: StudyCalendar | None = None,
-    paper_outages: bool = True,
-    scenario=None,
-    tuning=None,
-) -> ObservatorySet:
-    """Instantiate the paper's observatory set against an Internet plan.
+#: Each platform's independent weekly coverage fluctuation (lognormal
+#: sigma); telescopes, honeypots and the cloud provider scale it down.
+VISIBILITY_NOISE_SIGMA = 0.55
 
-    ``visibility_noise_sigma`` controls each platform's independent weekly
-    coverage fluctuation (0 disables it).  When a ``calendar`` is given and
-    ``paper_outages`` is true, ORION and the IXP get the dark windows the
-    paper notes (2019Q3-Q4 and January 2019 respectively).  A
-    ``scenario`` (:class:`~repro.scenarios.config.ScenarioConfig`) with an
-    active cloud family appends the auto-mitigating cloud provider as an
-    eleventh vantage point; it draws from its own named RNG streams, so
-    the ten baseline platforms are unaffected.  A ``tuning``
+
+def build_observatories(config: "StudyConfig", plan: InternetPlan) -> ObservatorySet:
+    """Instantiate the paper's observatory set for a study config.
+
+    Every platform draws from its own named stream of the config's seed.
+    With ``config.paper_outages``, ORION and the IXP get the dark windows
+    the paper notes (2019Q3-Q4 and January 2019 respectively).  A
+    ``config.scenario`` (:class:`~repro.scenarios.config.ScenarioConfig`)
+    with an active cloud family appends the auto-mitigating cloud provider
+    as an eleventh vantage point; it draws from its own named RNG streams,
+    so the ten baseline platforms are unaffected.  A ``config.tuning``
     (:class:`~repro.observatories.tuning.ObservatoryTuning`) scales the
     flow-monitor thresholds off their paper defaults — the counterfactual
     engine's "blackholing aggressiveness" and "severity floor" knobs; a
     neutral (or absent) tuning builds the exact baseline constructors.
     """
-    telescope_config = telescope_config or TelescopeConfig()
+    rng_factory = RngFactory(config.seed)
+    tuning = config.tuning
 
     # Tuning scales the paper-default constructor values; None and the
     # neutral tuning produce identical observatories (same kwargs).
@@ -181,13 +179,11 @@ def build_observatories(
             ),
         }
 
-    def noise(key: str, mean: float = 0.8, sigma: float | None = None) -> VisibilityNoise | None:
-        if visibility_noise_sigma <= 0:
-            return None
+    def noise(
+        key: str, mean: float = 0.8, sigma: float = VISIBILITY_NOISE_SIGMA
+    ) -> VisibilityNoise:
         return VisibilityNoise(
-            rng_factory.stream(f"noise/{key}"),
-            mean=mean,
-            sigma=sigma if sigma is not None else visibility_noise_sigma,
+            rng_factory.stream(f"noise/{key}"), mean=mean, sigma=sigma
         )
 
     # Telescopes are passive taps on fixed address space: steadier
@@ -198,16 +194,16 @@ def build_observatories(
             name="UCSD",
             prefixes=UCSD_TELESCOPE_PREFIXES,
             rng=rng_factory.stream("observatory/ucsd"),
-            config=telescope_config,
-            noise=noise("ucsd", mean=0.88, sigma=visibility_noise_sigma * 0.8),
+            config=config.telescope,
+            noise=noise("ucsd", mean=0.88, sigma=VISIBILITY_NOISE_SIGMA * 0.8),
         ),
         NetworkTelescope(
             key="orion",
             name="ORION",
             prefixes=(ORION_TELESCOPE_PREFIX,),
             rng=rng_factory.stream("observatory/orion"),
-            config=telescope_config,
-            noise=noise("orion", mean=0.88, sigma=visibility_noise_sigma * 0.8),
+            config=config.telescope,
+            noise=noise("orion", mean=0.88, sigma=VISIBILITY_NOISE_SIGMA * 0.8),
         ),
     ]
     honeypots = [
@@ -215,10 +211,10 @@ def build_observatories(
             spec,
             rng=rng_factory.stream(f"observatory/{spec.key}"),
             rir=plan.rir,
-            aggregate_carpet=aggregate_carpet,
+            aggregate_carpet=config.aggregate_carpet,
             # Honeypot farms are static sensors: steadier coverage than
             # customer-driven industry feeds.
-            noise=noise(spec.key, mean=0.92, sigma=visibility_noise_sigma * 0.7),
+            noise=noise(spec.key, mean=0.92, sigma=VISIBILITY_NOISE_SIGMA * 0.7),
         )
         for spec in (HOPSCOTCH_SPEC, AMPPOT_SPEC, NEWKID_SPEC)
     ]
@@ -239,6 +235,7 @@ def build_observatories(
             **ixp_kwargs,
         ),
     ]
+    scenario = config.scenario
     if scenario is not None and scenario.cloud is not None:
         from repro.observatories.cloud import CloudObservatory
 
@@ -249,13 +246,13 @@ def build_observatories(
                 policy=scenario.cloud,
                 # A commercial mitigation pipeline: steadier coverage than
                 # the alert-driven industry feeds, akin to honeypot farms.
-                noise=noise("cloud", mean=0.92, sigma=visibility_noise_sigma * 0.7),
+                noise=noise("cloud", mean=0.92, sigma=VISIBILITY_NOISE_SIGMA * 0.7),
             )
         )
     observatory_set = ObservatorySet(
         telescopes=telescopes, honeypots=honeypots, flow_monitors=flow_monitors
     )
-    if paper_outages:
+    if config.paper_outages:
         for observatory in observatory_set.all():
-            observatory.outages = _outage_days(calendar, observatory.name)
+            observatory.outages = _outage_days(config.calendar, observatory.name)
     return observatory_set

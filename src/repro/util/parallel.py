@@ -5,8 +5,8 @@ builds its own ground-truth generator and observatory set and simulates its
 range independently.  Three properties make the result exactly equal for
 *any* worker count:
 
-* the shard plan depends only on the calendar and shard size — never on
-  ``jobs`` — so serial and parallel runs execute identical shard units;
+* the shard plan depends only on the calendar — never on ``jobs`` — so
+  serial and parallel runs execute identical shard units;
 * every study day draws from a day-keyed RNG stream (see
   :class:`~repro.attacks.generator.GroundTruthGenerator`), and each shard
   gets fresh observatory instances whose weekly noise streams are
@@ -18,10 +18,13 @@ range independently.  Three properties make the result exactly equal for
 routes through it (with the on-disk cache of :mod:`repro.core.cache` in
 front), and the CLI exposes it via ``--jobs``.
 
-Model substrate (Internet plan, landscape, campaigns) is deterministic and
-read-only, so it is memoised per process; on platforms with ``fork`` the
-parent warms the memo before spawning workers and children inherit it for
-free.  The worker pool itself is persistent (see :func:`warm_pool`):
+This module is the only code that turns a study config into simulation
+inputs: :func:`models_for` (plan, landscape, campaigns),
+:func:`~repro.observatories.registry.build_observatories` and
+:func:`generate_shard` (the ground-truth batch).  The substrate is
+deterministic and read-only, so it is memoised per process; on platforms
+with ``fork`` the parent warms the memo before spawning workers and
+children inherit it for free.  The worker pool itself is persistent (see :func:`warm_pool`):
 repeated parallel runs in one process — and every job handled by
 ``ddoscovery serve`` — reuse already-forked workers instead of paying
 process startup per call.
@@ -58,22 +61,24 @@ import numpy as np
 
 from repro.attacks.booters import BooterMarket
 from repro.attacks.campaigns import CampaignModel
-from repro.attacks.events import AttackClass
+from repro.attacks.events import AttackClass, ShardBatch
 from repro.attacks.generator import GroundTruthGenerator
 from repro.attacks.landscape import LandscapeModel
 from repro.net.plan import InternetPlan, PlanConfig, build_internet_plan
 from repro.obs import absorb, collecting, gauge, span, tracing
 from repro.observatories.base import Observations
-from repro.observatories.registry import ObservatorySet, build_observatories
+from repro.observatories.registry import build_observatories
 from repro.util.rng import RngFactory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (study -> parallel)
     from repro.core.study import StudyConfig
 
-#: Default shard width in days.  Fixed (never derived from ``jobs``) so the
-#: shard plan — and with it the simulation output — is identical for any
-#: worker count.  Four weeks keeps >50 shards on the full 4.5-year window
-#: while leaving the recurrence pool plenty of fill within each shard.
+#: Shard width in days.  Fixed (never derived from ``jobs``) so the shard
+#: plan — and with it the simulation output — is identical for any worker
+#: count.  It is not a setting either: each shard starts an empty
+#: recurrence pool, so another width changes the bytes, and the study
+#: cache key does not include it.  Four weeks keeps >50 shards on the full
+#: 4.5-year window while leaving the pool plenty of fill within each shard.
 DEFAULT_SHARD_DAYS = 28
 
 
@@ -138,7 +143,7 @@ class SimulationModels:
 
 
 def build_models(config: "StudyConfig") -> SimulationModels:
-    """Build the simulation substrate exactly as :class:`Study` does."""
+    """Build the plan, landscape and campaigns of one study config."""
     plan_config = config.plan or PlanConfig(seed=config.seed)
     plan = build_internet_plan(plan_config)
     scenario = config.scenario
@@ -182,20 +187,27 @@ def models_for(config: "StudyConfig") -> SimulationModels:
     return models
 
 
-def _build_observatories(
-    config: "StudyConfig", plan: InternetPlan
-) -> ObservatorySet:
-    """Fresh observatory instances (they hold RNG state) for one shard."""
-    return build_observatories(
-        plan,
-        RngFactory(config.seed),
-        telescope_config=config.telescope,
-        aggregate_carpet=config.aggregate_carpet,
-        calendar=config.calendar,
-        paper_outages=config.paper_outages,
+def generate_shard(
+    config: "StudyConfig", start: int = 0, stop: int | None = None
+) -> ShardBatch:
+    """The ground truth of study days ``[start, stop)`` as one columnar batch.
+
+    ``stop`` defaults to the end of the window.  The victim-recurrence
+    pool starts empty at ``start``, so the output depends on the range,
+    which is why the shard width is a constant.
+    """
+    models = models_for(config)
+    generator = GroundTruthGenerator(
+        models.plan,
+        config.calendar,
+        models.landscape,
+        models.campaigns,
+        config=config.generator,
+        rng_factory=RngFactory(config.seed),
+        day_range=(start, config.calendar.n_days if stop is None else stop),
         scenario=config.scenario,
-        tuning=config.tuning,
     )
+    return generator.shard_batch()
 
 
 # -- shard execution -----------------------------------------------------------
@@ -212,21 +224,12 @@ def run_shard(
     # itself runs a process-dependent number of times.
     gauge("models.campaigns").set(len(models.campaigns))
     gauge("models.ases").set(len(models.plan.ases))
-    generator = GroundTruthGenerator(
-        models.plan,
-        config.calendar,
-        models.landscape,
-        models.campaigns,
-        config=config.generator,
-        rng_factory=RngFactory(config.seed),
-        day_range=(start, stop),
-        scenario=config.scenario,
-    )
-    observatories = _build_observatories(config, models.plan)
+    # Fresh observatories per shard: they hold RNG state.
+    observatories = build_observatories(config, models.plan)
     # Columnar hot path: synthesise the whole day range as one
     # struct-of-arrays shard, then let every observatory sweep it in one
     # vectorised pass.
-    shard = generator.shard_batch()
+    shard = generate_shard(config, start, stop)
     return observatories.run_shard(shard, config.calendar)
 
 
@@ -452,19 +455,16 @@ def merge_shard_results(
 
 
 def simulate(
-    config: "StudyConfig",
-    jobs: int | None = 1,
-    shard_days: int | None = None,
+    config: "StudyConfig", jobs: int | None = 1
 ) -> tuple[dict[str, Observations], dict[AttackClass, np.ndarray]]:
     """Run the full study simulation, sharded across ``jobs`` processes.
 
     Returns ``(observations per observatory, weekly ground truth per attack
-    class)``.  Output is bit-for-bit identical for any ``jobs`` value given
-    the same ``shard_days``; ``jobs=1`` (the default) runs the same shard
-    plan in-process with zero multiprocessing overhead.
+    class)``.  Output is bit-for-bit identical for any ``jobs`` value;
+    ``jobs=1`` (the default) runs the same shard plan in-process with zero
+    multiprocessing overhead.
     """
-    width = shard_days if shard_days is not None else DEFAULT_SHARD_DAYS
-    shards = plan_shards(config.calendar.n_days, width)
+    shards = plan_shards(config.calendar.n_days)
     workers = effective_jobs(jobs, len(shards))
     with span("simulate"):
         gauge("simulate.shards").set(len(shards))

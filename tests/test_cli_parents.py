@@ -95,6 +95,10 @@ def test_execution_defaults_fit_each_command():
         "coordinator",
     )
     assert "--coordinator" not in serve._option_string_actions
+    # The shard width is fixed: it changes the simulated bytes, and the
+    # cache key does not include it.
+    run = _command_parser("run", None)
+    assert "--shard-days" not in run._option_string_actions
     defaults = {
         (command, action): _command_parser(command, action)
         ._option_string_actions["--execution"]

@@ -32,10 +32,9 @@ from hypothesis import strategies as st
 from repro.core.study import Study, StudyConfig
 from repro.core.validate import validate_observations
 from repro.net.plan import PlanConfig
-from repro.observatories.registry import ObservatorySet
+from repro.observatories.registry import ObservatorySet, build_observatories
 from repro.util.calendar import StudyCalendar
-from repro.util.parallel import build_models, simulate
-from repro.util.rng import RngFactory
+from repro.util.parallel import generate_shard, models_for, simulate
 from tests.test_parallel import _assert_identical, _column_names
 
 _SETTINGS = dict(
@@ -161,27 +160,15 @@ def test_observability_is_jobs_invariant_and_invisible(
 @settings(**_SETTINGS)
 def test_observatory_subset_independence(seed: int) -> None:
     """Removing observatories never changes the survivors' feeds."""
-    from repro.util.parallel import _build_observatories
-
     config = tiny_config(seed, weeks=8)
-    models = build_models(config)
+    plan = models_for(config).plan
 
     def run(subset: ObservatorySet):
-        from repro.attacks.generator import GroundTruthGenerator
-
-        generator = GroundTruthGenerator(
-            models.plan,
-            config.calendar,
-            models.landscape,
-            models.campaigns,
-            config=config.generator,
-            rng_factory=RngFactory(config.seed),
-        )
-        sinks, _ = subset.run_shard(generator.shard_batch(), config.calendar)
+        sinks, _ = subset.run_shard(generate_shard(config), config.calendar)
         return sinks
 
-    full = run(_build_observatories(config, models.plan))
-    rebuilt = _build_observatories(config, models.plan)
+    full = run(build_observatories(config, plan))
+    rebuilt = build_observatories(config, plan)
     telescopes_only = ObservatorySet(
         telescopes=rebuilt.telescopes, honeypots=[], flow_monitors=[]
     )

@@ -21,6 +21,7 @@ from repro.util.parallel import (
     DEFAULT_SHARD_DAYS,
     effective_jobs,
     merge_shard_results,
+    models_for,
     plan_shards,
     resolve_jobs,
     run_shard,
@@ -245,6 +246,14 @@ class TestShardTransport:
 
 
 class TestStudyIntegration:
+    def test_study_reads_the_shared_substrate(self, short_config):
+        """Study serves the objects the shard executor simulates from."""
+        study = Study(short_config, cache=False)
+        models = models_for(short_config)
+        assert study.plan is models.plan
+        assert study.landscape is models.landscape
+        assert study.campaigns is models.campaigns
+
     def test_study_jobs_kwarg(self, short_config):
         from repro.attacks.events import AttackClass
 
