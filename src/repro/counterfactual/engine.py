@@ -29,11 +29,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro import obs
-from repro.counterfactual.divergence import (
-    DEFAULT_BAND_FLOOR,
-    DEFAULT_K_SIGMA,
-    detect,
-)
+from repro.counterfactual.divergence import detect
 from repro.counterfactual.report import (
     DetectionReport,
     ObservatoryVerdict,
@@ -144,12 +140,9 @@ def run_whatif(
     cache: bool | None = None,
     cache_dir: str | Path | None = None,
     sweep_dir: str | Path | None = None,
-    write_manifests: bool = True,
     should_stop: Callable[[], bool] | None = None,
     on_progress: Callable[[dict[str, Any]], None] | None = None,
     executor: CellExecutor | None = None,
-    k_sigma: float = DEFAULT_K_SIGMA,
-    band_floor: float = DEFAULT_BAND_FLOOR,
     log: Log = _silent,
 ) -> WhatifOutcome:
     """Run (or resume) a paired study and build its detection report.
@@ -183,12 +176,7 @@ def run_whatif(
         def on_cell(cell: SweepCell, status: str) -> None:
             progress["cells_done"] += 1
             progress["executed" if status == "executed" else "ledger_hits"] += 1
-            progress["divergence"] = _divergence_summary(
-                spec,
-                ledger_root,
-                k_sigma=k_sigma,
-                band_floor=band_floor,
-            )
+            progress["divergence"] = _divergence_summary(spec, ledger_root)
             on_progress(dict(progress))
 
     with obs.span("whatif.run"):
@@ -200,7 +188,6 @@ def run_whatif(
             cache=cache,
             cache_dir=cache_dir,
             sweep_dir=sweep_dir,
-            write_manifests=write_manifests,
             should_stop=should_stop,
             on_cell=on_cell,
             executor=executor,
@@ -208,12 +195,7 @@ def run_whatif(
         )
         report: DetectionReport | None
         try:
-            report = build_detection_report(
-                pairing,
-                sweep_dir=ledger_root,
-                k_sigma=k_sigma,
-                band_floor=band_floor,
-            )
+            report = build_detection_report(pairing, sweep_dir=ledger_root)
         except ValueError:
             # Only tolerable when a stop drained the run before any seed
             # finished both legs; a complete run must always reduce.
@@ -265,15 +247,15 @@ def build_detection_report(
     pairing: WhatifPairing,
     *,
     sweep_dir: str | Path | None = None,
-    k_sigma: float = DEFAULT_K_SIGMA,
-    band_floor: float = DEFAULT_BAND_FLOOR,
 ) -> DetectionReport:
     """Reduce a pairing's ledger to its :class:`DetectionReport`.
 
     Works from the ledger alone (pass ``sweep_dir`` to point at it
     without running anything), so ``whatif report`` never simulates.
     Seeds missing either leg — a stopped run — are excluded from the
-    divergence comparison and the report is marked partial.
+    divergence comparison and the report is marked partial.  Detection
+    uses :func:`~repro.counterfactual.divergence.detect`'s default
+    thresholds; the report does not record them, so they are fixed.
     """
     spec = pairing.spec()
     ledger_root = sweep_dir
@@ -292,8 +274,6 @@ def build_detection_report(
         series = detect(
             {seed: baseline_weekly[seed] for seed in paired_seeds},
             {seed: counterfactual_weekly[seed] for seed in paired_seeds},
-            k_sigma=k_sigma,
-            band_floor=band_floor,
         )
         verdicts = tuple(
             ObservatoryVerdict(
@@ -336,11 +316,7 @@ def build_detection_report(
 
 
 def _divergence_summary(
-    spec: ScenarioSpec,
-    ledger_root: str | Path | None,
-    *,
-    k_sigma: float,
-    band_floor: float,
+    spec: ScenarioSpec, ledger_root: str | Path | None
 ) -> dict[str, Any] | None:
     """Running mid-run divergence digest, or ``None`` before any seed
     has both legs — the incremental-progress payload."""
@@ -353,8 +329,6 @@ def _divergence_summary(
     series = detect(
         {seed: baseline_weekly[seed] for seed in paired_seeds},
         {seed: counterfactual_weekly[seed] for seed in paired_seeds},
-        k_sigma=k_sigma,
-        band_floor=band_floor,
     )
     detections = {
         label: verdict.first_detection_week

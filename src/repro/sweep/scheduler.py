@@ -115,7 +115,6 @@ def _execute_inline(
     jobs: int | None,
     cache: bool | None,
     cache_dir: str | Path | None,
-    write_manifests: bool,
 ) -> Iterator[Settled]:
     """The default executor: run each cell here, one after another.
 
@@ -132,16 +131,15 @@ def _execute_inline(
             snapshot, tree = registry.snapshot(), tracer.tree()
         obs.absorb(snapshot, tree)
         elapsed = time.perf_counter() - started
-        if write_manifests:
-            manifest = obs.build_manifest(
-                "sweep-cell",
-                config=cell.config,
-                registry=registry,
-                tracer=tracer,
-                sweep=sweep_provenance(ledger, cell.index),
-            )
-            ledger.cells_dir.mkdir(parents=True, exist_ok=True)
-            obs.write_manifest(ledger.manifest_path(cell.index), manifest)
+        manifest = obs.build_manifest(
+            "sweep-cell",
+            config=cell.config,
+            registry=registry,
+            tracer=tracer,
+            sweep=sweep_provenance(ledger, cell.index),
+        )
+        ledger.cells_dir.mkdir(parents=True, exist_ok=True)
+        obs.write_manifest(ledger.manifest_path(cell.index), manifest)
         yield cell, result.to_dict(), elapsed
 
 
@@ -153,7 +151,6 @@ def run_sweep(
     cache: bool | None = None,
     cache_dir: str | Path | None = None,
     sweep_dir: str | Path | None = None,
-    write_manifests: bool = True,
     should_stop: Callable[[], bool] | None = None,
     on_cell: Callable[[SweepCell, str], None] | None = None,
     executor: CellExecutor | None = None,
@@ -239,7 +236,6 @@ def run_sweep(
             jobs=jobs,
             cache=cache,
             cache_dir=cache_dir,
-            write_manifests=write_manifests,
         )
     with obs.span("sweep.run"):
         obs.gauge("sweep.cells").set(len(cells))
