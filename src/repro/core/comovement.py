@@ -129,8 +129,9 @@ def co_movement_episodes(
     previous_groups: set[frozenset[str]] = set()
     for window in range(n_windows + 1):
         groups_here = {group for w, group in raw if w == window}
-        # Close runs that ended.
-        for group in previous_groups - groups_here:
+        # Close runs that ended, in a fixed order: set order follows the
+        # per-process string hash, and _coalesce breaks ties by position.
+        for group in sorted(previous_groups - groups_here, key=sorted):
             start = open_runs.pop(group)
             end = window + window_weeks - 1  # last covered week
             episodes.append(

@@ -1,8 +1,14 @@
 """Tests for co-movement episode detection."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.comovement import (
     CoMovement,
     co_movement_episodes,
@@ -100,3 +106,46 @@ class TestEpisodes:
         # RA observatories share the 2020 surge: at least one episode.
         assert episodes
         assert all(len(episode.members) >= 2 for episode in episodes)
+
+
+# Four series move together for 40 weeks, then split into two pairs that
+# co-move until the end: both pair episodes close in the last window, and
+# the first one in line absorbs the four-way episode.
+_SPLIT_PAIRS = """
+import numpy as np
+from repro.core.comovement import co_movement_episodes
+
+rng = np.random.default_rng(0)
+first, left, right = rng.normal(size=(3, 40))
+noise = rng.normal(scale=0.01, size=(4, 80))
+series = {
+    "a": np.concatenate([first, left]) + noise[0],
+    "b": np.concatenate([first, left]) + noise[1],
+    "c": np.concatenate([first, right]) + noise[2],
+    "d": np.concatenate([first, right]) + noise[3],
+}
+episodes = co_movement_episodes(series, window_weeks=13, threshold=0.6)
+print([(e.start_week, e.end_week, sorted(e.members)) for e in episodes])
+"""
+
+
+def test_episodes_do_not_depend_on_the_string_hash_seed():
+    """Set order follows PYTHONHASHSEED; the episodes must not."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    outputs = set()
+    for hash_seed in ("0", "1", "2", "3"):
+        env["PYTHONHASHSEED"] = hash_seed
+        result = subprocess.run(
+            [sys.executable, "-c", _SPLIT_PAIRS],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+            timeout=120,
+        )
+        outputs.add(result.stdout)
+    assert outputs == {"[(0, 80, ['a', 'b']), (30, 80, ['c', 'd'])]\n"}
