@@ -31,6 +31,13 @@ weekly supply noise from a dedicated stream, so a generator confined to a
 only cross-day state is the recent-victim recurrence pool, which starts
 empty at the beginning of each generator's range — the property the
 process-parallel executor in :mod:`repro.util.parallel` relies on.
+
+The day loop only draws: each segment (one attack-class/campaign row of a
+day) takes its variates in as few numpy calls as the stream order allows,
+and everything that needs no randomness — start times, the duration
+floor, bit rates, partner scaling, honeypot masks, per-segment constant
+columns — happens once per shard in :meth:`GroundTruthGenerator.shard_batch`'s
+assembly step.
 """
 
 from __future__ import annotations
@@ -65,6 +72,9 @@ HP_VECTOR_AFFINITY: dict[str, dict[str, float]] = {
     "hopscotch": {"CLDAP": 1.6, "CHARGEN": 0.5},
     "newkid": {"Memcached": 0.0},
 }
+
+#: Visibility-bias row of events outside any campaign.
+_NEUTRAL_BIAS = (1.0,) * len(OBSERVATORY_KEYS)
 
 
 @dataclass(frozen=True)
@@ -195,9 +205,53 @@ class _ClassSampler:
         )
         return cls(ids=ids, cumulative=np.cumsum(weights / weights.sum()))
 
-    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        picks = np.searchsorted(self.cumulative, rng.random(count), side="right")
+    def pick(self, uniforms: np.ndarray) -> np.ndarray:
+        """The int16 vector id each uniform selects."""
+        picks = self.cumulative.searchsorted(uniforms, side="right")
         return self.ids[np.minimum(picks, len(self.ids) - 1)]
+
+
+class _Segments:
+    """The draws of one shard's segments, in generation order.
+
+    A segment is one attack-class/campaign row of a day (or the partners
+    one row spawned).  The first group of lists gains one entry per
+    segment; the others only for the segments that drew them, in the
+    order the assembly's masks select them.
+    """
+
+    def __init__(self) -> None:
+        # One entry per segment.
+        self.counts: list[int] = []
+        self.days: list[int] = []
+        self.classes: list[int] = []
+        self.partner: list[bool] = []
+        self.bias_rows: list[tuple[float, ...]] = []
+        self.targets: list[np.ndarray] = []
+        self.asns: list[np.ndarray] = []
+        #: sorted fractions of the day at which the events start.
+        self.fractions: list[np.ndarray] = []
+        self.durations: list[np.ndarray] = []
+        #: rates before partner scaling.
+        self.pps: list[np.ndarray] = []
+        self.vectors: list[np.ndarray] = []
+        self.multi: list[np.ndarray] = []
+        self.carpets: list[np.ndarray] = []
+        # Only where drawn.
+        self.secondaries: list[np.ndarray] = []
+        self.carpet_lengths: list[np.ndarray] = []
+        #: per-event size boost of each partner segment.
+        self.scales: list[np.ndarray] = []
+        #: direct-path segments: spoofed share, and a (2, n) block of the
+        #: spoofed and telescope-avoidance uniforms.
+        self.spoofed_shares: list[float] = []
+        self.direct_draws: list[np.ndarray] = []
+        #: reflection segments: reflector-list breadth, and a (4, n) block
+        #: of the three honeypot selections plus telescope avoidance.
+        self.breadths: list[np.ndarray] = []
+        self.reflection_draws: list[np.ndarray] = []
+        self.campaign_events = 0
+        self.partner_events = 0
 
 
 class GroundTruthGenerator:
@@ -240,12 +294,31 @@ class GroundTruthGenerator:
             )
         self.day_range = (int(start), int(stop))
         self._factory = rng_factory
-        self._rng = self._factory.stream("attacks/generator")
         self._pool = _VictimPool(self.config.victim_pool_size)
         self._samplers = {
             AttackClass.DIRECT_PATH: _ClassSampler.for_kind(VectorKind.DIRECT),
             AttackClass.REFLECTION_AMPLIFICATION: _ClassSampler.for_kind(
                 VectorKind.REFLECTION
+            ),
+        }
+        config = self.config
+        self._median_pps = {
+            AttackClass.DIRECT_PATH: config.dp_pps_median,
+            AttackClass.REFLECTION_AMPLIFICATION: config.ra_pps_median,
+        }
+        # (mean, sigma) of the lognormal duration and per-class rate draws.
+        self._duration_params = (
+            np.log(config.duration_median_s),
+            config.duration_sigma,
+        )
+        self._pps_params = {
+            AttackClass.DIRECT_PATH: (
+                np.log(config.dp_pps_median),
+                config.dp_pps_sigma,
+            ),
+            AttackClass.REFLECTION_AMPLIFICATION: (
+                np.log(config.ra_pps_median),
+                config.ra_pps_sigma,
             ),
         }
         self._packet_size = np.asarray(
@@ -324,148 +397,110 @@ class GroundTruthGenerator:
         Days are walked in order, each drawing from its own RNG stream, so
         per-day output does not depend on which other days were generated
         first; only the victim recurrence pool carries state between
-        consecutive days.  Segment columns are concatenated once, handing
-        the observatories one struct-of-arrays block to sweep.
+        consecutive days.  The segments' draws are then assembled into one
+        struct-of-arrays block for the observatories to sweep.
         """
         start, stop = self.day_range
-        segments: list[dict] = []
-        day_chunks: list[np.ndarray] = []
+        segments = _Segments()
+        day_totals = []
         for day in range(start, stop):
             with span("generate.day"):
-                day_segments = self._day_segments(day)
-            self._count_day(day_segments)
-            for segment in day_segments:
-                segments.append(segment)
-                day_chunks.append(
-                    np.full(len(segment["target"]), day, dtype=np.int32)
-                )
-        if segments:
-            days = np.concatenate(day_chunks)
-            columns = {
-                name: np.concatenate([segment[name] for segment in segments])
-                for name, _ in EVENT_COLUMNS
-            }
-            bias = {
-                key: np.concatenate([segment["bias"][key] for segment in segments])
-                for key in OBSERVATORY_KEYS
-            }
-        else:
-            days = np.empty(0, dtype=np.int32)
-            columns = {
-                name: np.empty(0, dtype=dtype) for name, dtype in EVENT_COLUMNS
-            }
-            bias = {key: np.empty(0) for key in OBSERVATORY_KEYS}
-        return ShardBatch(days=days, bias=bias, **columns)
+                day_totals.append(self._generate_day(segments, day))
+        with span("generate.assemble"):
+            batch = self._assemble(segments)
+        self._count_shard(batch, segments, day_totals)
+        return batch
 
-    def _day_segments(self, day: int) -> list[dict]:
-        """All event segments of one day (base classes, campaigns, partners)."""
-        rng = self._rng = self._factory.stream(f"attacks/generator/day/{day}")
+    def _generate_day(self, segments: _Segments, day: int) -> int:
+        """Draw one day's segments and return how many events they hold.
+
+        Base classes and campaigns come first, then their partners.
+        """
+        rng = self._factory.stream(f"attacks/generator/day/{day}")
         week = self.calendar.week_of_day(day)
         active = self.campaigns.active(day)
 
-        class_rows: list[dict] = []
+        rows: list[tuple[AttackClass, int, Campaign | None]] = []
         for attack_class in AttackClass:
             base = self.landscape.expected_count(attack_class, day)
             base *= self._weekly_noise[attack_class][week]
-            class_campaigns = [
-                campaign for campaign in active if campaign.attack_class is attack_class
-            ]
-            n_base = int(rng.poisson(base))
-            class_rows.append(
-                {
-                    "attack_class": attack_class,
-                    "count": n_base,
-                    "campaign": None,
-                }
-            )
-            for campaign in class_campaigns:
-                n_extra = int(rng.poisson(base * campaign.intensity))
-                if n_extra:
-                    class_rows.append(
-                        {
-                            "attack_class": attack_class,
-                            "count": n_extra,
-                            "campaign": campaign,
-                        }
-                    )
+            rows.append((attack_class, int(rng.poisson(base)), None))
+            for campaign in active:
+                if campaign.attack_class is attack_class:
+                    n_extra = int(rng.poisson(base * campaign.intensity))
+                    rows.append((attack_class, n_extra, campaign))
 
-        segments = [
-            self._make_segment(day, row["attack_class"], row["count"], row["campaign"])
-            for row in class_rows
-            if row["count"] > 0
-        ]
-        segments.extend(self._cross_type_partners(day, segments))
-        return segments
+        first = len(segments.counts)
+        for attack_class, count, campaign in rows:
+            if count:
+                self._draw_segment(rng, segments, day, attack_class, count, campaign)
+        self._draw_partners(rng, segments, day, first)
+        return sum(segments.counts[first:])
 
-    def _count_day(self, segments: list[dict]) -> None:
-        """Per-day pipeline metrics (pure accounting; no RNG touched)."""
-        counter("generate.days").inc()
-        total = sum(len(segment["target"]) for segment in segments)
-        histogram("generate.batch_events").observe(float(total))
-        if not total:
+    def _count_shard(
+        self, batch: ShardBatch, segments: _Segments, day_totals: list[int]
+    ) -> None:
+        """Shard pipeline metrics (pure accounting; no RNG touched).
+
+        One ``generate.batch_events`` observation per day, in day order;
+        the ``generate.events*`` counters exist only once a shard has
+        events.
+        """
+        counter("generate.days").inc(len(day_totals))
+        batch_events = histogram("generate.batch_events")
+        for total in day_totals:
+            batch_events.observe(float(total))
+        if segments.campaign_events:
+            counter("generate.campaign_events").inc(segments.campaign_events)
+        if segments.partner_events:
+            counter("generate.partner_events").inc(segments.partner_events)
+        if not len(batch):
             return
-        n_dp = sum(
-            len(segment["target"])
-            for segment in segments
-            if segment["attack_class"][0] == int(AttackClass.DIRECT_PATH)
-        )
+        n_dp = int(np.count_nonzero(batch.is_direct_path))
         counter("generate.events", cls="DP").inc(n_dp)
-        counter("generate.events", cls="RA").inc(total - n_dp)
-        counter("generate.events.carpet").inc(
-            sum(int(segment["carpet"].sum()) for segment in segments)
-        )
+        counter("generate.events", cls="RA").inc(len(batch) - n_dp)
+        counter("generate.events.carpet").inc(int(np.count_nonzero(batch.carpet)))
         counter("generate.events.multi_vector").inc(
-            sum(
-                int((segment["secondary_vector_id"] >= 0).sum())
-                for segment in segments
-            )
+            int(np.count_nonzero(batch.secondary_vector_id >= 0))
         )
 
-    # -- segment synthesis ----------------------------------------------------
+    # -- segment draws --------------------------------------------------------
+    #
+    # ``Generator.random`` spends one 64-bit word per double, in order, so
+    # uniforms drawn back to back merge into one call (a ``(k, n)`` block
+    # or one longer vector) without moving a single variate.  ``integers``
+    # calls buffer 32-bit halves and ``lognormal`` consumes a variable
+    # number of words, so no merge ever crosses one of them.
 
-    def _make_segment(
+    def _draw_segment(
         self,
+        rng: np.random.Generator,
+        segments: _Segments,
         day: int,
         attack_class: AttackClass,
         count: int,
         campaign: Campaign | None,
-    ) -> dict:
-        """Sample ``count`` events of one class (optionally one campaign)."""
-        rng = self._rng
+    ) -> None:
+        """Draw ``count`` events of one class (optionally one campaign)."""
         config = self.config
         if campaign is not None:
-            counter("generate.campaign_events").inc(count)
+            segments.campaign_events += count
 
-        targets, asns = self._draw_targets(count, campaign)
-        start = day * SECONDS_PER_DAY + np.sort(rng.random(count)) * SECONDS_PER_DAY
-        duration = np.maximum(
-            60.0,
-            rng.lognormal(
-                mean=np.log(config.duration_median_s),
-                sigma=config.duration_sigma,
-                size=count,
-            ),
-        )
-        if attack_class is AttackClass.DIRECT_PATH:
-            pps = rng.lognormal(
-                mean=np.log(config.dp_pps_median), sigma=config.dp_pps_sigma, size=count
-            )
-        else:
-            pps = rng.lognormal(
-                mean=np.log(config.ra_pps_median), sigma=config.ra_pps_sigma, size=count
-            )
+        targets, asns = self._draw_targets(rng, count, campaign)
+        fractions = rng.random(count)
+        fractions.sort()
+        duration = rng.lognormal(*self._duration_params, size=count)
+        pps = rng.lognormal(*self._pps_params[attack_class], size=count)
 
         sampler = self._class_sampler(attack_class, day)
         if campaign is not None and campaign.vector_focus is not None:
             vector = np.full(count, campaign.vector_focus, dtype=np.int16)
+            multi = rng.random(count) < config.multi_vector_probability
         else:
-            vector = sampler.draw(rng, count).astype(np.int16)
-        secondary = np.full(count, -1, dtype=np.int16)
-        multi = rng.random(count) < config.multi_vector_probability
-        if multi.any():
-            secondary[multi] = sampler.draw(rng, int(multi.sum())).astype(np.int16)
-
-        bps = pps * self._packet_size[vector] * 8.0
+            draws = rng.random((2, count))
+            vector = sampler.pick(draws[0])
+            multi = draws[1] < config.multi_vector_probability
+        n_multi = int(np.count_nonzero(multi))
 
         if attack_class is AttackClass.REFLECTION_AMPLIFICATION:
             carpet_p = (
@@ -475,36 +510,42 @@ class GroundTruthGenerator:
             )
         else:
             carpet_p = config.carpet_probability * 0.3
-        carpet = rng.random(count) < carpet_p
-        carpet_len = np.zeros(count, dtype=np.int8)
-        if carpet.any():
-            carpet_len[carpet] = rng.integers(22, 27, size=int(carpet.sum()))
+        draws = rng.random(n_multi + count)
+        if n_multi:
+            segments.secondaries.append(sampler.pick(draws[:n_multi]))
+        carpet = draws[n_multi:] < carpet_p
+        n_carpet = int(np.count_nonzero(carpet))
+        if n_carpet:
+            segments.carpet_lengths.append(rng.integers(22, 27, size=n_carpet))
 
         if attack_class is AttackClass.DIRECT_PATH:
-            spoofed = rng.random(count) < self.landscape.spoofed_dp_share(day)
+            segments.spoofed_shares.append(self.landscape.spoofed_dp_share(day))
+            segments.direct_draws.append(rng.random((2, count)))
         else:
-            spoofed = np.ones(count, dtype=bool)  # RA requests are spoofed
+            # Reflector-list breadth, shared across platforms per event:
+            # broad lists hit every honeypot, narrow lists miss them all.
+            # This correlation produces the >50% pairwise target overlap
+            # between Hopscotch and AmpPot the paper reports (Section 7.1).
+            segments.breadths.append(rng.lognormal(mean=-0.32, sigma=0.8, size=count))
+            segments.reflection_draws.append(rng.random((4, count)))
 
-        hp_selected = self._draw_hp_selection(attack_class, vector, campaign, count)
-        bias = self._bias_arrays(campaign, count)
-        self._apply_telescope_avoidance(bias, count)
-
-        return {
-            "attack_class": np.full(count, int(attack_class), dtype=np.int8),
-            "target": targets,
-            "origin_asn": asns,
-            "start": start,
-            "duration": duration,
-            "pps": pps,
-            "bps": bps,
-            "vector_id": vector,
-            "secondary_vector_id": secondary,
-            "carpet": carpet,
-            "carpet_prefix_len": carpet_len,
-            "spoofed": spoofed,
-            "hp_selected": hp_selected,
-            "bias": bias,
-        }
+        segments.counts.append(count)
+        segments.days.append(day)
+        segments.classes.append(int(attack_class))
+        segments.partner.append(False)
+        segments.bias_rows.append(
+            _NEUTRAL_BIAS
+            if campaign is None
+            else tuple(campaign.bias[key] for key in OBSERVATORY_KEYS)
+        )
+        segments.targets.append(targets)
+        segments.asns.append(asns)
+        segments.fractions.append(fractions)
+        segments.durations.append(duration)
+        segments.pps.append(pps)
+        segments.vectors.append(vector)
+        segments.multi.append(multi)
+        segments.carpets.append(carpet)
 
     def _class_sampler(self, attack_class: AttackClass, day: int) -> _ClassSampler:
         """The vector sampler for one class on one day.
@@ -535,40 +576,39 @@ class GroundTruthGenerator:
         return sampler
 
     def _draw_targets(
-        self, count: int, campaign: Campaign | None
+        self, rng: np.random.Generator, count: int, campaign: Campaign | None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Targets and origin ASNs for ``count`` events.
 
-        Drawn as three vectorised passes (fresh plan sample, recurrence-pool
-        override, campaign-concentration override).  Recurrence samples the
-        pool as it stood when the segment started; the segment's own events
-        are pushed afterwards in one batch.
+        One ``(4, n)`` block of uniforms picks the fresh plan targets (rows
+        0-1) and decides recurrence (row 2) and campaign concentration
+        (row 3).  Recurrence samples the pool as it stood when the segment
+        started; the segment's own events are pushed afterwards in one
+        batch.
         """
-        rng = self._rng
-        targets, asns = self.plan.sample_targets_with_asns(rng, count)
-        recur_draw = rng.random(count)
-        concentrate_draw = rng.random(count)
-
-        concentrated = np.zeros(count, dtype=bool)
+        draws = rng.random((4, count))
+        targets, asns = self.plan.targets_from_uniforms(draws[:2])
+        recur = draws[2] < self.config.recurrence_probability
         campaign_columns = self._campaign_prefix_columns(campaign)
         if campaign_columns is not None:
-            concentrated = concentrate_draw < 0.7
+            concentrated = draws[3] < 0.7
+            recur &= ~concentrated
 
-        recur = (recur_draw < self.config.recurrence_probability) & ~concentrated
-        if len(self._pool) and recur.any():
-            pooled_targets, pooled_asns = self._pool.sample_many(
-                rng, int(recur.sum())
-            )
-            targets[recur] = pooled_targets
-            asns[recur] = pooled_asns
+        if len(self._pool):
+            n_recur = int(np.count_nonzero(recur))
+            if n_recur:
+                pooled_targets, pooled_asns = self._pool.sample_many(rng, n_recur)
+                targets[recur] = pooled_targets
+                asns[recur] = pooled_asns
 
-        if concentrated.any():
-            bases, sizes = campaign_columns
-            n = int(concentrated.sum())
-            picks = rng.integers(len(bases), size=n)
-            offsets = rng.integers(sizes[picks])
-            targets[concentrated] = bases[picks] + offsets
-            asns[concentrated] = campaign.target_asn
+        if campaign_columns is not None:
+            n = int(np.count_nonzero(concentrated))
+            if n:
+                bases, sizes = campaign_columns
+                picks = rng.integers(len(bases), size=n)
+                offsets = rng.integers(sizes[picks])
+                targets[concentrated] = bases[picks] + offsets
+                asns[concentrated] = campaign.target_asn
 
         self._pool.push_many(targets, asns)
         return targets, asns
@@ -587,56 +627,6 @@ class GroundTruthGenerator:
             self._campaign_prefixes[asn] = columns
         return self._campaign_prefixes[asn]
 
-    def _draw_hp_selection(
-        self,
-        attack_class: AttackClass,
-        vector: np.ndarray,
-        campaign: Campaign | None,
-        count: int,
-    ) -> np.ndarray:
-        """Honeypot reflector-selection bitmask per event."""
-        mask = np.zeros(count, dtype=np.uint8)
-        if attack_class is not AttackClass.REFLECTION_AMPLIFICATION:
-            return mask
-        rng = self._rng
-        # Reflector-list breadth, shared across platforms per event: broad
-        # lists hit every honeypot, narrow lists miss them all.  This
-        # correlation produces the >50% pairwise target overlap between
-        # Hopscotch and AmpPot the paper reports (Section 7.1).
-        breadth = rng.lognormal(mean=-0.32, sigma=0.8, size=count)
-        for platform, bit in HP_BIT.items():
-            campaign_bias = campaign.bias[platform] if campaign is not None else 1.0
-            probabilities = np.minimum(
-                1.0,
-                self._hp_probability_lut[platform][vector]
-                * campaign_bias
-                * breadth,
-            )
-            selected = rng.random(count) < probabilities
-            mask |= (selected.astype(np.uint8)) << bit
-        return mask
-
-    def _bias_arrays(
-        self, campaign: Campaign | None, count: int
-    ) -> dict[str, np.ndarray]:
-        if campaign is None:
-            return {key: np.ones(count) for key in OBSERVATORY_KEYS}
-        return {
-            key: np.full(count, campaign.bias[key]) for key in OBSERVATORY_KEYS
-        }
-
-    def _apply_telescope_avoidance(
-        self, bias: dict[str, np.ndarray], count: int
-    ) -> None:
-        """Zero telescope visibility for attackers that avoid telescopes."""
-        avoiders = (
-            self._rng.random(count) < self.config.telescope_avoidance_probability
-        )
-        if avoiders.any():
-            for key in ("ucsd", "orion"):
-                bias[key] = bias[key].copy()
-                bias[key][avoiders] = 0.0
-
     # -- cross-type partners -----------------------------------------------------
 
     def _in_hosting(self, asns: np.ndarray) -> np.ndarray:
@@ -648,46 +638,173 @@ class GroundTruthGenerator:
         positions = np.minimum(positions, len(hosting) - 1)
         return hosting[positions] == asns
 
-    def _cross_type_partners(self, day: int, segments: list[dict]) -> list[dict]:
-        """Spawn other-class partner events for multi-attack-type targets."""
-        rng = self._rng
+    def _draw_partners(
+        self, rng: np.random.Generator, segments: _Segments, day: int, first: int
+    ) -> None:
+        """Spawn other-class partner events for multi-attack-type targets.
+
+        The pairing probabilities of all the day's base segments (from
+        ``first`` on) come from one vectorised pass; each segment then
+        draws its own ``chosen`` uniforms, and its partners, in turn.
+        """
+        last = len(segments.counts)
+        if last == first:
+            return
         config = self.config
-        partners: list[dict] = []
-        for segment in segments:
-            count = len(segment["target"])
-            if count == 0:
+        counts = segments.counts[first:last]
+        boost = np.where(
+            self._in_hosting(np.concatenate(segments.asns[first:last])),
+            config.cross_type_hosting_boost,
+            1.0,
+        )
+        pps = np.concatenate(segments.pps[first:last])
+        median_pps = np.repeat(
+            [
+                self._median_pps[AttackClass(attack_class)]
+                for attack_class in segments.classes[first:last]
+            ],
+            counts,
+        )
+        size_boost = np.clip(np.sqrt(pps / median_pps), 1.0, config.cross_type_size_cap)
+        probability = np.minimum(
+            0.85, config.cross_type_probability * boost * size_boost
+        )
+
+        offset = 0
+        for index in range(first, last):
+            count = segments.counts[index]
+            window = slice(offset, offset + count)
+            offset += count
+            chosen = np.flatnonzero(rng.random(count) < probability[window])
+            if not len(chosen):
                 continue
-            boost = np.where(
-                self._in_hosting(segment["origin_asn"]),
-                config.cross_type_hosting_boost,
-                1.0,
-            )
-            attack_class = AttackClass(int(segment["attack_class"][0]))
-            median_pps = (
-                config.dp_pps_median
-                if attack_class is AttackClass.DIRECT_PATH
-                else config.ra_pps_median
-            )
-            size_boost = np.clip(
-                np.sqrt(segment["pps"] / median_pps), 1.0, config.cross_type_size_cap
-            )
-            probability = np.minimum(
-                0.85, config.cross_type_probability * boost * size_boost
-            )
-            chosen = rng.random(count) < probability
-            if not chosen.any():
-                continue
-            indices = np.flatnonzero(chosen)
-            flipped = AttackClass(1 - int(attack_class))
-            partner = self._make_segment(day, flipped, len(indices), None)
-            # Pin the partner onto the same victims, and correlate partner
+            flipped = AttackClass(1 - segments.classes[index])
+            self._draw_segment(rng, segments, day, flipped, len(chosen), None)
+            # Pin the partner onto the same victims (its sampled targets
+            # already went to the recurrence pool), and correlate partner
             # size with the originating attack: multi-vector campaigns
             # against protected targets are big on every vector.
-            partner["target"] = segment["target"][indices].copy()
-            partner["origin_asn"] = segment["origin_asn"][indices].copy()
-            scale = size_boost[indices]
-            partner["pps"] = partner["pps"] * scale
-            partner["bps"] = partner["bps"] * scale
-            partners.append(partner)
-            counter("generate.partner_events").inc(len(indices))
-        return partners
+            segments.targets[-1] = segments.targets[index][chosen]
+            segments.asns[-1] = segments.asns[index][chosen]
+            segments.partner[-1] = True
+            segments.scales.append(size_boost[window][chosen])
+            segments.partner_events += len(chosen)
+
+    # -- shard assembly ---------------------------------------------------------
+
+    def _assemble(self, segments: _Segments) -> ShardBatch:
+        """Concatenate the segments' draws and derive every other column.
+
+        Per-segment constants (day, class, campaign bias) expand with
+        ``np.repeat``; the arithmetic that needs no randomness runs once
+        over the shard.
+        """
+        if not segments.counts:
+            return ShardBatch(
+                days=np.empty(0, dtype=np.int32),
+                bias={key: np.empty(0) for key in OBSERVATORY_KEYS},
+                **{name: np.empty(0, dtype=dtype) for name, dtype in EVENT_COLUMNS},
+            )
+        counts = np.asarray(segments.counts)
+        n = int(counts.sum())
+        classes = np.asarray(segments.classes, dtype=np.int8)
+        days = np.repeat(np.asarray(segments.days, dtype=np.int32), counts)
+        attack_class = np.repeat(classes, counts)
+        direct = attack_class == int(AttackClass.DIRECT_PATH)
+        reflection = ~direct
+
+        start = np.repeat(
+            np.asarray(segments.days, dtype=np.int64) * SECONDS_PER_DAY, counts
+        ) + np.concatenate(segments.fractions) * SECONDS_PER_DAY
+        duration = np.maximum(60.0, np.concatenate(segments.durations))
+        scale = np.ones(n)
+        if segments.scales:
+            scale[np.repeat(segments.partner, counts)] = np.concatenate(
+                segments.scales
+            )
+        vector = np.concatenate(segments.vectors)
+        pps = np.concatenate(segments.pps)
+        bps = pps * self._packet_size[vector] * 8.0 * scale
+        pps *= scale
+
+        secondary = np.full(n, -1, dtype=np.int16)
+        if segments.secondaries:
+            secondary[np.concatenate(segments.multi)] = np.concatenate(
+                segments.secondaries
+            )
+        carpet = np.concatenate(segments.carpets)
+        carpet_len = np.zeros(n, dtype=np.int8)
+        if segments.carpet_lengths:
+            carpet_len[carpet] = np.concatenate(segments.carpet_lengths)
+
+        bias = {
+            key: np.repeat(column, counts)
+            for key, column in zip(
+                OBSERVATORY_KEYS, np.asarray(segments.bias_rows).T
+            )
+        }
+        spoofed = np.ones(n, dtype=bool)  # RA requests are spoofed
+        hp_selected = np.zeros(n, dtype=np.uint8)
+        avoidance = np.empty(n)
+        if segments.direct_draws:
+            draws = np.concatenate(segments.direct_draws, axis=1)
+            shares = np.repeat(
+                segments.spoofed_shares,
+                counts[classes == int(AttackClass.DIRECT_PATH)],
+            )
+            spoofed[direct] = draws[0] < shares
+            avoidance[direct] = draws[1]
+        if segments.reflection_draws:
+            draws = np.concatenate(segments.reflection_draws, axis=1)
+            hp_selected[reflection] = self._hp_mask(
+                vector[reflection],
+                {platform: bias[platform][reflection] for platform in HP_BIT},
+                np.concatenate(segments.breadths),
+                draws,
+            )
+            avoidance[reflection] = draws[len(HP_BIT)]
+        # Attackers that avoid telescopes are invisible to both of them.
+        avoiders = avoidance < self.config.telescope_avoidance_probability
+        for key in ("ucsd", "orion"):
+            bias[key][avoiders] = 0.0
+
+        return ShardBatch(
+            days=days,
+            bias=bias,
+            attack_class=attack_class,
+            target=np.concatenate(segments.targets),
+            origin_asn=np.concatenate(segments.asns),
+            start=start,
+            duration=duration,
+            pps=pps,
+            bps=bps,
+            vector_id=vector,
+            secondary_vector_id=secondary,
+            carpet=carpet,
+            carpet_prefix_len=carpet_len,
+            spoofed=spoofed,
+            hp_selected=hp_selected,
+        )
+
+    def _hp_mask(
+        self,
+        vector: np.ndarray,
+        campaign_bias: dict[str, np.ndarray],
+        breadth: np.ndarray,
+        draws: np.ndarray,
+    ) -> np.ndarray:
+        """Honeypot reflector-selection bitmask of reflection events.
+
+        ``draws`` row ``i`` holds the selection uniforms of the ``i``-th
+        platform of :data:`HP_BIT`.
+        """
+        mask = np.zeros(len(vector), dtype=np.uint8)
+        for row, (platform, bit) in enumerate(HP_BIT.items()):
+            probabilities = np.minimum(
+                1.0,
+                self._hp_probability_lut[platform][vector]
+                * campaign_bias[platform]
+                * breadth,
+            )
+            mask |= (draws[row] < probabilities).astype(np.uint8) << bit
+        return mask

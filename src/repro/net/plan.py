@@ -120,17 +120,18 @@ class InternetPlan:
         """Draw ``count`` attack-target addresses (heavy-tailed across ASes)."""
         return self._sampler.sample(rng, count)
 
-    def sample_targets_with_asns(
-        self, rng: np.random.Generator, count: int
+    def targets_from_uniforms(
+        self, uniforms: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw ``count`` targets plus their origin ASNs in one pass.
+        """The targets plus origin ASNs that a ``(2, n)`` uniform block picks.
 
-        The sampler picks a (prefix, offset) pair, and every sampled prefix
-        is announced by exactly the AS it was allocated to — so the origin
-        comes for free, without any per-address LPM lookup.  Consumes the
-        same RNG draws as :meth:`sample_targets`.
+        Row 0 picks a prefix, row 1 the offset inside it; every sampled
+        prefix is announced by exactly the AS it was allocated to — so the
+        origin comes for free, without any per-address LPM lookup.  Fed
+        ``rng.random((2, n))``, it returns :meth:`sample_targets`'s
+        addresses for the same stream.
         """
-        return self._sampler.sample_with_asns(rng, count)
+        return self._sampler.from_uniforms(uniforms)
 
     def sample_target(self, rng: np.random.Generator) -> int:
         """Draw one attack-target address."""
@@ -183,8 +184,16 @@ class TargetSampler:
         self, rng: np.random.Generator, count: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """``count`` sampled addresses plus their owning ASNs (int64 each)."""
-        picks = np.searchsorted(self._cumulative, rng.random(count), side="right")
-        offsets = (rng.random(count) * self._sizes[picks]).astype(np.int64)
+        return self.from_uniforms(rng.random((2, count)))
+
+    def from_uniforms(self, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Addresses and owning ASNs for a ``(2, n)`` block of uniforms.
+
+        Row 0 picks a prefix by cumulative weight, row 1 a uniform offset
+        inside it.
+        """
+        picks = self._cumulative.searchsorted(uniforms[0], side="right")
+        offsets = (uniforms[1] * self._sizes[picks]).astype(np.int64)
         return self._bases[picks] + offsets, self._asns[picks]
 
 
