@@ -22,12 +22,12 @@ This module is the only code that turns a study config into simulation
 inputs: :func:`models_for` (plan, landscape, campaigns),
 :func:`~repro.observatories.registry.build_observatories` and
 :func:`generate_shard` (the ground-truth batch).  The substrate is
-deterministic and read-only, so it is memoised per process; on platforms
-with ``fork`` the parent warms the memo before spawning workers and
-children inherit it for free.  The worker pool itself is persistent (see :func:`warm_pool`):
-repeated parallel runs in one process — and every job handled by
-``ddoscovery serve`` — reuse already-forked workers instead of paying
-process startup per call.
+deterministic and read-only, so each process keeps the most recently used
+ones in a small memo; on platforms with ``fork`` the parent warms the memo
+before spawning workers and children inherit it for free.  The worker
+pool itself is persistent (see :func:`warm_pool`): repeated parallel runs
+in one process — and every job handled by ``ddoscovery serve`` — reuse
+already-forked workers instead of paying process startup per call.
 
 Each shard also runs inside its own observability collection context
 (:mod:`repro.obs`): the worker ships a metrics snapshot and span tree
@@ -51,6 +51,7 @@ import multiprocessing.util
 import os
 import shutil
 import tempfile
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -173,17 +174,33 @@ def build_models(config: "StudyConfig") -> SimulationModels:
     return SimulationModels(plan=plan, landscape=landscape, campaigns=campaigns)
 
 
-_MODELS_MEMO: dict[str, SimulationModels] = {}
+#: Substrates one process keeps.  Each holds about 0.58 MB, and ``serve``
+#: pool workers and ``dist`` workers meet a new config with every distinct
+#: job seed, so a memo that never evicts grows for the worker's lifetime.
+#: Eight holds every leg of a three-seed what-if pairing (six configs) at
+#: once.
+MODELS_MEMO_SIZE = 8
+
+_MODELS_MEMO: OrderedDict[str, SimulationModels] = OrderedDict()
 
 
 def models_for(config: "StudyConfig") -> SimulationModels:
-    """Per-process memo of the substrate, keyed by config fingerprint."""
+    """Per-process LRU memo of the substrate, keyed by config fingerprint.
+
+    A hit makes the entry the most recent; a new config beyond
+    :data:`MODELS_MEMO_SIZE` evicts the least recently used one.  Every
+    step is one dict operation, so concurrent job threads can at worst
+    build one substrate twice.
+    """
     from repro.core.cache import config_fingerprint
 
     key = config_fingerprint(config)
-    models = _MODELS_MEMO.get(key)
+    models = _MODELS_MEMO.pop(key, None)
     if models is None:
-        models = _MODELS_MEMO[key] = build_models(config)
+        models = build_models(config)
+    _MODELS_MEMO[key] = models
+    while len(_MODELS_MEMO) > MODELS_MEMO_SIZE:
+        _MODELS_MEMO.popitem(last=False)
     return models
 
 

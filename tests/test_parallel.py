@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import datetime as dt
 import os
+from collections import OrderedDict
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.observatories.base import OBSERVATION_COLUMNS
 from repro.util.calendar import StudyCalendar
 from repro.util.parallel import (
     DEFAULT_SHARD_DAYS,
+    MODELS_MEMO_SIZE,
     effective_jobs,
     merge_shard_results,
     models_for,
@@ -243,6 +245,42 @@ class TestShardTransport:
             assert warm_pool(1) == 1
         finally:
             shutdown_pool()
+
+
+class TestModelsMemo:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Seeds ``build_models`` ran for, over an empty memo."""
+        seeds: list[int] = []
+
+        def build(config):
+            seeds.append(config.seed)
+            return object()
+
+        monkeypatch.setattr(parallel, "_MODELS_MEMO", OrderedDict())
+        monkeypatch.setattr(parallel, "build_models", build)
+        return seeds
+
+    def test_ninth_config_evicts_the_least_recently_used(self, built):
+        configs = [StudyConfig(seed=seed) for seed in range(MODELS_MEMO_SIZE + 1)]
+        models = [models_for(config) for config in configs]
+        assert len(parallel._MODELS_MEMO) == MODELS_MEMO_SIZE
+        assert models_for(configs[1]) is models[1]
+        assert models_for(configs[-1]) is models[-1]
+        assert built == list(range(MODELS_MEMO_SIZE + 1))
+        # Seed 0 was the least recently used: it was evicted and rebuilds.
+        assert models_for(configs[0]) is not models[0]
+        assert built[-1] == 0
+
+    def test_a_hit_refreshes_an_entry(self, built):
+        configs = [StudyConfig(seed=seed) for seed in range(MODELS_MEMO_SIZE + 1)]
+        models = [models_for(config) for config in configs[:-1]]
+        assert models_for(configs[0]) is models[0]
+        models_for(configs[-1])
+        # The hit made seed 0 recent, so seed 1 went instead.
+        assert models_for(configs[0]) is models[0]
+        assert models_for(configs[1]) is not models[1]
+        assert built == list(range(MODELS_MEMO_SIZE + 1)) + [1]
 
 
 class TestStudyIntegration:
