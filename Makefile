@@ -26,9 +26,10 @@ conformance-scenarios:
 	PYTHONPATH=src python scripts/conformance_scenarios.py
 
 # What CI runs: fast tier, full conformance, the ablation and paper
-# artefacts, the counterfactual smoke, the distributed smoke, the repo
-# benchmark's own checks, and a compile pass.
-ci: test-fast conformance ablations paper-artefacts whatif-smoke dist-smoke perfbench-check
+# artefacts, the counterfactual smoke, the service smoke (the only gate
+# that runs a job body in a daemon pool worker), the distributed smoke,
+# the repo benchmark's own checks, and a compile pass.
+ci: test-fast conformance ablations paper-artefacts whatif-smoke serve-smoke dist-smoke perfbench-check
 	python -m compileall -q src
 
 # Re-run the deterministic ablation benchmarks and fail if any committed
