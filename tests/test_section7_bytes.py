@@ -1,12 +1,18 @@
-"""Byte pins for the Section-7 target analysis.
+"""Byte pins for every artifact and the conformance report.
 
 The goldens (:mod:`repro.core.golden`) fingerprint the weekly series,
-trend slopes, Figure 6 and ground truth, but nothing of Section 7.  These
-sha256 digests of the canonical artifact bytes (and of the pairwise
-overlap shares) pin the UpSet, highly-visible, federation, overlap,
-quarterly-correlation, Table-4 and headline outputs on two
-configurations, so a rewrite of the target analysis must reproduce them
-bit for bit.
+trend slopes, Figure 6's Spearman coefficients and ground truth, but
+nothing of Section 7.  These sha256 digests of the canonical artifact
+bytes (and of the pairwise overlap shares) pin the UpSet,
+highly-visible, federation, overlap, quarterly-correlation, Table-4 and
+headline outputs on two configurations, so a rewrite of the target
+analysis must reproduce them bit for bit.
+
+The other nine artifacts and the rendered conformance report are pinned
+the same way (``PINNED_REST``): Figure 6's p-values and Pearson matrix
+are pinned nowhere else.  A fresh study that builds everything in
+reverse registry order, conformance first, must give the same bytes, so
+no result depends on which caller built it first.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import json
 
 import pytest
 
-from repro.core.artifacts import artifact_json_bytes
+from repro.core.artifacts import artifact_json_bytes, artifact_names
 from repro.core.study import Study, StudyConfig
 from repro.util.calendar import calendar_for_weeks
 
@@ -59,6 +65,49 @@ PINNED = {
 }
 
 
+#: The artifacts ``SECTION7_ARTIFACTS`` leaves out.
+REST_ARTIFACTS = (
+    "table1",
+    "table2",
+    "fig2_trends",
+    "fig3_trends",
+    "fig4_heatmap",
+    "fig5_shares",
+    "fig6_correlation",
+    "fig12_newkid",
+    "fingerprints",
+)
+
+#: sha256 per artifact name, plus ``conformance`` for the rendered
+#: :meth:`Study.conformance` report.
+PINNED_REST = {
+    "small": {
+        "table1": "df29759543249a9ab3bbe7f7994c01bdda482ca954fb7e506dafc1209816bac4",
+        "table2": "e01787f3613e5130e7a4fa00d9a51e01b6a492ac7682bc75b104fb8b17896344",
+        "fig2_trends": "e3bb252e8dd9d623f9975c75ebda4326e26f23849ff0a7481c54d132351bd4b8",
+        "fig3_trends": "01d18c1e15393960af806014d91df73f2dde7f9defac61845ae634ae4f1f2960",
+        "fig4_heatmap": "1307f5cb7a5b64c17eba8941c50013f7e5a0090a7e57fc9a106d47f2afdb23fa",
+        "fig5_shares": "80f1d2e4bcebd95cba09d957d985284db37d6658116b89c010f811464f8224c9",
+        "fig6_correlation": "e89c5f165631578fd0484f881106550f7201cbbcc2795ae3a0dac9967a9b67a1",
+        "fig12_newkid": "ad2f4248b40bd7b606da0db92720c665892a9110534fd0133fe53a2047fe0beb",
+        "fingerprints": "ae9785a9ef58a0ac4018c6fa575f111e492244469123a910b47a26f1586c6a49",
+        "conformance": "abae508042c1229c3adbe202ad4a4614b221e9fd27cce9cdfcba59535221b213",
+    },
+    "weeks16-seed5": {
+        "table1": "e73ba16773d16ca5469ebb16a1be4ba59cd5e5e9df121c2421364b8bf35999aa",
+        "table2": "a18f2789d3a8e1ea5d27fbe10ccde35ae49bbec74bbead9d96c539df41b5bc97",
+        "fig2_trends": "c84a3467cdb88bcc102a63200abb0f7c51a05720c6bd348a711bd103376dd82e",
+        "fig3_trends": "594920e13bd4c7d966c94f5dca16a3edad8c88a6857ae3781abd3d7ba196fee0",
+        "fig4_heatmap": "7d21da80b2ffe88a6ae2e2c9e8b2fa40da8026009a346377002e9ab42774ee23",
+        "fig5_shares": "417471a0fb2f5f9dab80f1cb41fff1979d2ad682150d2b6fa8029542d02ada72",
+        "fig6_correlation": "58f6b7c6f43d00d81462cb41c72be59c7346584c2676d6a7ab62b618bcb98dc0",
+        "fig12_newkid": "e1b5e21a3a9da21ef3f094848495224f7146060a14ed0b76b2e2fdad90977732",
+        "fingerprints": "d693728657ee0b15533aa9b370fc09b8c3da6d81e5545f873860354b60b928fc",
+        "conformance": "134ac4d737adf05b38bfee87ca1266d0f48736d4e86477cc3f54b541fafb5008",
+    },
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -76,6 +125,16 @@ def section7_digests(study: Study) -> dict[str, str]:
     return digests
 
 
+def rest_digests(study: Study) -> dict[str, str]:
+    """sha256 of the other nine artifacts and the conformance report."""
+    digests = {
+        name: _sha256(artifact_json_bytes(study.artifact(name)))
+        for name in REST_ARTIFACTS
+    }
+    digests["conformance"] = _sha256(study.conformance().render().encode())
+    return digests
+
+
 @pytest.fixture(scope="module")
 def weeks16_study() -> Study:
     study = Study(StudyConfig(seed=5, calendar=calendar_for_weeks(16)))
@@ -89,3 +148,24 @@ def test_small_study_section7_bytes(small_study):
 
 def test_weeks16_seed5_section7_bytes(weeks16_study):
     assert section7_digests(weeks16_study) == PINNED["weeks16-seed5"]
+
+
+def test_small_study_rest_bytes(small_study):
+    assert rest_digests(small_study) == PINNED_REST["small"]
+
+
+def test_weeks16_seed5_rest_bytes(weeks16_study):
+    assert rest_digests(weeks16_study) == PINNED_REST["weeks16-seed5"]
+
+
+@pytest.mark.parametrize("name", ["small", "weeks16-seed5"])
+def test_reverse_build_order_keeps_bytes(name, request):
+    fixture = {"small": "small_study", "weeks16-seed5": "weeks16_study"}[name]
+    # A fresh study over the cache the fixture filled: nothing built yet.
+    study = Study(request.getfixturevalue(fixture).config)
+    digests = {"conformance": _sha256(study.conformance().render().encode())}
+    for artifact in reversed(artifact_names()):
+        digests[artifact] = _sha256(artifact_json_bytes(study.artifact(artifact)))
+    expected = {**PINNED[name], **PINNED_REST[name]}
+    del expected["pairwise"]
+    assert digests == expected
