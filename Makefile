@@ -15,10 +15,13 @@ test-fast:
 
 # Full-window paper conformance: the CLI report (also written as an
 # artefact) plus the conformance-marked pytest tier and the seed-stability
-# sweep artefact.
+# sweep artefact; fails if any of the three committed reports changed.
 conformance: sweep-stability conformance-scenarios
 	python -m repro.cli conformance --jobs 0 --out benchmarks/results/CONFORMANCE.txt
 	pytest tests/ -m conformance
+	git diff --exit-code -- benchmarks/results/CONFORMANCE.txt \
+		benchmarks/results/CONFORMANCE_scenarios.txt \
+		benchmarks/results/SWEEP_seed_stability.txt
 
 # Regenerate the sibling-paper scenario-family conformance artefact from
 # the four scenario presets (conformance tier; see docs/SWEEPS.md).

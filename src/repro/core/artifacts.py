@@ -337,8 +337,10 @@ _ROWS_SCHEMA = {
 class ArtifactSpec:
     """One registered study artifact.
 
-    ``build`` produces the rich in-memory result; ``payload`` reduces it
-    to JSON-serialisable types validated by ``schema``;
+    ``build`` produces the rich in-memory result, which
+    :meth:`Study.artifact_result` calls once per study and keeps;
+    ``payload`` reduces it to JSON-serialisable types validated by
+    ``schema``;
     ``schema_version`` versions that data block independently of the
     envelope.
     """
@@ -354,7 +356,7 @@ class ArtifactSpec:
 
     def data(self, study: "Study") -> dict[str, Any]:
         """The JSON data block for one study."""
-        return self.payload(self.build(study))
+        return self.payload(study.artifact_result(self.name))
 
     def describe(self) -> dict[str, Any]:
         """The registry-listing row (no study required)."""
@@ -681,8 +683,6 @@ def envelope(
 
 def study_envelope(study: "Study", name: str) -> dict[str, Any]:
     """The full artifact document for one study."""
-    from repro.core.cache import config_fingerprint
-
     spec = artifact_spec(name)
     return envelope(
         name,
@@ -690,7 +690,7 @@ def study_envelope(study: "Study", name: str) -> dict[str, Any]:
         title=spec.title,
         paper_anchor=spec.paper_anchor,
         schema_version=spec.schema_version,
-        config_fingerprint=config_fingerprint(study.config),
+        config_fingerprint=study.config_fingerprint,
         window=f"{study.calendar.start}..{study.calendar.end}",
         n_weeks=int(study.calendar.n_weeks),
         seed=int(study.config.seed),

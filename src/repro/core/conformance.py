@@ -197,10 +197,11 @@ class ConformanceReport:
 
 
 class StudyView:
-    """Memoised per-evaluation view of the study artefacts.
+    """Per-evaluation view of the study artefacts.
 
-    Predicates share one evaluation context so the registry does not
-    recompute ``table1()`` / ``figure6()`` / ``figure7()`` once per check.
+    Artifact results come from the study's own memo
+    (:meth:`Study.artifact_result`); the view keeps only what it derives
+    from them and the study's other per-evaluation inputs.
     """
 
     def __init__(self, study: "Study") -> None:
@@ -222,7 +223,7 @@ class StudyView:
         """Industry trend counts keyed by attack type label."""
         return {row.attack_type: row.industry for row in self.study.artifact_result("table1")}
 
-    @cached_property
+    @property
     def correlation(self):
         return self.study.artifact_result("fig6_correlation")
 
@@ -238,11 +239,11 @@ class StudyView:
             for j in range(i + 1, len(labels))
         }
 
-    @cached_property
+    @property
     def shares(self):
         return self.study.artifact_result("fig5_shares")
 
-    @cached_property
+    @property
     def upset(self):
         return self.study.artifact_result("fig7_upset")
 

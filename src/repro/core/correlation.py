@@ -3,22 +3,18 @@
 Reproduces the paper's Figure 6 (pairwise Spearman over the normalised and
 the EWMA series, with p-values, insignificant entries greyed) and Figure 14
 (distributions of quarterly pairwise correlations: 18 quarters over 4.5
-years, summarised as boxes with median and mean).
+years, summarised as boxes with median and mean).  Both run on the one
+pairwise kernel of :mod:`repro.core.stats`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from repro.core.stats import Correlation, pearson, spearman
+from repro.core.stats import Correlation, p_values, pairwise
 from repro.util.calendar import StudyCalendar
-
-Method = Callable[[np.ndarray, np.ndarray], Correlation]
-
-METHODS: dict[str, Method] = {"spearman": spearman, "pearson": pearson}
 
 
 @dataclass
@@ -48,26 +44,14 @@ def correlation_matrix(
     series: dict[str, np.ndarray], method: str = "spearman"
 ) -> CorrelationMatrix:
     """Pairwise correlation matrix over a dict of equal-length series."""
-    try:
-        correlate = METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}; use spearman or pearson")
     labels = list(series)
-    n = len(labels)
-    if n < 2:
-        raise ValueError("need at least two series")
-    lengths = {len(values) for values in series.values()}
-    if len(lengths) != 1:
-        raise ValueError("series must have equal length")
-    coefficients = np.eye(n)
-    p_values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            result = correlate(series[labels[i]], series[labels[j]])
-            coefficients[i, j] = coefficients[j, i] = result.coefficient
-            p_values[i, j] = p_values[j, i] = result.p_value
+    columns = [series[label] for label in labels]
+    coefficients, defined = pairwise(columns, method)
     return CorrelationMatrix(
-        labels=labels, coefficients=coefficients, p_values=p_values, method=method
+        labels=labels,
+        coefficients=coefficients,
+        p_values=p_values(coefficients, defined, len(columns[0])),
+        method=method,
     )
 
 
@@ -101,26 +85,32 @@ def box_stats(values: list[float]) -> BoxStats:
 
 
 def quarterly_correlations(
-    a: np.ndarray,
-    b: np.ndarray,
-    calendar: StudyCalendar,
-    method: str = "spearman",
-) -> list[float]:
-    """Per-quarter correlation coefficients between two weekly series.
+    series: dict[str, np.ndarray], calendar: StudyCalendar
+) -> dict[tuple[str, str], list[float]]:
+    """Per-quarter Spearman coefficients of every pair of weekly series.
 
-    Quarters with fewer than 4 weeks or with an undefined correlation
-    (constant sub-series) are skipped — matching how sparse IXP weeks
-    behave in the paper's Figure 14.
+    Returns one list per pair ``(a, b)``, ``a`` before ``b`` in ``series``
+    order, possibly empty.  Quarters with fewer than 4 weeks are skipped;
+    within a quarter, a constant sub-series drops only the pairs it is
+    in, because their correlation is undefined — matching how sparse IXP
+    weeks behave in the paper's Figure 14.
     """
-    correlate = METHODS[method]
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    coefficients: list[float] = []
+    labels = list(series)
+    columns = [np.asarray(series[label], dtype=np.float64) for label in labels]
+    coefficients: dict[tuple[str, str], list[float]] = {
+        (a, b): [] for i, a in enumerate(labels) for b in labels[i + 1 :]
+    }
     for weeks in calendar.quarter_weeks.values():
         if len(weeks) < 4:
             continue
-        sub_a, sub_b = a[weeks], b[weeks]
-        if np.ptp(sub_a) == 0 or np.ptp(sub_b) == 0:
+        slices = [column[weeks] for column in columns]
+        live = [i for i, values in enumerate(slices) if np.ptp(values) != 0]
+        if len(live) < 2:
             continue
-        coefficients.append(correlate(sub_a, sub_b).coefficient)
+        matrix, _ = pairwise([slices[i] for i in live], "spearman")
+        for x, i in enumerate(live):
+            for y in range(x + 1, len(live)):
+                coefficients[(labels[i], labels[live[y]])].append(
+                    float(matrix[x, y])
+                )
     return coefficients

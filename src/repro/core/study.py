@@ -5,7 +5,8 @@ plan, landscape scenario, ground-truth generator, the ten observatories —
 runs the simulation once (cached), and serves every paper artefact
 through the declarative registry in :mod:`repro.core.artifacts`:
 ``artifact_result(name)`` returns the rich in-memory result,
-``artifact(name)`` the versioned JSON document.
+``artifact(name)`` the versioned JSON document.  A study builds each
+result once and keeps it for its lifetime, whichever caller asks first.
 
 Typical use::
 
@@ -199,6 +200,12 @@ class Study:
     defers to the ``REPRO_NO_CACHE`` environment kill-switch, and
     ``cache_dir`` overrides the cache location (default
     ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``).
+
+    Every artifact result, the main series and the config fingerprint
+    are built once per study.  That is safe because nothing replaces a
+    study's config or observations after construction, federation
+    samples draw from streams keyed by ``(seed, label)`` afresh on every
+    call, and no build path increments a counter.
     """
 
     def __init__(
@@ -215,6 +222,7 @@ class Study:
         self._cache_enabled = cache_enabled() if cache is None else bool(cache)
         self._cache = StudyCache(cache_dir)
         self._rng_factory = RngFactory(self.config.seed)
+        self._results: dict[str, object] = {}
 
     # -- pipeline ---------------------------------------------------------------
 
@@ -239,6 +247,11 @@ class Study:
         return self.models.campaigns
 
     @cached_property
+    def config_fingerprint(self) -> str:
+        """The cache key and envelope fingerprint of :attr:`config`."""
+        return config_fingerprint(self.config)
+
+    @cached_property
     def observatories(self) -> ObservatorySet:
         """The configured observatories (ten, plus any scenario additions)."""
         return build_observatories(self.config, self.plan)
@@ -252,7 +265,7 @@ class Study:
         Ground-truth weekly class counts ride along either way and are
         served by :meth:`ground_truth_weekly`.
         """
-        fingerprint = config_fingerprint(self.config)
+        fingerprint = self.config_fingerprint
         if self._cache_enabled:
             cached = self._cache.load(fingerprint)
             if cached is not None:
@@ -282,7 +295,11 @@ class Study:
         )
 
     def main_series(self) -> dict[str, WeeklySeries]:
-        """The ten main series in the paper's display order."""
+        """The ten main series in the paper's display order (built once)."""
+        return self._main_series
+
+    @cached_property
+    def _main_series(self) -> dict[str, WeeklySeries]:
         with span("analysis.timeseries"):
             ordered: dict[str, WeeklySeries] = {}
             for key in MAIN_SERIES_ORDER:
@@ -451,16 +468,17 @@ class Study:
         """Quarterly pairwise correlation distributions (Appendix F)."""
         series = self.main_series()
         with span("analysis.correlation.quarterly"):
-            labels = list(series)
-            pairs: dict[tuple[str, str], BoxStats] = {}
-            for i, a in enumerate(labels):
-                for b in labels[i + 1 :]:
-                    coefficients = quarterly_correlations(
-                        series[a].normalized, series[b].normalized, self.calendar
-                    )
-                    if coefficients:
-                        pairs[(a, b)] = box_stats(coefficients)
-            return QuarterlyCorrelationFigure(pairs=pairs)
+            per_pair = quarterly_correlations(
+                {label: weekly.normalized for label, weekly in series.items()},
+                self.calendar,
+            )
+            return QuarterlyCorrelationFigure(
+                pairs={
+                    pair: box_stats(coefficients)
+                    for pair, coefficients in per_pair.items()
+                    if coefficients
+                }
+            )
 
     # -- tables ---------------------------------------------------------------------
 
@@ -551,7 +569,9 @@ class Study:
 
     def _table4(self) -> list[AsRow]:
         """Top-10 ASes among highly-visible targets (Table 4)."""
-        return top_target_ases(self._figure8().keys, self.plan)
+        return top_target_ases(
+            self.artifact_result("fig8_highly_visible").keys, self.plan
+        )
 
     # -- the artifact registry (the public surface) ---------------------------------
 
@@ -570,11 +590,15 @@ class Study:
     def artifact_result(self, name: str):
         """The rich in-memory result of one registered artifact.
 
-        Use :meth:`artifact` for the versioned JSON document instead.
+        Built on first use and kept: every later call, and every other
+        artifact that reads this one, gets the same object.  Use
+        :meth:`artifact` for the versioned JSON document instead.
         """
         from repro.core.artifacts import artifact_spec
 
-        return artifact_spec(name).build(self)
+        if name not in self._results:
+            self._results[name] = artifact_spec(name).build(self)
+        return self._results[name]
 
     def artifact(self, name: str) -> dict:
         """One artifact as a versioned, JSON-serialisable document.
@@ -602,7 +626,7 @@ class Study:
         )
         sampled = subsample_baseline(baseline, fraction, rng)
         members = self.academic_membership
-        upset_result = self._figure7()
+        upset_result = self.academic_upset
         with span("analysis.federation"):
             return federate(members, upset_result, industry_name, sampled)
 
@@ -660,21 +684,21 @@ class Study:
         symbols, the Figure-5 crossing, the Figure-7 all-four share, and
         the Table-4 leader.
         """
-        table1 = self._table1()
+        result = self.artifact_result
         trends = {
             row.attack_type: {
                 label.split(" ")[0]: classification.symbol
                 for label, classification in row.observatory_trends.items()
             }
-            for row in table1
+            for row in result("table1")
         }
-        top_ases = self._table4()
+        top_ases = result("table4")
         return {
             "window": f"{self.calendar.start}..{self.calendar.end}",
             "seed": self.config.seed,
             "trends": trends,
-            "ra_dp_crossing": self._figure5().last_crossing_quarter(),
-            "all_four_target_share": self._figure7().seen_by_all().share,
+            "ra_dp_crossing": result("fig5_shares").last_crossing_quarter(),
+            "all_four_target_share": result("fig7_upset").seen_by_all().share,
             "top_target_as": top_ases[0].name if top_ases else None,
         }
 

@@ -4,6 +4,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from repro.core.correlation import (
     box_stats,
@@ -47,6 +48,8 @@ class TestCorrelationMatrix:
         labels = matrix.labels
         i, j = labels.index("a"), labels.index("c")
         assert abs(matrix.coefficients[i, j]) < 0.4
+        assert not mask[i, j]
+        assert matrix.p_values[i, j] == pytest.approx(0.75, abs=0.01)
 
     def test_pearson_method(self):
         matrix = correlation_matrix(self.series(), method="pearson")
@@ -66,12 +69,78 @@ class TestCorrelationMatrix:
             correlation_matrix({"a": np.ones(10), "b": np.ones(12)})
 
 
+class TestMatrixAgainstScipy:
+    """Every off-diagonal entry equals scipy's per-pair result."""
+
+    REFERENCE = {
+        "spearman": scipy.stats.spearmanr,
+        "pearson": scipy.stats.pearsonr,
+    }
+
+    def check(self, series, method):
+        matrix = correlation_matrix(series, method)
+        labels = matrix.labels
+        for i, a in enumerate(labels):
+            assert matrix.coefficients[i, i] == 1.0
+            assert matrix.p_values[i, i] == 0.0
+            for j in range(i + 1, len(labels)):
+                r, p = self.REFERENCE[method](series[a], series[labels[j]])
+                for entries in (matrix.coefficients, matrix.p_values):
+                    assert entries[i, j] == entries[j, i]
+                assert matrix.coefficients[i, j] == pytest.approx(r, abs=1e-12)
+                assert matrix.p_values[i, j] == pytest.approx(p, abs=1e-9)
+        return matrix
+
+    @pytest.mark.parametrize("method", ["spearman", "pearson"])
+    def test_random_ties_and_noise(self, method):
+        rng = np.random.default_rng(7)
+        series = {
+            "ties": rng.integers(0, 4, 40).astype(float),
+            "sparse": np.where(rng.random(40) < 0.8, 0.0, rng.random(40)),
+            "noise": rng.normal(size=40),
+            "trend": np.arange(40.0) + rng.normal(0, 5, 40),
+        }
+        self.check(series, method)
+
+    @pytest.mark.parametrize("method", ["spearman", "pearson"])
+    def test_three_points(self, method):
+        series = {"a": np.array([1.0, 2.0, 4.0]), "b": np.array([3.0, 1.0, 2.0])}
+        matrix = self.check(series, method)
+        assert 0.0 < matrix.p_values[0, 1] < 1.0
+
+    @pytest.mark.parametrize("method", ["spearman", "pearson"])
+    def test_perfect_correlation_has_p_zero(self, method):
+        x = np.arange(12.0)
+        matrix = correlation_matrix({"x": x, "up": 3 * x + 1, "down": -x}, method)
+        assert matrix.coefficients[0, 1] == 1.0
+        assert matrix.coefficients[0, 2] == -1.0
+        assert matrix.p_values[0, 1] == 0.0
+        assert matrix.p_values[0, 2] == 0.0
+
+    @pytest.mark.parametrize("method", ["spearman", "pearson"])
+    def test_constant_column_is_zero_with_p_one(self, method):
+        rng = np.random.default_rng(3)
+        series = {
+            "a": rng.normal(size=20),
+            "flat": np.full(20, 2.0),
+            "b": rng.normal(size=20),
+        }
+        matrix = correlation_matrix(series, method)
+        for other in (0, 2):
+            assert matrix.coefficients[1, other] == matrix.coefficients[other, 1] == 0.0
+            assert matrix.p_values[1, other] == matrix.p_values[other, 1] == 1.0
+        assert matrix.coefficients[1, 1] == 1.0
+        r, p = self.REFERENCE[method](series["a"], series["b"])
+        assert matrix.coefficients[0, 2] == pytest.approx(r, abs=1e-12)
+        assert matrix.p_values[0, 2] == pytest.approx(p, abs=1e-9)
+
+
 class TestQuarterlyCorrelations:
     def test_one_value_per_full_quarter(self):
         rng = np.random.default_rng(1)
         a = rng.random(CALENDAR.n_weeks)
         b = rng.random(CALENDAR.n_weeks)
-        values = quarterly_correlations(a, b, CALENDAR)
+        values = quarterly_correlations({"a": a, "b": b}, CALENDAR)[("a", "b")]
         # 2019Q1..2020Q2 inclusive = 6 quarters (all with >= 4 weeks).
         assert len(values) == 6
         assert all(-1.0 <= value <= 1.0 for value in values)
@@ -79,12 +148,55 @@ class TestQuarterlyCorrelations:
     def test_constant_quarters_skipped(self):
         a = np.zeros(CALENDAR.n_weeks)
         b = np.arange(CALENDAR.n_weeks, dtype=float)
-        assert quarterly_correlations(a, b, CALENDAR) == []
+        assert quarterly_correlations({"a": a, "b": b}, CALENDAR) == {("a", "b"): []}
 
     def test_perfectly_correlated(self):
         a = np.arange(CALENDAR.n_weeks, dtype=float)
-        values = quarterly_correlations(a, 2 * a, CALENDAR)
+        values = quarterly_correlations({"a": a, "b": 2 * a}, CALENDAR)[("a", "b")]
         assert all(value == pytest.approx(1.0) for value in values)
+
+    def test_every_pair_in_series_order(self):
+        rng = np.random.default_rng(2)
+        series = {name: rng.random(CALENDAR.n_weeks) for name in "cab"}
+        assert list(quarterly_correlations(series, CALENDAR)) == [
+            ("c", "a"),
+            ("c", "b"),
+            ("a", "b"),
+        ]
+
+    def test_short_quarter_skipped(self):
+        # 28 weeks: 2019Q1 and Q2 have 13 weeks each, 2019Q3 only 2.
+        calendar = StudyCalendar(dt.date(2019, 1, 1), dt.date(2019, 7, 20))
+        assert [len(weeks) for weeks in calendar.quarter_weeks.values()] == [13, 13, 2]
+        rng = np.random.default_rng(4)
+        a = rng.random(calendar.n_weeks)
+        b = rng.random(calendar.n_weeks)
+        values = quarterly_correlations({"a": a, "b": b}, calendar)[("a", "b")]
+        expected = [
+            scipy.stats.spearmanr(a[weeks], b[weeks])[0]
+            for weeks in list(calendar.quarter_weeks.values())[:2]
+        ]
+        assert values == pytest.approx(expected, abs=1e-12)
+
+    def test_constant_sub_series_drops_only_its_pairs(self):
+        rng = np.random.default_rng(5)
+        quarters = list(CALENDAR.quarter_weeks.values())
+        a = rng.random(CALENDAR.n_weeks)
+        b = rng.random(CALENDAR.n_weeks)
+        flat = rng.random(CALENDAR.n_weeks)
+        flat[quarters[2]] = 0.0  # like an IXP quarter with no blackholing
+        values = quarterly_correlations({"a": a, "flat": flat, "b": b}, CALENDAR)
+        assert len(values[("a", "b")]) == 6
+        assert len(values[("a", "flat")]) == len(values[("flat", "b")]) == 5
+        assert values[("a", "b")][2] == pytest.approx(
+            scipy.stats.spearmanr(a[quarters[2]], b[quarters[2]])[0], abs=1e-12
+        )
+        expected = [
+            scipy.stats.spearmanr(a[weeks], flat[weeks])[0]
+            for index, weeks in enumerate(quarters)
+            if index != 2
+        ]
+        assert values[("a", "flat")] == pytest.approx(expected, abs=1e-12)
 
 
 class TestBoxStats:

@@ -15,6 +15,13 @@ series = hnp.arrays(
     elements=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
 )
 
+#: Small non-negative integers: long tie runs, like weekly counts.
+tie_heavy = hnp.arrays(
+    dtype=np.float64,
+    shape=st.integers(min_value=0, max_value=60),
+    elements=st.integers(min_value=0, max_value=3).map(float),
+)
+
 
 class TestRankdata:
     def test_simple_ranks(self):
@@ -33,6 +40,28 @@ class TestRankdata:
         ours = rankdata(values)
         theirs = scipy.stats.rankdata(values)
         assert np.allclose(ours, theirs)
+
+    @given(tie_heavy)
+    def test_ties_match_scipy_exactly(self, values):
+        ours = rankdata(values)
+        assert ours.dtype == np.float64
+        assert np.array_equal(ours, scipy.stats.rankdata(values))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [4.0],
+            [0.0] * 13,
+            [2.0, 2.0, 2.0, 2.0],
+            # A sparse IXP-like quarter: mostly empty weeks.
+            [0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+            [-0.0, 0.0, 1.0, -0.0],
+        ],
+    )
+    def test_edge_cases_match_scipy_exactly(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        assert np.array_equal(rankdata(values), scipy.stats.rankdata(values))
 
 
 class TestPearson:
