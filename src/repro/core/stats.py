@@ -22,9 +22,6 @@ from typing import Sequence
 import numpy as np
 from scipy.special import stdtr
 
-#: The correlation methods :func:`pairwise` knows.
-METHODS = ("spearman", "pearson")
-
 
 @dataclass(frozen=True)
 class Correlation:
@@ -68,7 +65,7 @@ def pairwise(
     Each pair is one 1-D dot product of centred columns.  A matrix
     product would sum in a different order and change the low bits.
     """
-    if method not in METHODS:
+    if method not in ("spearman", "pearson"):
         raise ValueError(f"unknown method {method!r}; use spearman or pearson")
     if len(columns) < 2:
         raise ValueError("need at least two series")
@@ -125,10 +122,6 @@ def p_values(coefficients: np.ndarray, defined: np.ndarray, n: int) -> np.ndarra
 
 
 def _pair(x: np.ndarray, y: np.ndarray, method: str) -> Correlation:
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape:
-        raise ValueError("series must have equal length")
     coefficients, defined = pairwise([x, y], method)
     p = p_values(coefficients, defined, len(x))
     return Correlation(

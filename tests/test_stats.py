@@ -1,5 +1,8 @@
 """Tests for the correlation statistics (cross-checked against scipy)."""
 
+import datetime as dt
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.correlation import correlation_matrix, quarterly_correlations
 from repro.core.stats import Correlation, ols_line, pearson, rankdata, spearman
+from repro.util.calendar import StudyCalendar
 
 series = hnp.arrays(
     dtype=np.float64,
@@ -151,3 +156,102 @@ class TestOlsLine:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             ols_line(np.asarray([1.0]))
+
+
+# -- per-pair reference -------------------------------------------------------
+
+
+def loop_rankdata(values):
+    """Average ranks, one tie group at a time."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    sorted_values = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_values[j + 1] == sorted_values[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def reference_pair(x, y, method):
+    """(r, p) of one pair with per-pair arithmetic and ``t.sf``."""
+    if method == "spearman":
+        x, y = loop_rankdata(x), loop_rankdata(y)
+    dx = np.asarray(x, dtype=np.float64) - np.mean(x)
+    dy = np.asarray(y, dtype=np.float64) - np.mean(y)
+    n = len(dx)
+    denominator = math.sqrt(float(dx @ dx) * float(dy @ dy))
+    if denominator == 0.0:
+        return 0.0, 1.0
+    r = max(-1.0, min(1.0, float(dx @ dy) / denominator))
+    if n < 3:
+        return r, 1.0
+    if abs(r) >= 1.0:
+        return r, 0.0
+    t_statistic = r * math.sqrt((n - 2) / (1.0 - r * r))
+    return r, float(2.0 * scipy.stats.t.sf(abs(t_statistic), df=n - 2))
+
+
+#: Columns of one length: tie-heavy counts, sparse weeks or plain floats.
+column_sets = st.integers(min_value=2, max_value=40).flatmap(
+    lambda n: st.lists(
+        hnp.arrays(
+            dtype=np.float64,
+            shape=n,
+            elements=st.one_of(
+                st.integers(min_value=0, max_value=3).map(float),
+                st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+            ),
+        ),
+        min_size=2,
+        max_size=6,
+    )
+)
+
+
+class TestKernelAgainstPerPairReference:
+    """The kernel keeps the per-pair arithmetic, so every bit must match."""
+
+    @given(tie_heavy)
+    def test_rankdata_equals_loop(self, values):
+        assert rankdata(values).tobytes() == loop_rankdata(values).tobytes()
+
+    @given(column_sets)
+    @settings(max_examples=60)
+    def test_matrix_and_pairs_bit_identical(self, columns):
+        series = {f"s{i}": column for i, column in enumerate(columns)}
+        for method, pair in (("spearman", spearman), ("pearson", pearson)):
+            matrix = correlation_matrix(series, method)
+            for i in range(len(columns)):
+                for j in range(i + 1, len(columns)):
+                    r, p = reference_pair(columns[i], columns[j], method)
+                    got = pair(columns[i], columns[j])
+                    assert repr((got.coefficient, got.p_value)) == repr((r, p))
+                    assert repr(matrix.coefficients[i, j]) == repr(np.float64(r))
+                    assert repr(matrix.p_values[i, j]) == repr(np.float64(p))
+
+    def test_quarterly_bit_identical(self):
+        calendar = StudyCalendar(dt.date(2019, 1, 1), dt.date(2020, 9, 12))
+        quarters = list(calendar.quarter_weeks.values())
+        rng = np.random.default_rng(11)
+        series = {
+            "counts": rng.integers(0, 5, calendar.n_weeks).astype(float),
+            "noise": rng.normal(size=calendar.n_weeks),
+            "sparse": np.where(rng.random(calendar.n_weeks) < 0.8, 0.0, 1.0),
+            "trend": np.arange(calendar.n_weeks, dtype=float),
+        }
+        series["sparse"][quarters[1]] = 0.0
+        result = quarterly_correlations(series, calendar)
+        for (a, b), values in result.items():
+            expected = [
+                reference_pair(series[a][weeks], series[b][weeks], "spearman")[0]
+                for weeks in quarters
+                if len(weeks) >= 4
+                and np.ptp(series[a][weeks]) != 0
+                and np.ptp(series[b][weeks]) != 0
+            ]
+            assert repr(values) == repr(expected)
