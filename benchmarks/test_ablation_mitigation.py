@@ -7,7 +7,6 @@ protection footprints erase.
 """
 
 from repro.net.plan import UCSD_TELESCOPE_PREFIXES
-from repro.observatories.base import Observations
 from repro.observatories.mitigation import MitigationInterference
 from repro.observatories.telescope import NetworkTelescope, TelescopeConfig
 from repro.sweep import ablation_substrate
@@ -34,9 +33,7 @@ def run_telescope(mitigation_probability: float) -> int:
         config=TelescopeConfig(),
         mitigation=mitigation,
     )
-    observations = Observations("UCSD")
-    telescope.observe(generate_shard(CONFIG), observations)
-    return len(observations)
+    return len(telescope.observe(generate_shard(CONFIG)))
 
 
 def test_ablation_mitigation(benchmark, report):

@@ -10,7 +10,6 @@ import numpy as np
 
 from repro.attacks.events import OBSERVATORY_KEYS, ShardBatch
 from repro.net.addr import Prefix
-from repro.observatories.base import Observations
 from repro.observatories.telescope import NetworkTelescope, TelescopeConfig
 from repro.util.rng import RngFactory
 
@@ -45,8 +44,7 @@ def observe_with_size(prefix_length: int, batch) -> tuple[float, float]:
         rng=RngFactory(1).stream(f"abl/{prefix_length}"),
         config=TelescopeConfig(response_ratio=1.0),
     )
-    observations = Observations(telescope.name)
-    telescope.observe(batch, observations)
+    observations = telescope.observe(batch)
     return len(observations) / len(batch), telescope.detectable_rate_mbps()
 
 

@@ -8,7 +8,6 @@ count relative to the paper's 5-packet default.
 
 import dataclasses
 
-from repro.observatories.base import Observations
 from repro.observatories.honeypot import HOPSCOTCH_SPEC, HoneypotPlatform
 from repro.sweep import ablation_substrate
 from repro.util.parallel import generate_shard, models_for
@@ -24,9 +23,7 @@ def run_with_threshold(min_packets: int, shard, plan) -> int:
         rng=RngFactory(CONFIG.seed).stream(f"abl/{min_packets}"),
         rir=plan.rir,
     )
-    observations = Observations(honeypot.name)
-    honeypot.observe(shard, observations)
-    return len(observations.target_keys())
+    return len(honeypot.observe(shard).target_keys())
 
 
 def make_shard():

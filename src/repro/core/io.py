@@ -126,19 +126,11 @@ def observations_from_csv(path: str | Path, name: str | None = None) -> Observat
 
     # Records must be day-sorted; a stable sort keeps the file order within
     # each day.
-    day_array = np.asarray(days, dtype=np.int32)
-    order = np.argsort(day_array, kind="stable")
-    observations = Observations(name or path.stem)
-    observations.append(
-        day_array[order],
-        np.asarray(targets, dtype=np.int64)[order],
-        np.asarray(classes, dtype=np.int8)[order],
-        np.asarray(vectors, dtype=np.int16)[order],
-        np.asarray(spoofed, dtype=bool)[order],
-        np.asarray(bps, dtype=np.float64)[order],
-        duration=np.asarray(durations, dtype=np.float64)[order],
+    order = np.argsort(np.asarray(days, dtype=np.int32), kind="stable")
+    columns = (days, targets, classes, vectors, spoofed, bps, durations)
+    return Observations(
+        name or path.stem, *(np.asarray(column)[order] for column in columns)
     )
-    return observations
 
 
 def _class_from_label(label: str) -> int:

@@ -1,24 +1,28 @@
-"""Observatory base classes and observation accumulators.
+"""Observatory base classes and the attack records they return.
 
-An :class:`Observatory` turns a ground-truth
-:class:`~repro.attacks.events.ShardBatch` into :class:`Observations`: flat
-arrays of detected attack records (day, target, attack class, vector,
-spoofed flag, measured bps).  The analysis toolkit in
-:mod:`repro.core` consumes only these records — exactly the granularity the
-paper's data providers shared (daily attack counts and, for the federation
-analysis, (date, target-IP) tuples).
+An :class:`Observatory` sweeps a ground-truth
+:class:`~repro.attacks.events.ShardBatch` and returns the rows it detects
+as :class:`Observations`: flat arrays of attack records (day, target,
+attack class, vector, spoofed flag, measured bps, duration).  The analysis
+toolkit in :mod:`repro.core` consumes only these records — exactly the
+granularity the paper's data providers shared (daily attack counts and,
+for the federation analysis, (date, target-IP) tuples).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.attacks.events import AttackClass
 from repro.net.addr import IPV4_BITS, IPV4_MAX
 from repro.util.calendar import StudyCalendar
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from numpy.typing import ArrayLike
 
 
 @dataclass(frozen=True)
@@ -74,102 +78,102 @@ def unique_keys(keys: np.ndarray) -> np.ndarray:
 
 
 class Observations:
-    """Accumulated attack records of one observatory.
+    """The attack records of one observatory: seven parallel columns.
 
-    Appended records are held as copied column chunks and concatenated
-    once, on first read, into flat arrays.  Finalised instances pickle
-    cheaply and can be concatenated with :meth:`merge` — the primitive the
-    sharded executor in :mod:`repro.util.parallel` uses to combine
-    per-shard sinks.
+    Built once, never appended to: an observatory's
+    :meth:`Observatory.observe` returns one, :meth:`from_arrays` wraps
+    stored columns, and :meth:`merge` concatenates day-range shards in
+    order (the primitive the sharded executor in
+    :mod:`repro.util.parallel` combines per-shard results with).
     """
 
-    def __init__(self, observatory: str) -> None:
-        self.observatory = observatory
-        self._chunks: dict[str, list[np.ndarray]] | None = {
-            name: [] for name, _ in OBSERVATION_COLUMNS
-        }
-        self._final: dict[str, np.ndarray] | None = None
+    observatory: str
+    day: np.ndarray  # study-day index per record
+    target: np.ndarray  # target address per record
+    attack_class: np.ndarray  # attack class (int8) per record
+    vector_id: np.ndarray  # primary vector id per record
+    spoofed: np.ndarray  # spoofed-source flag per record
+    bps: np.ndarray  # measured attack bandwidth per record
+    duration: np.ndarray  # seconds per record (NaN when unreported)
 
-    def append(
+    def __init__(
         self,
-        day: int | np.ndarray,
-        target: np.ndarray,
-        attack_class: np.ndarray,
-        vector_id: np.ndarray,
-        spoofed: np.ndarray,
-        bps: np.ndarray,
-        duration: np.ndarray | None = None,
+        observatory: str,
+        day: ArrayLike = (),
+        target: ArrayLike = (),
+        attack_class: ArrayLike = (),
+        vector_id: ArrayLike = (),
+        spoofed: ArrayLike = (),
+        bps: ArrayLike = (),
+        duration: ArrayLike | None = None,
     ) -> None:
-        """Record detections (parallel arrays, copied).
+        """Records from parallel arrays, copied; no columns is an empty feed.
 
-        ``day`` is either one scalar study day or a per-record array; days
-        must be appended in non-decreasing order so downstream consumers
-        can rely on day-sortedness.  ``duration`` (seconds) is optional
-        for backwards compatibility with feeds that do not report it;
-        missing values become NaN.
+        ``day`` is either one scalar study day or a per-record array;
+        records must be in non-decreasing day order so downstream
+        consumers can rely on day-sortedness.  ``duration`` (seconds) is
+        optional for feeds that do not report it; missing values become
+        NaN.
         """
-        if self._final is not None:
-            raise RuntimeError("observations already finalised")
+        self.observatory = observatory
         n = len(target)
-        if not (
-            len(attack_class) == len(vector_id) == len(spoofed) == len(bps) == n
-        ):
-            raise ValueError("parallel arrays must have equal length")
-        if duration is not None and len(duration) != n:
-            raise ValueError("parallel arrays must have equal length")
         days = np.asarray(day, dtype=np.int32)
         if days.ndim == 0:
-            days = np.full(n, days, dtype=np.int32)
-        elif len(days) != n:
-            raise ValueError("parallel arrays must have equal length")
-        if n == 0:
-            return
+            days = np.full(n, days)
         if duration is None:
             duration = np.full(n, np.nan)
-        chunks = self._chunks
-        assert chunks is not None
-        values = (days, target, attack_class, vector_id, spoofed, bps, duration)
-        for (name, dtype), value in zip(OBSERVATION_COLUMNS, values):
+        columns = (days, target, attack_class, vector_id, spoofed, bps, duration)
+        if any(len(column) != n for column in columns):
+            raise ValueError("parallel arrays must have equal length")
+        for (name, dtype), column in zip(OBSERVATION_COLUMNS, columns):
             # np.array copies: a caller mutating its arrays afterwards
-            # cannot change the recorded data.
-            chunks[name].append(np.array(value, dtype=dtype))
+            # cannot change the records.
+            setattr(self, name, np.array(column, dtype=dtype))
 
-    def _materialise(self) -> dict[str, np.ndarray]:
-        if self._final is None:
-            chunks = self._chunks
-            assert chunks is not None
-            self._final = {
-                name: (
-                    chunks[name][0]
-                    if len(chunks[name]) == 1
-                    else np.concatenate([np.empty(0, dtype), *chunks[name]])
-                )
-                for name, dtype in OBSERVATION_COLUMNS
-            }
-            self._chunks = None
-        return self._final
+    @classmethod
+    def from_batch(
+        cls,
+        observatory: str,
+        batch,
+        hits: np.ndarray,
+        duration: np.ndarray | None = None,
+    ) -> "Observations":
+        """The records of shard rows ``hits`` of a
+        :class:`~repro.attacks.events.ShardBatch`.
 
-    # -- construction ----------------------------------------------------------
+        ``duration`` is what the platform reports per shard row; it
+        defaults to the batch's own durations.
+        """
+        if duration is None:
+            duration = batch.duration
+        columns = (
+            batch.days,
+            batch.target,
+            batch.attack_class,
+            batch.vector_id,
+            batch.spoofed,
+            batch.bps,
+            duration,
+        )
+        return cls(observatory, *(column[hits] for column in columns))
 
     @classmethod
     def from_arrays(
         cls, observatory: str, arrays: dict[str, np.ndarray]
     ) -> "Observations":
-        """Build finalised observations from a column dict (cache loads,
-        shard merges)."""
+        """Wrap a stored column dict without copying (cache loads, the
+        memory-mapped shard transport, shard merges)."""
         missing = {name for name, _ in OBSERVATION_COLUMNS} - set(arrays)
         if missing:
             raise ValueError(f"missing observation columns: {sorted(missing)}")
+        observations = cls.__new__(cls)
+        observations.observatory = observatory
         length = len(arrays["day"])
-        final: dict[str, np.ndarray] = {}
         for name, dtype in OBSERVATION_COLUMNS:
             column = np.asarray(arrays[name], dtype=dtype)
             if len(column) != length:
                 raise ValueError(f"column {name} length mismatch")
-            final[name] = column
-        observations = cls(observatory)
-        observations._chunks = None
-        observations._final = final
+            setattr(observations, name, column)
         return observations
 
     @classmethod
@@ -180,64 +184,13 @@ class Observations:
         if not parts:
             raise ValueError("need at least one part to merge")
         name = observatory if observatory is not None else parts[0].observatory
-        columns = [part._materialise() for part in parts]
         return cls.from_arrays(
             name,
             {
-                column: np.concatenate([part[column] for part in columns])
+                column: np.concatenate([getattr(part, column) for part in parts])
                 for column, _ in OBSERVATION_COLUMNS
             },
         )
-
-    # -- pickling (finalises: shard workers ship finished columns) -------------
-
-    def __getstate__(self) -> dict:
-        return {
-            "observatory": self.observatory,
-            "columns": self._materialise(),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.observatory = state["observatory"]
-        self._chunks = None
-        self._final = state["columns"]
-
-    # -- accessors -------------------------------------------------------------
-
-    @property
-    def day(self) -> np.ndarray:
-        """Study-day index per record."""
-        return self._materialise()["day"]
-
-    @property
-    def target(self) -> np.ndarray:
-        """Target address per record."""
-        return self._materialise()["target"]
-
-    @property
-    def attack_class(self) -> np.ndarray:
-        """Attack class (int8) per record."""
-        return self._materialise()["attack_class"]
-
-    @property
-    def vector_id(self) -> np.ndarray:
-        """Primary vector id per record."""
-        return self._materialise()["vector_id"]
-
-    @property
-    def spoofed(self) -> np.ndarray:
-        """Spoofed-source flag per record."""
-        return self._materialise()["spoofed"]
-
-    @property
-    def bps(self) -> np.ndarray:
-        """Measured attack bandwidth per record."""
-        return self._materialise()["bps"]
-
-    @property
-    def duration(self) -> np.ndarray:
-        """Attack duration in seconds per record (NaN when unreported)."""
-        return self._materialise()["duration"]
 
     def __len__(self) -> int:
         return len(self.day)
@@ -349,8 +302,8 @@ class Observatory(abc.ABC):
         return mask
 
     @abc.abstractmethod
-    def observe(self, batch, into: Observations) -> None:
-        """Sweep one ground-truth batch, appending detections to ``into``.
+    def observe(self, batch) -> Observations:
+        """Sweep one ground-truth batch and return the records it detects.
 
         ``batch`` is a :class:`~repro.attacks.events.ShardBatch` covering
         any range of days; implementations read ``batch.days`` and must

@@ -99,9 +99,7 @@ class CloudObservatory(Observatory):
             info.asn for info in plan.ases if info.kind is ASKind.HOSTING
         )
 
-    def observe(self, batch, into: Observations) -> None:
-        if len(batch) == 0:
-            return
+    def observe(self, batch) -> Observations:
         days = batch.days
         covered = self._covered(batch.origin_asn)
         probability = np.full(len(batch), self.policy.detection_probability)
@@ -118,15 +116,8 @@ class CloudObservatory(Observatory):
         mask = covered & detected & visible
         if self.outages:
             mask &= ~self.outage_mask(days)
-        hits = np.flatnonzero(mask)
-        into.append(
-            days[hits],
-            batch.target[hits],
-            batch.attack_class[hits],
-            batch.vector_id[hits],
-            batch.spoofed[hits],
-            batch.bps[hits],
-            # The platform reports what it *saw*, not what happened:
-            # mitigated attacks carry the truncated duration.
-            duration=observed[hits],
+        # The platform reports what it *saw*, not what happened:
+        # mitigated attacks carry the truncated duration.
+        return Observations.from_batch(
+            self.name, batch, np.flatnonzero(mask), duration=observed
         )

@@ -76,9 +76,7 @@ class NetscoutAtlas(Observatory):
         self._rng = rng
         self._covered = _SortedMembership(plan.netscout_customer_asns)
 
-    def observe(self, batch, into: Observations) -> None:
-        if len(batch) == 0:
-            return
+    def observe(self, batch) -> Observations:
         days = batch.days
         covered = self._covered(batch.origin_asn)
         above_floor = batch.bps >= self.severity_floor_bps
@@ -90,16 +88,7 @@ class NetscoutAtlas(Observatory):
         mask = covered & above_floor & drawn
         if self.outages:
             mask &= ~self.outage_mask(days)
-        hits = np.flatnonzero(mask)
-        into.append(
-            days[hits],
-            batch.target[hits],
-            batch.attack_class[hits],
-            batch.vector_id[hits],
-            batch.spoofed[hits],
-            batch.bps[hits],
-            duration=batch.duration[hits],
-        )
+        return Observations.from_batch(self.name, batch, np.flatnonzero(mask))
 
 
 #: Akamai's platform-specific exposure over study weeks.  The paper cannot
@@ -169,13 +158,11 @@ class AkamaiProlexic(Observatory):
         self._rng = rng
         self._covered = plan.akamai_customer_mask
 
-    def observe(self, batch, into: Observations) -> None:
-        if len(batch) == 0:
-            return
+    def observe(self, batch) -> Observations:
         days = batch.days
         covered = self._covered(batch.target)
         if not covered.any():
-            return
+            return Observations(self.name)
         probability = self.detection_probability * batch.bias[self.key]
         if self.noise is not None:
             probability = probability * self.noise.factors_for(days // 7)
@@ -190,16 +177,7 @@ class AkamaiProlexic(Observatory):
         mask = covered & drawn & (batch.bps >= self.min_bps)
         if self.outages:
             mask &= ~self.outage_mask(days)
-        hits = np.flatnonzero(mask)
-        into.append(
-            days[hits],
-            batch.target[hits],
-            batch.attack_class[hits],
-            batch.vector_id[hits],
-            batch.spoofed[hits],
-            batch.bps[hits],
-            duration=batch.duration[hits],
-        )
+        return Observations.from_batch(self.name, batch, np.flatnonzero(mask))
 
 
 class IxpBlackholing(Observatory):
@@ -230,9 +208,7 @@ class IxpBlackholing(Observatory):
         self._rng = rng
         self._covered = _SortedMembership(plan.ixp_member_asns)
 
-    def observe(self, batch, into: Observations) -> None:
-        if len(batch) == 0:
-            return
+    def observe(self, batch) -> Observations:
         days = batch.days
         covered = self._covered(batch.origin_asn)
         threshold = np.where(
@@ -247,13 +223,4 @@ class IxpBlackholing(Observatory):
         mask = covered & above & requested
         if self.outages:
             mask &= ~self.outage_mask(days)
-        hits = np.flatnonzero(mask)
-        into.append(
-            days[hits],
-            batch.target[hits],
-            batch.attack_class[hits],
-            batch.vector_id[hits],
-            batch.spoofed[hits],
-            batch.bps[hits],
-            duration=batch.duration[hits],
-        )
+        return Observations.from_batch(self.name, batch, np.flatnonzero(mask))

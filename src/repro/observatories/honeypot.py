@@ -131,7 +131,7 @@ class HoneypotPlatform(Observatory):
         self._supported_lut[self._supported_ids] = True
         self._log_request_pps_median = np.log(self.request_pps_median)
 
-    def observe(self, batch, into: Observations) -> None:
+    def observe(self, batch) -> Observations:
         days = batch.days
         mask = (
             batch.is_reflection
@@ -141,7 +141,7 @@ class HoneypotPlatform(Observatory):
         if self.outages:
             mask &= ~self.outage_mask(days)
         if not mask.any():
-            return
+            return Observations(self.name)
         indices = np.flatnonzero(mask)
 
         # Per-flow packet counts at the sensors: attacker request rate per
@@ -163,7 +163,7 @@ class HoneypotPlatform(Observatory):
         # mono-protocol threshold.
         hits = indices[detected]
         if len(hits) == 0:
-            return
+            return Observations(self.name)
 
         carpet = batch.carpet[hits]
         plain = hits[~carpet]
@@ -182,22 +182,12 @@ class HoneypotPlatform(Observatory):
             chunks.append(
                 self._carpet_records(batch, int(index), int(days[index]))
             )
-        day, target, attack_class, vector_id, spoofed, bps, duration = (
-            np.concatenate(parts) for parts in zip(*chunks)
-        )
-        # Carpet expansions append after the plain hits of every day; a
-        # stable day sort restores the non-decreasing day order downstream
+        columns = [np.concatenate(parts) for parts in zip(*chunks)]
+        # Carpet expansions follow the plain hits of every day; a stable
+        # day sort restores the non-decreasing day order downstream
         # consumers rely on (and keeps within-day record order unchanged).
-        order = np.argsort(day, kind="stable")
-        into.append(
-            day[order],
-            target[order],
-            attack_class[order],
-            vector_id[order],
-            spoofed[order],
-            bps[order],
-            duration=duration[order],
-        )
+        order = np.argsort(columns[0], kind="stable")
+        return Observations(self.name, *(column[order] for column in columns))
 
     def _carpet_records(self, batch, index: int, day: int) -> tuple:
         """Columns of one carpet event: one record per allocation block."""

@@ -133,10 +133,9 @@ class ObservatorySet:
         }
         sinks: dict[str, Observations] = {}
         for observatory in self.all():
-            sink = sinks[observatory.name] = Observations(observatory.name)
             with span(f"observe[platform={observatory.name}]"):
-                observatory.observe(shard, sink)
-            counter("observe.records", platform=observatory.name).inc(len(sink))
+                records = sinks[observatory.name] = observatory.observe(shard)
+            counter("observe.records", platform=observatory.name).inc(len(records))
         return sinks, ground_truth
 
 

@@ -98,14 +98,14 @@ class NetworkTelescope(Observatory):
 
     # -- macro observation --------------------------------------------------------
 
-    def observe(self, batch, into: Observations) -> None:
+    def observe(self, batch) -> Observations:
         """Apply the RSDoS thresholds to Poisson-sampled backscatter."""
         days = batch.days
         mask = batch.is_rsdos
         if self.outages:
             mask &= ~self.outage_mask(days)
         if not mask.any():
-            return
+            return Observations(self.name)
         indices = np.flatnonzero(mask)
         bias = batch.bias[self.key][indices]
         pps = batch.pps[indices]
@@ -130,13 +130,4 @@ class NetworkTelescope(Observatory):
             & (duration >= self._min_duration_s)
             & (window >= self._window_packets)
         )
-        hits = indices[detected]
-        into.append(
-            days[hits],
-            batch.target[hits],
-            batch.attack_class[hits],
-            batch.vector_id[hits],
-            batch.spoofed[hits],
-            batch.bps[hits],
-            duration=batch.duration[hits],
-        )
+        return Observations.from_batch(self.name, batch, indices[detected])

@@ -7,7 +7,6 @@ from repro.attacks.events import AttackClass
 from repro.attacks.vectors import vector_id
 from repro.net.rir import RirRegistry
 from repro.net.addr import parse_prefix
-from repro.observatories.base import Observations
 from repro.observatories.flowmon import (
     AkamaiProlexic,
     IxpBlackholing,
@@ -57,9 +56,7 @@ def batch(
 
 
 def run(observatory, shard):
-    observations = Observations(observatory.name)
-    observatory.observe(shard, observations)
-    return observations
+    return observatory.observe(shard)
 
 
 def make_honeypot(spec=HOPSCOTCH_SPEC, rir=None, **kw):

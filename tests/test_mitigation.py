@@ -3,7 +3,6 @@
 import pytest
 
 from repro.net.plan import UCSD_TELESCOPE_PREFIXES
-from repro.observatories.base import Observations
 from repro.observatories.mitigation import MitigationInterference
 from repro.observatories.telescope import NetworkTelescope, TelescopeConfig
 from repro.util.rng import RngFactory
@@ -93,9 +92,7 @@ class TestTelescopeCoupling:
                 config=TelescopeConfig(response_ratio=0.004),
                 mitigation=mitigation,
             )
-            observations = Observations("UCSD")
-            telescope.observe(batch, observations)
-            return len(observations)
+            return len(telescope.observe(batch))
 
         unmitigated = run(None)
         mitigated = run(

@@ -235,40 +235,20 @@ class TestHeadline:
 
 
 class TestObservationsLifecycle:
-    def test_append_after_materialise_rejected(self, small_study):
-        import numpy as np
-        import pytest as _pytest
-
-        observations = small_study.observations["UCSD"]
-        observations.day  # forces materialisation
-        with _pytest.raises(RuntimeError):
-            observations.append(
-                0,
-                np.asarray([1], dtype=np.int64),
-                np.asarray([0], dtype=np.int8),
-                np.asarray([10], dtype=np.int16),
-                np.asarray([True]),
-                np.asarray([1.0]),
-            )
-
-    @pytest.mark.parametrize("appends", [1, 3])
-    def test_appended_arrays_are_copied(self, appends):
-        observations = Observations("X")
+    def test_constructor_copies_arrays(self):
         target = np.asarray([1, 2], dtype=np.int64)
-        expected_days, expected_targets = [], []
-        for day in range(appends):
-            observations.append(
-                day,
-                target,
-                np.zeros(2, dtype=np.int8),
-                np.zeros(2, dtype=np.int16),
-                np.ones(2, dtype=bool),
-                np.ones(2),
-            )
-            expected_days += [day, day]
-            expected_targets += target.tolist()
-            # Mutating after the append must not change what was recorded.
-            target += 10
+        observations = Observations(
+            "X",
+            0,
+            target,
+            np.zeros(2, dtype=np.int8),
+            np.zeros(2, dtype=np.int16),
+            np.ones(2, dtype=bool),
+            np.ones(2),
+        )
+        expected_days, expected_targets = [0, 0], target.tolist()
+        # Mutating after construction must not change the records.
+        target += 10
         assert observations.day.tolist() == expected_days
         assert observations.target.tolist() == expected_targets
         assert np.isnan(observations.duration).all()

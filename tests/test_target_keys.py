@@ -264,9 +264,9 @@ class TestAgainstReference:
 
 
 def _feed(days, targets) -> Observations:
-    observations = Observations("X")
     n = len(targets)
-    observations.append(
+    return Observations(
+        "X",
         np.asarray(days),
         np.asarray(targets, dtype=np.int64),
         np.zeros(n, dtype=np.int8),
@@ -274,7 +274,6 @@ def _feed(days, targets) -> Observations:
         np.zeros(n, dtype=bool),
         np.ones(n),
     )
-    return observations
 
 
 class TestTargetKeys:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.plan import ORION_TELESCOPE_PREFIX, UCSD_TELESCOPE_PREFIXES
-from repro.observatories.base import Observations, VisibilityNoise
+from repro.observatories.base import VisibilityNoise
 from repro.observatories.telescope import NetworkTelescope, TelescopeConfig
 from repro.util.rng import RngFactory
 from tests.conftest import one_day_batch
@@ -64,9 +64,7 @@ class TestSensitivityMaths:
 
 class TestMacroDetection:
     def run(self, telescope, batch):
-        observations = Observations(telescope.name)
-        telescope.observe(batch, observations)
-        return observations
+        return telescope.observe(batch)
 
     def test_big_attacks_detected(self):
         telescope = make_telescope("ucsd", response_ratio=1.0)

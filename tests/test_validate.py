@@ -12,31 +12,28 @@ from tests.conftest import SMALL_CALENDAR
 
 def feed(days, vectors=None, classes=None, bps=None, spoofed=None, name="X"):
     n = len(days)
-    observations = Observations(name)
-    observations.append(
-        0,  # unused; we append per batch below instead
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int8),
-        np.empty(0, dtype=np.int16),
-        np.empty(0, dtype=bool),
-        np.empty(0, dtype=np.float64),
+    return Observations(
+        name,
+        days,
+        [1000 + i for i in range(n)],
+        classes or [int(AttackClass.DIRECT_PATH)] * n,
+        vectors or [vector_id("SYN-flood")] * n,
+        spoofed or [True] * n,
+        bps or [1e8] * n,
     )
-    for i, day in enumerate(days):
-        observations.append(
-            day,
-            np.asarray([1000 + i], dtype=np.int64),
-            np.asarray(
-                [classes[i] if classes else int(AttackClass.DIRECT_PATH)],
-                dtype=np.int8,
-            ),
-            np.asarray(
-                [vectors[i] if vectors else vector_id("SYN-flood")],
-                dtype=np.int16,
-            ),
-            np.asarray([spoofed[i] if spoofed else True]),
-            np.asarray([bps[i] if bps else 1e8]),
-        )
-    return observations
+
+
+def repeated(name, day, target, times):
+    """One direct-path SYN-flood record exported ``times`` times."""
+    return Observations(
+        name,
+        day,
+        np.full(times, target, dtype=np.int64),
+        np.full(times, int(AttackClass.DIRECT_PATH), dtype=np.int8),
+        np.full(times, vector_id("SYN-flood"), dtype=np.int16),
+        np.ones(times, dtype=bool),
+        np.full(times, 1e8),
+    )
 
 
 class TestValidation:
@@ -94,16 +91,7 @@ class TestValidation:
         assert any("remit" in warning for warning in report.warnings)
 
     def test_duplicate_heavy_feed_warns(self):
-        observations = Observations("dupes")
-        for _ in range(4):
-            observations.append(
-                0,
-                np.asarray([1234], dtype=np.int64),
-                np.asarray([int(AttackClass.DIRECT_PATH)], dtype=np.int8),
-                np.asarray([vector_id("SYN-flood")], dtype=np.int16),
-                np.asarray([True]),
-                np.asarray([1e8]),
-            )
+        observations = repeated("dupes", 0, 1234, 4)
         report = validate_observations(observations, SMALL_CALENDAR)
         assert any("duplicate" in warning for warning in report.warnings)
 
@@ -118,16 +106,7 @@ class TestValidation:
         assert report.errors == []
 
     def test_all_duplicate_feed_warns_but_stays_usable(self):
-        observations = Observations("doubled-export")
-        for _ in range(10):
-            observations.append(
-                3,
-                np.asarray([7777], dtype=np.int64),
-                np.asarray([int(AttackClass.DIRECT_PATH)], dtype=np.int8),
-                np.asarray([vector_id("SYN-flood")], dtype=np.int16),
-                np.asarray([True]),
-                np.asarray([1e8]),
-            )
+        observations = repeated("doubled-export", 3, 7777, 10)
         report = validate_observations(observations, SMALL_CALENDAR)
         assert report.ok  # duplicates are a warning, not an error
         assert any("90% same-day duplicate" in w for w in report.warnings)
