@@ -31,7 +31,7 @@ from typing import Any
 import numpy as np
 
 from repro.attacks.events import AttackClass
-from repro.core.io import pack_observations, unpack_observations
+from repro.core.io import pack_result, unpack_result
 from repro.obs import counter, span
 from repro.observatories.base import Observations
 from repro.util.calendar import StudyCalendar
@@ -52,7 +52,6 @@ CACHE_DISABLE_ENV = "REPRO_NO_CACHE"
 CACHE_SCHEMA_VERSION = 3
 
 _META_KEY = "__meta__"
-_TRUTH_PREFIX = "truth::"
 
 #: Persistent cache-activity counters, kept next to the entries so
 #: ``ddoscovery cache info`` can report hit rates across processes.
@@ -187,11 +186,7 @@ class StudyCache:
         in memory).
         """
         with span("cache.store"):
-            items = pack_observations(sinks)
-            for attack_class, weekly in ground_truth.items():
-                items[f"{_TRUTH_PREFIX}{int(attack_class)}"] = np.asarray(
-                    weekly, dtype=np.float64
-                )
+            items = pack_result(sinks, ground_truth)
             items[_META_KEY] = np.array(
                 json.dumps(
                     {
@@ -239,16 +234,9 @@ class StudyCache:
                         return self._miss()
                     if meta.get("fingerprint") != fingerprint:
                         return self._miss()
-                    sinks = unpack_observations(data)
+                    sinks, ground_truth = unpack_result(data)
                     if sorted(sinks) != meta.get("observatories"):
                         return self._miss()
-                    ground_truth = {
-                        attack_class: np.asarray(
-                            data[f"{_TRUTH_PREFIX}{int(attack_class)}"],
-                            dtype=np.float64,
-                        )
-                        for attack_class in AttackClass
-                    }
             except Exception:  # noqa: BLE001 - any unreadable entry is a miss
                 return self._miss()
             read = path.stat().st_size

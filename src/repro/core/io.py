@@ -12,8 +12,10 @@ Formats:
   ``vector`` a catalogue name (see :mod:`repro.attacks.vectors`);
   ``duration`` (seconds) may be empty for feeds that do not report it.
 * **columnar npz items** — flat ``{key: array}`` mappings packing many
-  observatories' records for binary storage (the on-disk study cache in
-  :mod:`repro.core.cache`).
+  observatories' records for binary storage; :func:`pack_result` adds the
+  weekly ground truth, the one simulation-result layout the on-disk study
+  cache (:mod:`repro.core.cache`) and the shard transport
+  (:mod:`repro.core.shardio`) both store.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ _RECORD_FIELDS = ("day", "target", "attack_class", "vector", "spoofed", "bps", "
 #: Separator in flat npz item keys: ``obs::<observatory>::<column>``.
 _NPZ_SEP = "::"
 _NPZ_PREFIX = "obs"
+#: Key prefix of the weekly ground-truth columns: ``truth::<class>``.
+_TRUTH_PREFIX = "truth::"
 
 
 def pack_observations(
@@ -72,6 +76,37 @@ def unpack_observations(
         name: Observations.from_arrays(name, arrays)
         for name, arrays in columns.items()
     }
+
+
+def pack_result(
+    sinks: dict[str, Observations], ground_truth: dict[AttackClass, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """Flatten one simulation result: :func:`pack_observations`, then one
+    float64 weekly ground-truth column per attack class."""
+    items = pack_observations(sinks)
+    for attack_class, weekly in ground_truth.items():
+        items[f"{_TRUTH_PREFIX}{int(attack_class)}"] = np.asarray(
+            weekly, dtype=np.float64
+        )
+    return items
+
+
+def unpack_result(
+    columns: "dict[str, np.ndarray] | object",
+) -> tuple[dict[str, Observations], dict[AttackClass, np.ndarray]]:
+    """Rebuild ``(sinks, ground_truth)`` from :func:`pack_result` keys.
+
+    Columns are wrapped, not copied; a missing ground-truth column raises
+    ``KeyError``.
+    """
+    sinks = unpack_observations(columns)
+    ground_truth = {
+        attack_class: np.asarray(
+            columns[f"{_TRUTH_PREFIX}{int(attack_class)}"], dtype=np.float64
+        )
+        for attack_class in AttackClass
+    }
+    return sinks, ground_truth
 
 
 def observations_to_csv(observations: Observations, path: str | Path) -> Path:

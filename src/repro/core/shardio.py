@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.attacks.events import AttackClass
-from repro.core.io import pack_observations, unpack_observations
+from repro.core.io import pack_result, unpack_result
 from repro.observatories.base import Observations
 
 #: Format magic; the trailing digits version the layout.
@@ -47,12 +47,6 @@ SHARD_MAGIC = b"RSHARD01"
 
 #: Column blobs start on multiples of this (cache-line / SIMD friendly).
 BLOB_ALIGN = 64
-
-_TRUTH_PREFIX = "truth::"
-
-
-def _truth_key(attack_class: AttackClass) -> str:
-    return f"{_TRUTH_PREFIX}{int(attack_class)}"
 
 
 def write_shard(
@@ -64,9 +58,7 @@ def write_shard(
 ) -> Path:
     """Write one shard result atomically; returns the final path."""
     path = Path(path)
-    columns = pack_observations(sinks)
-    for attack_class, weekly in ground_truth.items():
-        columns[_truth_key(attack_class)] = np.asarray(weekly, dtype=np.float64)
+    columns = pack_result(sinks, ground_truth)
 
     directory: list[dict] = []
     offset = 0  # relative to the first blob; rebased after the header
@@ -161,9 +153,4 @@ def read_shard(
         mapped[meta_start : meta_start + header["meta_nbytes"]]
     )
 
-    sinks = unpack_observations(columns)
-    ground_truth = {
-        attack_class: columns[_truth_key(attack_class)]
-        for attack_class in AttackClass
-    }
-    return (sinks, ground_truth), snapshot, tree
+    return unpack_result(columns), snapshot, tree
