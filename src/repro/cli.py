@@ -747,10 +747,7 @@ def _command_run(args: argparse.Namespace) -> int:
         )
         study.observations
 
-        available = dict(report_module.RENDERERS)
-        available["T3"] = lambda _study: report_module.render_table3()
-        available["S3"] = lambda _study: report_module.render_industry_survey()
-        available["S73"] = report_module.render_section73
+        available = report_module.RENDERERS
         wanted = args.artefact or list(available)
         unknown = [key for key in wanted if key not in available]
         if unknown:

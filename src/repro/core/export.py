@@ -14,7 +14,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.core.artifacts import artifact_json_bytes, artifact_names
-from repro.core.protocols import per_vector_target_overlap, render_vector_overlap
 from repro.core.report import render_all
 from repro.core.study import Study
 from repro.industry.taxonomy import render_taxonomy
@@ -38,6 +37,7 @@ _SECTIONS: tuple[tuple[str, str], ...] = (
     ("F13", "Figure 13 — Akamai federation"),
     ("F14", "Figure 14 — Quarterly correlations"),
     ("S3", "Section 3 — Industry survey"),
+    ("S73", "Section 7.3 — Per-protocol honeypot composition"),
 )
 
 
@@ -62,16 +62,6 @@ def build_markdown_report(study: Study, *, include_taxonomy: bool = True) -> str
         lines.append(rendered[key])
         lines.append("```")
         lines.append("")
-
-    lines.append("## Section 7.3 — Per-protocol honeypot composition")
-    lines.append("")
-    lines.append("```text")
-    overlaps = per_vector_target_overlap(
-        study.observations["Hopscotch"], study.observations["AmpPot"]
-    )
-    lines.append(render_vector_overlap("Hopscotch", "AmpPot", overlaps))
-    lines.append("```")
-    lines.append("")
 
     if include_taxonomy:
         lines.append("## Appendix C — Literature taxonomy")

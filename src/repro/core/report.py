@@ -300,7 +300,18 @@ def render_industry_survey() -> str:
     return "\n".join(lines)
 
 
-#: All artefact renderers keyed by experiment id (see DESIGN.md).
+def render_section73(study: Study) -> str:
+    """Section 7.3: per-protocol honeypot target composition."""
+    from repro.core.protocols import per_vector_target_overlap, render_vector_overlap
+
+    overlaps = per_vector_target_overlap(
+        study.observations["Hopscotch"], study.observations["AmpPot"]
+    )
+    return render_vector_overlap("Hopscotch", "AmpPot", overlaps)
+
+
+#: Every text artefact's renderer (``study -> str``) keyed by experiment
+#: id (see DESIGN.md), in output order.
 RENDERERS = {
     "T1": render_table1,
     "T2": render_table2,
@@ -317,26 +328,15 @@ RENDERERS = {
     "F12": render_figure12,
     "F13": render_figure13,
     "F14": render_figure14,
+    "T3": lambda _study: render_table3(),
+    "S3": lambda _study: render_industry_survey(),
+    "S73": render_section73,
 }
 
 
-def render_section73(study: Study) -> str:
-    """Section 7.3: per-protocol honeypot target composition."""
-    from repro.core.protocols import per_vector_target_overlap, render_vector_overlap
-
-    overlaps = per_vector_target_overlap(
-        study.observations["Hopscotch"], study.observations["AmpPot"]
-    )
-    return render_vector_overlap("Hopscotch", "AmpPot", overlaps)
-
-
 def render_all(study: Study) -> dict[str, str]:
-    """Render every study-dependent artefact."""
-    rendered = {key: renderer(study) for key, renderer in RENDERERS.items()}
-    rendered["T3"] = render_table3()
-    rendered["S3"] = render_industry_survey()
-    rendered["S73"] = render_section73(study)
-    return rendered
+    """Render every text artefact."""
+    return {key: render(study) for key, render in RENDERERS.items()}
 
 
 def summary_matrix(study: Study) -> np.ndarray:
