@@ -335,21 +335,46 @@ class JobManager:
         # per-job isolation context so it is visible in the daemon's
         # registry while the job is still running.
         obs.counter("service.jobs.executed", kind=job.kind).inc()
-        loop = asyncio.get_running_loop()
         # Per-job observability contexts are only well-nested when one
         # job runs at a time; with more workers, bodies record straight
         # into the daemon context (aggregate metrics stay correct).
-        isolate = self.workers == 1 and obs.enabled()
-        collecting = obs.collecting() if isolate else None
-        tracing = obs.tracing() if isolate else None
-        registry = collecting.__enter__() if collecting else None
-        tracer = tracing.__enter__() if tracing else None
+        if self.workers > 1 or not obs.enabled():
+            await self._run(job, self.runner)
+            return
+        finished: list[obs.Tracer] = []
+
+        def traced(job: Job) -> JobResult:
+            # Spans nest per thread, so the job's tracer and span open on
+            # the executor thread that runs the body: its spans, and the
+            # tree a pool worker ships home, land under the job's span.
+            try:
+                with obs.tracing() as tracer, obs.span(f"service.job[{job.kind}]"):
+                    return self.runner(job)
+            finally:
+                # Handed over once the body has returned: a timed-out
+                # body may still be writing to its tracer.
+                finished.append(tracer)
+
         try:
-            with obs.span(f"service.job[{job.kind}]") if isolate else _noop():
-                future = loop.run_in_executor(
-                    self._executor, self.runner, job
-                )
-                result = await asyncio.wait_for(future, timeout=job.timeout_s)
+            with obs.collecting() as registry:
+                await self._run(job, traced)
+        finally:
+            tracer = finished[0] if finished else None
+            obs.absorb(registry.snapshot(), tracer.tree() if tracer else None)
+            job.manifest = obs.build_manifest(
+                "service-job",
+                registry=registry,
+                tracer=tracer,
+                argv=[],
+                job=job.provenance(),
+            )
+
+    async def _run(self, job: Job, body: Runner) -> None:
+        """Run one job body on the executor and record how it ended."""
+        loop = asyncio.get_running_loop()
+        try:
+            future = loop.run_in_executor(self._executor, body, job)
+            result = await asyncio.wait_for(future, timeout=job.timeout_s)
         except asyncio.TimeoutError:
             job.request_cancel()
             self._finish(
@@ -362,19 +387,6 @@ class JobManager:
         else:
             job.result = result
             self._finish(job, DONE)
-        finally:
-            if isolate:
-                snapshot, tree = registry.snapshot(), tracer.tree()
-                tracing.__exit__(None, None, None)
-                collecting.__exit__(None, None, None)
-                obs.absorb(snapshot, tree)
-                job.manifest = obs.build_manifest(
-                    "service-job",
-                    registry=registry,
-                    tracer=tracer,
-                    argv=[],
-                    job=job.provenance(),
-                )
 
     def _finish(self, job: Job, status: str, *, error: str | None = None) -> None:
         job.status = status
@@ -388,11 +400,3 @@ class JobManager:
                 self.on_done(job)
             except Exception:  # noqa: BLE001 - cache warming must not fail jobs
                 obs.counter("service.jobs.on_done_errors").inc()
-
-
-class _noop:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None

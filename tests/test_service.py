@@ -115,6 +115,12 @@ def run_daemon(test_body, *, runner=None, **config_kwargs):
     asyncio.run(main())
 
 
+def span_children(root, key):
+    """Keys of the children of the top-level span ``key`` of a manifest."""
+    (node,) = [child for child in root["children"] if child["key"] == key]
+    return [child["key"] for child in node["children"]]
+
+
 STUDY_PAYLOAD = {
     "kind": "study",
     "config": {"preset": "seed0-small"},
@@ -356,6 +362,29 @@ class TestServiceLifecycle:
             assert status == 400
 
         run_daemon(scenario, runner=lambda job: JobResult())
+
+    def test_job_manifest_holds_the_body_spans(self):
+        from repro import obs
+
+        def runner(job):
+            with obs.span("stub.work"):
+                obs.counter("stub.calls").inc()
+            return JobResult()
+
+        async def scenario(handle):
+            port = handle.port
+            _, document = await request_json(
+                port, "POST", "/v1/jobs", payload_for_seed(0)
+            )
+            await poll_until(port, document["id"], "done")
+            scenario.job = handle.manager.get(document["id"])
+
+        run_daemon(scenario, runner=runner, workers=1)
+        manifest = scenario.job.manifest
+        assert "stub.calls" in manifest["metrics"]["counters"]
+        assert span_children(manifest["spans"], "service.job[study]") == [
+            "stub.work"
+        ]
 
     def test_health_metrics_and_registry(self):
         async def scenario(handle):

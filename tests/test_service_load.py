@@ -39,6 +39,7 @@ from tests.test_service import (
     request_full,
     request_json,
     run_daemon,
+    span_children,
 )
 
 
@@ -221,12 +222,15 @@ class TestProcessExecution:
             scenario.raw = raw
             _, health = await request_json(port, "GET", "/v1/health")
             assert health["execution"] == "process"
+            scenario.job = handle.manager.get(document["id"])
 
         try:
             run_daemon(scenario, execution="process", workers=1, jobs=1)
         finally:
             shutdown_pool()
         assert scenario.raw == expected
+        spans = scenario.job.manifest["spans"]
+        assert "service.body[study]" in span_children(spans, "service.job[study]")
 
     def test_worker_crash_fails_job_and_pool_recovers(self, monkeypatch):
         import repro.service.runners as runners_module
