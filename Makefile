@@ -1,5 +1,9 @@
 # Convenience targets for the DDoScovery reproduction.
 
+# Every recipe imports the package from this checkout's src/, so the
+# targets work without `make install`; an existing PYTHONPATH is kept.
+export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test test-fast conformance conformance-scenarios ci ablations paper-artefacts perfbench-check bench bench-perf profile sweep-smoke sweep-stability serve-smoke whatif-smoke dist-smoke examples artefacts clean
 
 install:
@@ -26,19 +30,19 @@ conformance: sweep-stability conformance-scenarios
 # Regenerate the sibling-paper scenario-family conformance artefact from
 # the four scenario presets (conformance tier; see docs/SWEEPS.md).
 conformance-scenarios:
-	PYTHONPATH=src python scripts/conformance_scenarios.py
+	python scripts/conformance_scenarios.py
 
 # What CI runs: fast tier, full conformance, the ablation and paper
 # artefacts, the counterfactual smoke, the service smoke (the only gate
 # that runs a job body in a daemon pool worker), the distributed smoke,
-# the repo benchmark's own checks, and a compile pass.
-ci: test-fast conformance ablations paper-artefacts whatif-smoke serve-smoke dist-smoke perfbench-check
+# the repo benchmark's own checks, every example, and a compile pass.
+ci: test-fast conformance ablations paper-artefacts whatif-smoke serve-smoke dist-smoke perfbench-check examples
 	python -m compileall -q src
 
 # Re-run the deterministic ablation benchmarks and fail if any committed
 # benchmarks/results/ABL_*.txt artefact no longer matches what they write.
 ablations:
-	PYTHONPATH=src python -m pytest benchmarks/test_ablation_*.py --benchmark-disable
+	python -m pytest benchmarks/test_ablation_*.py --benchmark-disable
 	git diff --exit-code -- benchmarks/results/ABL_*.txt
 
 # Re-run the deterministic paper and extension benchmarks (every
@@ -48,7 +52,7 @@ ablations:
 PAPER_BENCHMARKS = $(filter-out benchmarks/test_perf_% benchmarks/test_ablation_%,$(wildcard benchmarks/test_*.py))
 
 paper-artefacts:
-	PYTHONPATH=src python -m pytest $(PAPER_BENCHMARKS) --benchmark-disable
+	python -m pytest $(PAPER_BENCHMARKS) --benchmark-disable
 	git diff --exit-code -- benchmarks/results/T*.txt benchmarks/results/F*.txt \
 		benchmarks/results/S3_*.txt benchmarks/results/EXT_*.txt \
 		benchmarks/results/AI_*.txt benchmarks/results/AJ_*.txt
@@ -67,44 +71,51 @@ bench-perf:
 # Regenerate the checked-in full-window profile (cache bypassed, so the
 # simulation itself is measured; see docs/OBSERVABILITY.md).
 profile:
-	PYTHONPATH=src python -m repro.cli profile --seed 0 --out benchmarks/results/PROFILE_seed0.txt
+	python -m repro.cli profile --seed 0 --out benchmarks/results/PROFILE_seed0.txt
 
 # Tiny 2-seed x 2-scale ensemble through every sweep layer (tier-1 budget;
 # see docs/SWEEPS.md).
 sweep-smoke:
-	PYTHONPATH=src python -m repro.cli sweep run --preset smoke --jobs 2 --resume
+	python -m repro.cli sweep run --preset smoke --jobs 2 --resume
 
 # Regenerate the checked-in seed-stability artefact from the 3-seed
 # reduced-scale ensemble (conformance tier).
 sweep-stability:
-	PYTHONPATH=src python -m repro.cli sweep run --preset seed-robustness --jobs 0 --resume
-	PYTHONPATH=src python -m repro.cli sweep report --preset seed-robustness --out benchmarks/results/SWEEP_seed_stability.txt
+	python -m repro.cli sweep run --preset seed-robustness --jobs 0 --resume
+	python -m repro.cli sweep report --preset seed-robustness --out benchmarks/results/SWEEP_seed_stability.txt
 
 # The sav-adoption paired what-if on the pinned seed0-small window:
 # asserts the zero-delta fingerprint guarantee and that the baseline leg
 # is a cache hit of the pinned golden study, then writes
 # benchmarks/results/WHATIF_sav.txt (see docs/COUNTERFACTUALS.md).
 whatif-smoke:
-	PYTHONPATH=src python scripts/whatif_smoke.py
+	python scripts/whatif_smoke.py
 
 # Boot the service daemon on an ephemeral port, run a seed0-small study
 # job end-to-end over HTTP, diff the fetched artifact against the batch
 # path and the committed goldens, then SIGTERM (see docs/SERVICE.md).
 serve-smoke:
-	PYTHONPATH=src python scripts/serve_smoke.py
+	python scripts/serve_smoke.py
 
 # Boot a coordinator plus two worker subprocesses, distribute the
 # seed0-small sweep, require the merged report byte-identical to serial
 # and >= 1.5x wall-clock at 2 workers, then record the timing in
 # benchmarks/results/PERF_dist.txt (see docs/DISTRIBUTED.md).
 dist-smoke:
-	PYTHONPATH=src python scripts/dist_smoke.py
+	python scripts/dist_smoke.py
 
+# Run all ten examples (telescope_detection takes about 2 min).
 examples:
 	python examples/quickstart.py
 	python examples/telescope_detection.py
 	python examples/carpet_bombing.py
 	python examples/booter_market.py
+	python examples/bot_census.py
+	python examples/consensus_trends.py
+	python examples/federated_join.py
+	python examples/full_reproduction.py
+	python examples/sav_measurement.py
+	python examples/vendor_report.py
 
 artefacts:
 	python -m repro.cli run --out artefacts/
