@@ -83,8 +83,8 @@ class Observations:
     Built once, never appended to: an observatory's
     :meth:`Observatory.observe` returns one, :meth:`from_arrays` wraps
     stored columns, and :meth:`merge` concatenates day-range shards in
-    order (the primitive the sharded executor in
-    :mod:`repro.util.parallel` combines per-shard results with).
+    order, which is how the sharded executor in
+    :mod:`repro.util.parallel` combines per-shard results.
     """
 
     observatory: str
