@@ -26,31 +26,21 @@ import json
 import numpy as np
 import pytest
 
+from repro.counterfactual.presets import whatif_preset
 from repro.observatories.base import OBSERVATION_COLUMNS
 from repro.obs import collecting
+from repro.scenarios import scenario_presets
+from repro.sweep import expand, preset
 from repro.util.parallel import generate_shard, run_shard
 from tests.test_generator_bytes import CASES as GENERATOR_CASES
-from tests.test_generator_bytes import _cell
 
 
-def _sweep_cell(preset: str, label: str):
-    """The config of one sweep-preset cell, by its describe() label."""
-    from repro.sweep import expand, preset as sweep_preset
-
-    for cell in expand(sweep_preset(preset)):
+def _cell(spec, label: str):
+    """The config of one cell of a sweep spec, by its describe() label."""
+    for cell in expand(spec):
         if cell.describe() == label:
             return cell.config
     raise KeyError(label)
-
-
-def _blackholing_counterfactual():
-    from repro.counterfactual.presets import whatif_preset
-    from repro.sweep import expand
-
-    for cell in expand(whatif_preset("blackholing-aggressive").spec()):
-        if cell.describe() == "seed=0 leg=counterfactual":
-            return cell.config
-    raise KeyError("seed=0 leg=counterfactual")
 
 
 #: name -> (config factory, day range).
@@ -60,16 +50,24 @@ CASES = {
         for name in ("small0-first", "small0-middle", "stressed-16w", "ssdp-wave")
     },
     "cloud-300M": (
-        lambda: _cell("cloud-observatory", "threshold=300000000.0"),
+        lambda: _cell(
+            scenario_presets()["cloud-observatory"](), "threshold=300000000.0"
+        ),
         (0, 28),
     ),
     "carpet-per-ip": (
-        lambda: _sweep_cell("ablation-carpet", "carpet=per-ip"),
+        lambda: _cell(preset("ablation-carpet"), "carpet=per-ip"),
         (0, 28),
     ),
     # The what-if calendar starts on 2019-01-01, inside the IXP's
     # January outage, so its second shard is the first the tuned IXP sees.
-    "blackholing-counterfactual": (_blackholing_counterfactual, (28, 56)),
+    "blackholing-counterfactual": (
+        lambda: _cell(
+            whatif_preset("blackholing-aggressive").spec(),
+            "seed=0 leg=counterfactual",
+        ),
+        (28, 56),
+    ),
 }
 
 #: (records digest, counters digest) per case, taken before ``observe``
