@@ -7,7 +7,7 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: install test test-fast conformance conformance-scenarios ci ablations paper-artefacts perfbench-check bench bench-perf profile sweep-smoke sweep-stability serve-smoke whatif-smoke dist-smoke examples artefacts clean
 
 install:
-	pip install -e . || python setup.py develop
+	pip install -e '.[dev]' || python setup.py develop
 
 test:
 	pytest tests/

@@ -8,9 +8,10 @@ p-value exceeds 0.05; Pearson serves as the cross-check (Section 6.3).
 Every correlation in the package goes through one kernel,
 :func:`pairwise`: each column is ranked (Spearman), centred and
 self-dotted once, and each pair then costs one 1-D dot product.
-:func:`p_values` turns a whole coefficient matrix into p-values with one
-call of the t distribution.  :func:`pearson` and :func:`spearman` are
-its two-column calls.
+:func:`p_values` turns a whole coefficient matrix into p-values with the
+closed form of the t distribution's two-sided tail for integer degrees
+of freedom, evaluated from the coefficients themselves.
+:func:`pearson` and :func:`spearman` are its two-column calls.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtr
+
+#: Where the bound on p falls below this, :func:`two_sided_p` sums the
+#: tail series instead of subtracting the head from 1.
+_TAIL_BELOW = 1e-3
+#: The tail series stops once what is left is below this share of it.
+_TAIL_REST = 2.0**-56
 
 
 @dataclass(frozen=True)
@@ -101,9 +107,8 @@ def p_values(coefficients: np.ndarray, defined: np.ndarray, n: int) -> np.ndarra
 
     The diagonal is 0.  An undefined pair (a constant column) gets 1, so
     it renders as insignificant; so does every pair when ``n < 3``.  A
-    pair with ``|r| >= 1`` gets 0.  The rest evaluate
-    ``2 * stdtr(n - 2, -|t|)`` in one call, the function
-    ``scipy.stats.t.sf`` evaluates.
+    pair with ``|r| >= 1`` gets 0.  The rest go through one call of
+    :func:`two_sided_p` with ``n - 2`` degrees of freedom.
     """
     k = len(coefficients)
     p = np.ones((k, k))
@@ -111,14 +116,71 @@ def p_values(coefficients: np.ndarray, defined: np.ndarray, n: int) -> np.ndarra
     if n < 3:
         return p
     rows, cols = np.nonzero(np.triu(defined, 1))
-    r = coefficients[rows, cols]
-    values = np.zeros(len(r))
-    tested = np.abs(r) < 1.0
-    r = r[tested]
-    t_statistic = r * np.sqrt((n - 2) / (1.0 - r * r))
-    values[tested] = 2.0 * stdtr(n - 2, -np.abs(t_statistic))
+    s = np.abs(coefficients[rows, cols])
+    values = np.zeros(len(s))
+    tested = s < 1.0
+    values[tested] = two_sided_p(s[tested], n - 2)
     p[rows, cols] = p[cols, rows] = values
     return p
+
+
+def _term_ratios(count: int, odd: int) -> np.ndarray:
+    """Ratios of consecutive series terms 1..``count``: (2k-1)/(2k) for
+    even degrees of freedom, 2k/(2k+1) for odd ones."""
+    k = np.arange(1, count + 1)
+    return (2 * k - 1 + odd) / (2 * k + odd)
+
+
+def two_sided_p(s: np.ndarray, nu: int) -> np.ndarray:
+    """Two-sided p-value of the t statistic of correlations ``|r| = s < 1``
+    with ``nu >= 1`` degrees of freedom.
+
+    For ``t = r * sqrt(nu / (1 - r*r))``, the angle ``theta`` of
+    Abramowitz & Stegun 26.7 has ``sin(theta) = s`` and
+    ``cos(theta) = c = sqrt((1 - s)(1 + s))``, so with ``m = nu // 2``
+    their closed forms are series in ``c**2``:
+
+    * even ``nu``: ``p = 1 - s * sum_{k<m} b_k c^2k``, with ``b_0 = 1``
+      and ``b_k = b_{k-1} (2k-1)/(2k)``;
+    * odd ``nu``: ``p = 1 - (2/pi) (theta + s c sum_{k<m} a_k c^2k)``,
+      with ``a_0 = 1`` and ``a_k = a_{k-1} 2k/(2k+1)``.
+
+    The infinite sums are ``1/s`` and ``arcsin(c)/(c s)``, so ``p`` is
+    also the all-positive tail ``s sum_{k>=m} b_k c^2k`` or
+    ``(2/pi) s c sum_{k>=m} a_k c^2k``.  Every ratio of consecutive
+    terms is below ``c**2``, so the tail is at most its first term over
+    ``s**2``.  Where that bound is below :data:`_TAIL_BELOW` the
+    difference would cancel, and the tail is summed instead, until the
+    rest is below :data:`_TAIL_REST` of it.  One ``cumprod`` of the term
+    ratios gives the coefficients ``b_k`` or ``a_k`` that every pair
+    shares, the powers are ``exp(k log c**2)``, and each pair's sum is
+    one row of a matrix-vector product.  That product is numpy's own
+    ``einsum``: a BLAS ``gemv`` may split rows across threads and so
+    change low bits with the thread count.  Working from ``s`` rather
+    than ``t`` keeps ``1 - r*r`` from cancelling near ``|r| = 1``.
+    """
+    m, odd = divmod(nu, 2)
+    c2 = (1.0 - s) * (1.0 + s)
+    if odd:
+        c = np.sqrt(c2)
+        scale = 2.0 / math.pi * s * c
+        head = 2.0 / math.pi * np.arctan2(s, c)
+    else:
+        scale, head = s, 0.0
+    first = float(np.prod(_term_ratios(m, odd))) * c2**m
+    tail = scale * first < _TAIL_BELOW * s * s
+    log_c2 = np.log(c2)
+    count = m
+    if tail.any():
+        rest = np.log(_TAIL_REST * s[tail] ** 2) / log_c2[tail]
+        count += int(np.ceil(rest.max()))
+    coefficients = np.cumprod(np.append(1.0, _term_ratios(count, odd)))[:count]
+    powers = np.exp(np.multiply.outer(log_c2, np.arange(count)))
+    return np.where(
+        tail,
+        scale * np.einsum("ij,j->i", powers[:, m:], coefficients[m:]),
+        1.0 - head - scale * np.einsum("ij,j->i", powers[:, :m], coefficients[:m]),
+    )
 
 
 def _pair(x: np.ndarray, y: np.ndarray, method: str) -> Correlation:

@@ -5,13 +5,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.correlation import correlation_matrix, quarterly_correlations
-from repro.core.stats import Correlation, ols_line, pearson, rankdata, spearman
+from repro.core.stats import (
+    Correlation,
+    ols_line,
+    p_values,
+    pearson,
+    rankdata,
+    spearman,
+)
 from repro.util.calendar import StudyCalendar
 
 series = hnp.arrays(
@@ -177,8 +185,31 @@ def loop_rankdata(values):
     return ranks
 
 
+#: Relative tolerance of every p-value against :func:`reference_p`.
+P_RTOL = 1e-11
+
+
+def reference_p(r, n):
+    """scipy's two-sided t-test p-value of ``r`` over ``n > 2`` points,
+    with t conditioned as ``|r| sqrt((n - 2) / ((1 - |r|)(1 + |r|)))``."""
+    s = np.abs(r)
+    t_statistic = s * np.sqrt((n - 2) / ((1.0 - s) * (1.0 + s)))
+    return 2.0 * scipy.special.stdtr(n - 2, -t_statistic)
+
+
+def p_close(p, reference):
+    """Within :data:`P_RTOL` of the reference; at most 1e-290 where the
+    reference is below 1e-300."""
+    p, reference = np.asarray(p), np.asarray(reference)
+    return np.where(
+        reference < 1e-300,
+        p <= 1e-290,
+        np.abs(p - reference) <= P_RTOL * reference,
+    )
+
+
 def reference_pair(x, y, method):
-    """(r, p) of one pair with per-pair arithmetic and ``t.sf``."""
+    """(r, p) of one pair with per-pair arithmetic and :func:`reference_p`."""
     if method == "spearman":
         x, y = loop_rankdata(x), loop_rankdata(y)
     dx = np.asarray(x, dtype=np.float64) - np.mean(x)
@@ -192,8 +223,7 @@ def reference_pair(x, y, method):
         return r, 1.0
     if abs(r) >= 1.0:
         return r, 0.0
-    t_statistic = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return r, float(2.0 * scipy.stats.t.sf(abs(t_statistic), df=n - 2))
+    return r, float(reference_p(r, n))
 
 
 #: Columns of one length: tie-heavy counts, sparse weeks or plain floats.
@@ -214,7 +244,8 @@ column_sets = st.integers(min_value=2, max_value=40).flatmap(
 
 
 class TestKernelAgainstPerPairReference:
-    """The kernel keeps the per-pair arithmetic, so every bit must match."""
+    """The kernel keeps the per-pair arithmetic, so every coefficient bit
+    must match; p-values agree with scipy within :data:`P_RTOL`."""
 
     @given(tie_heavy)
     def test_rankdata_equals_loop(self, values):
@@ -222,7 +253,7 @@ class TestKernelAgainstPerPairReference:
 
     @given(column_sets)
     @settings(max_examples=60)
-    def test_matrix_and_pairs_bit_identical(self, columns):
+    def test_coefficients_bit_identical_p_values_close(self, columns):
         series = {f"s{i}": column for i, column in enumerate(columns)}
         for method, pair in (("spearman", spearman), ("pearson", pearson)):
             matrix = correlation_matrix(series, method)
@@ -230,9 +261,10 @@ class TestKernelAgainstPerPairReference:
                 for j in range(i + 1, len(columns)):
                     r, p = reference_pair(columns[i], columns[j], method)
                     got = pair(columns[i], columns[j])
-                    assert repr((got.coefficient, got.p_value)) == repr((r, p))
+                    assert repr(got.coefficient) == repr(r)
                     assert repr(matrix.coefficients[i, j]) == repr(np.float64(r))
-                    assert repr(matrix.p_values[i, j]) == repr(np.float64(p))
+                    assert p_close(got.p_value, p)
+                    assert p_close(matrix.p_values[i, j], p)
 
     def test_quarterly_bit_identical(self):
         calendar = StudyCalendar(dt.date(2019, 1, 1), dt.date(2020, 9, 12))
@@ -255,3 +287,30 @@ class TestKernelAgainstPerPairReference:
                 and np.ptp(series[b][weeks]) != 0
             ]
             assert repr(values) == repr(expected)
+
+
+def first_row_p_values(r, n):
+    """:func:`p_values` of every coefficient in ``r``, as the pairs of
+    the first row of one matrix over ``n`` points."""
+    k = len(r) + 1
+    coefficients = np.eye(k)
+    coefficients[0, 1:] = coefficients[1:, 0] = r
+    defined = np.zeros((k, k), dtype=bool)
+    defined[0] = defined[:, 0] = True
+    return p_values(coefficients, defined, n)[0, 1:]
+
+
+def test_p_values_grid_against_scipy():
+    """Every p-value within :data:`P_RTOL` of scipy, symmetric in r, 1 at
+    r = 0 and non-increasing in |r| across the seam of the two forms."""
+    near_one = 1.0 - 10.0 ** -np.arange(1.0, 16.0)
+    for n in [*range(3, 41), 67, 69, 71, 132, 234, 236, 500]:
+        draws = np.random.default_rng(n).uniform(0.0, 1.0, 64)
+        magnitudes = np.concatenate(([0.0, 1e-3], draws, near_one))
+        p = first_row_p_values(np.concatenate((magnitudes, -magnitudes)), n)
+        positive, negative = np.split(p, 2)
+        assert positive[0] == 1.0, n
+        assert np.array_equal(positive, negative), n
+        assert p_close(positive, reference_p(magnitudes, n)).all(), n
+        ordered = positive[np.argsort(magnitudes)]
+        assert np.all(ordered[1:] <= ordered[:-1] * (1.0 + P_RTOL)), n
