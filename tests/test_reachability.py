@@ -16,9 +16,14 @@ The guard walks import edges with :mod:`ast` alone, so it never imports
 
 A module that only tests import is not part of the program: delete it
 together with its tests.
+
+The same walk also guards the runtime dependencies: a module of
+``repro`` may import the standard library, ``repro`` and numpy, and
+nothing else, inside functions included.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,6 +32,9 @@ SRC = ROOT / "src"
 ENTRY_MODULES = ("repro.cli",)
 ENTRY_DIRS = ("benchmarks", "examples", "scripts", "perfbench")
 PERFBENCH_TESTS = ROOT / "perfbench" / "tests"
+#: Top-level packages a module of repro may import, besides the standard
+#: library: ``dependencies`` in pyproject.toml, and repro itself.
+RUNTIME_PACKAGES = {"numpy", "repro"}
 
 
 def _module_files() -> dict[str, Path]:
@@ -135,4 +143,28 @@ def test_every_module_is_reached_from_an_entry_point():
     assert not unreached, (
         "modules no program entry point imports (only tests do?):\n  "
         + "\n  ".join(unreached)
+    )
+
+
+def _imported_packages(path: Path) -> set[str]:
+    """Top-level packages of every absolute import in one file."""
+    packages = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            packages |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            packages.add(node.module.split(".")[0])
+    return packages
+
+
+def test_runtime_imports_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | RUNTIME_PACKAGES
+    outside = sorted(
+        f"{name} -> {package}"
+        for name, path in FILES.items()
+        for package in _imported_packages(path) - allowed
+    )
+    assert not outside, (
+        "modules importing a package outside the runtime dependencies:\n  "
+        + "\n  ".join(outside)
     )
