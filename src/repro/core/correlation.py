@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.stats import Correlation, p_values, pairwise
+from repro.core.stats import p_values, pairwise
 from repro.util.calendar import StudyCalendar
 
 
@@ -25,15 +25,6 @@ class CorrelationMatrix:
     coefficients: np.ndarray  # (n, n)
     p_values: np.ndarray  # (n, n)
     method: str
-
-    def pair(self, a: str, b: str) -> Correlation:
-        """Correlation between two labelled series."""
-        i, j = self.labels.index(a), self.labels.index(b)
-        return Correlation(
-            coefficient=float(self.coefficients[i, j]),
-            p_value=float(self.p_values[i, j]),
-            n=0,
-        )
 
     def significant_mask(self, alpha: float = 0.05) -> np.ndarray:
         """Boolean matrix: which entries the paper would print normally."""

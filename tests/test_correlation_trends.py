@@ -38,9 +38,8 @@ class TestCorrelationMatrix:
 
     def test_correlated_pair_detected(self):
         matrix = correlation_matrix(self.series())
-        ab = matrix.pair("a", "b")
-        assert ab.coefficient > 0.8
-        assert ab.p_value < 0.01
+        assert matrix.coefficients[0, 1] > 0.8
+        assert matrix.p_values[0, 1] < 0.01
 
     def test_uncorrelated_pair_insignificant(self):
         matrix = correlation_matrix(self.series())
@@ -54,7 +53,7 @@ class TestCorrelationMatrix:
     def test_pearson_method(self):
         matrix = correlation_matrix(self.series(), method="pearson")
         assert matrix.method == "pearson"
-        assert matrix.pair("a", "b").coefficient > 0.8
+        assert matrix.coefficients[0, 1] > 0.8
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
