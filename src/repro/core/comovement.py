@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.stats import spearman
+from repro.core.stats import pairwise
 from repro.util.calendar import StudyCalendar
 
 
@@ -23,7 +23,8 @@ def sliding_correlation(
     """Spearman correlation in a sliding window (NaN where undefined).
 
     Output index ``i`` covers weeks ``[i, i + window_weeks)``; the array
-    is ``len(a) - window_weeks + 1`` long.
+    is ``len(a) - window_weeks + 1`` long.  Coefficients only: no window
+    computes a p-value.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -40,7 +41,7 @@ def sliding_correlation(
         wb = b[i : i + window_weeks]
         if np.ptp(wa) == 0 or np.ptp(wb) == 0:
             continue
-        out[i] = spearman(wa, wb).coefficient
+        out[i] = pairwise([wa, wb])[0][0, 1]
     return out
 
 
