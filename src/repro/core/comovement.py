@@ -41,7 +41,8 @@ def sliding_correlation(
         wb = b[i : i + window_weeks]
         if np.ptp(wa) == 0 or np.ptp(wb) == 0:
             continue
-        out[i] = pairwise([wa, wb])[0][0, 1]
+        coefficients, _ = pairwise([wa, wb])
+        out[i] = coefficients[0, 1]
     return out
 
 

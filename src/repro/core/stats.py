@@ -155,9 +155,9 @@ def two_sided_p(s: np.ndarray, nu: int) -> np.ndarray:
     ratios gives the coefficients ``b_k`` or ``a_k`` that every pair
     shares, the powers are ``exp(k log c**2)``, and each pair's sum is
     one row of a matrix-vector product.  That product is numpy's own
-    ``einsum``: a BLAS ``gemv`` may split rows across threads and so
-    change low bits with the thread count.  Working from ``s`` rather
-    than ``t`` keeps ``1 - r*r`` from cancelling near ``|r| = 1``.
+    ``einsum``, not a BLAS ``gemv``, whose low bits change with the BLAS
+    thread count.  Working from ``s`` rather than ``t`` keeps
+    ``1 - r*r`` from cancelling near ``|r| = 1``.
     """
     m, odd = divmod(nu, 2)
     c2 = (1.0 - s) * (1.0 + s)
@@ -172,8 +172,8 @@ def two_sided_p(s: np.ndarray, nu: int) -> np.ndarray:
     log_c2 = np.log(c2)
     count = m
     if tail.any():
-        rest = np.log(_TAIL_REST * s[tail] ** 2) / log_c2[tail]
-        count += int(np.ceil(rest.max()))
+        tail_terms = np.log(_TAIL_REST * s[tail] ** 2) / log_c2[tail]
+        count += int(np.ceil(tail_terms.max()))
     coefficients = np.cumprod(np.append(1.0, _term_ratios(count, odd)))[:count]
     powers = np.exp(np.multiply.outer(log_c2, np.arange(count)))
     return np.where(
