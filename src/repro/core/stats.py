@@ -154,7 +154,10 @@ def two_sided_p(s: np.ndarray, nu: int) -> np.ndarray:
     rest is below :data:`_TAIL_REST` of it.  One ``cumprod`` of the term
     ratios gives the coefficients ``b_k`` or ``a_k`` that every pair
     shares, the powers are ``exp(k log c**2)``, and each pair's sum is
-    one row of a matrix-vector product.  That product is numpy's own
+    one row of a matrix-vector product.  Below ``s = 0.5``,
+    ``log c**2`` is ``log1p(-s*s)``: the rounding of ``(1 - s)(1 + s)``
+    would break the identity the subtraction relies on by about
+    ``eps / s**2``.  That product is numpy's own
     ``einsum``, not a BLAS ``gemv``, whose low bits change with the BLAS
     thread count.  Working from ``s`` rather than ``t`` keeps
     ``1 - r*r`` from cancelling near ``|r| = 1``.
@@ -169,7 +172,7 @@ def two_sided_p(s: np.ndarray, nu: int) -> np.ndarray:
         scale, head = s, 0.0
     first = float(np.prod(_term_ratios(m, odd))) * c2**m
     tail = scale * first < _TAIL_BELOW * s * s
-    log_c2 = np.log(c2)
+    log_c2 = np.where(s < 0.5, np.log1p(-s * s), np.log(c2))
     count = m
     if tail.any():
         tail_terms = np.log(_TAIL_REST * s[tail] ** 2) / log_c2[tail]

@@ -17,7 +17,7 @@ The guard walks import edges with :mod:`ast` alone, so it never imports
 A module that only tests import is not part of the program: delete it
 together with its tests.
 
-The same walk also guards the runtime dependencies: a module of
+A second :mod:`ast` walk guards the runtime dependencies: a module of
 ``repro`` may import the standard library, ``repro`` and numpy, and
 nothing else, inside functions included.
 """

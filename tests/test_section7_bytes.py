@@ -88,7 +88,7 @@ PINNED_REST = {
         "fig3_trends": "01d18c1e15393960af806014d91df73f2dde7f9defac61845ae634ae4f1f2960",
         "fig4_heatmap": "1307f5cb7a5b64c17eba8941c50013f7e5a0090a7e57fc9a106d47f2afdb23fa",
         "fig5_shares": "80f1d2e4bcebd95cba09d957d985284db37d6658116b89c010f811464f8224c9",
-        "fig6_correlation": "4c7b1c8544077b656a3f54873e0e668ae89f7e1b117334a540a2c04cf8f4b82e",
+        "fig6_correlation": "0d966829aa01f1ddfacb5e987fa6c79ce01a9bbf44f1d7d584eebd766718c6fe",
         "fig12_newkid": "ad2f4248b40bd7b606da0db92720c665892a9110534fd0133fe53a2047fe0beb",
         "fingerprints": "ae9785a9ef58a0ac4018c6fa575f111e492244469123a910b47a26f1586c6a49",
         "conformance": "abae508042c1229c3adbe202ad4a4614b221e9fd27cce9cdfcba59535221b213",
@@ -100,7 +100,7 @@ PINNED_REST = {
         "fig3_trends": "594920e13bd4c7d966c94f5dca16a3edad8c88a6857ae3781abd3d7ba196fee0",
         "fig4_heatmap": "7d21da80b2ffe88a6ae2e2c9e8b2fa40da8026009a346377002e9ab42774ee23",
         "fig5_shares": "417471a0fb2f5f9dab80f1cb41fff1979d2ad682150d2b6fa8029542d02ada72",
-        "fig6_correlation": "4bab4aa13a6f3ba1c6af8877ceebcda5e6c983cb6fd413ad13b8e973b9e6aba3",
+        "fig6_correlation": "da8bfa59ef69998c8b67c692e1f11535e3a48ecacbae6e6ccadb9fef456150be",
         "fig12_newkid": "e1b5e21a3a9da21ef3f094848495224f7146060a14ed0b76b2e2fdad90977732",
         "fingerprints": "d693728657ee0b15533aa9b370fc09b8c3da6d81e5545f873860354b60b928fc",
         "conformance": "134ac4d737adf05b38bfee87ca1266d0f48736d4e86477cc3f54b541fafb5008",
