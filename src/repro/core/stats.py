@@ -154,13 +154,12 @@ def two_sided_p(s: np.ndarray, nu: int) -> np.ndarray:
     rest is below :data:`_TAIL_REST` of it.  One ``cumprod`` of the term
     ratios gives the coefficients ``b_k`` or ``a_k`` that every pair
     shares, the powers are ``exp(k log c**2)``, and each pair's sum is
-    one row of a matrix-vector product.  Below ``s = 0.5``,
-    ``log c**2`` is ``log1p(-s*s)``: the rounding of ``(1 - s)(1 + s)``
-    would break the identity the subtraction relies on by about
-    ``eps / s**2``.  That product is numpy's own
-    ``einsum``, not a BLAS ``gemv``, whose low bits change with the BLAS
-    thread count.  Working from ``s`` rather than ``t`` keeps
-    ``1 - r*r`` from cancelling near ``|r| = 1``.
+    one row of a matrix-vector product: numpy's own ``einsum``, not a
+    BLAS ``gemv``, whose low bits change with the BLAS thread count.
+    Below ``s = 0.5``, ``log c**2`` is ``log1p(-s*s)``: the rounding of
+    ``(1 - s)(1 + s)`` would break the identity the subtraction relies
+    on by about ``eps / s**2``.  Working from ``s`` rather than ``t``
+    keeps ``1 - r*r`` from cancelling near ``|r| = 1``.
     """
     m, odd = divmod(nu, 2)
     c2 = (1.0 - s) * (1.0 + s)
