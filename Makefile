@@ -87,9 +87,11 @@ sweep-stability:
 # The sav-adoption paired what-if on the pinned seed0-small window:
 # asserts the zero-delta fingerprint guarantee and that the baseline leg
 # is a cache hit of the pinned golden study, then writes
-# benchmarks/results/WHATIF_sav.txt (see docs/COUNTERFACTUALS.md).
+# benchmarks/results/WHATIF_sav.txt (see docs/COUNTERFACTUALS.md) and
+# fails if that committed report changed.
 whatif-smoke:
 	python scripts/whatif_smoke.py
+	git diff --exit-code -- benchmarks/results/WHATIF_sav.txt
 
 # Boot the service daemon on an ephemeral port, run a seed0-small study
 # job end-to-end over HTTP, diff the fetched artifact against the batch

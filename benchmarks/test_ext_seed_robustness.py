@@ -9,7 +9,7 @@ every cell: direct path trends up, reflection-amplification peaks in
 intersection stays a small fraction.
 """
 
-from repro.sweep import preset, run_sweep
+from repro.sweep import SweepLedger, preset, run_sweep
 
 SPEC = preset("seed-robustness")
 
@@ -41,7 +41,7 @@ def summarise(cell) -> dict:
 
 def test_ext_seed_robustness(benchmark, report):
     outcome = benchmark.pedantic(
-        lambda: run_sweep(SPEC, jobs=1), rounds=1, iterations=1
+        lambda: run_sweep(SweepLedger(SPEC), jobs=1), rounds=1, iterations=1
     )
     results = {
         cell.seed: summarise(cell) for cell in outcome.report.cells

@@ -51,9 +51,10 @@ sys.path.insert(0, str(REPO / "src"))
 
 import repro.sweep.scheduler as scheduler  # noqa: E402
 from repro.core.artifacts import artifact_json_bytes  # noqa: E402
+from repro.sweep.ledger import SweepLedger  # noqa: E402
 from repro.sweep.presets import preset  # noqa: E402
 from repro.sweep.scheduler import run_sweep  # noqa: E402
-from repro.sweep.spec import expand, spec_fingerprint  # noqa: E402
+from repro.sweep.spec import expand  # noqa: E402
 
 PRESET = "seed0-small"
 WORKERS = 2
@@ -103,15 +104,15 @@ def fail(message: str) -> None:
 
 def serial_baseline(sweep_dir: Path) -> tuple[float, bytes]:
     """Run the preset serially (cache bypassed) and build report bytes."""
-    spec = preset(PRESET)
+    ledger = SweepLedger(preset(PRESET), root=sweep_dir)
     started = time.perf_counter()
-    outcome = run_sweep(spec, jobs=1, cache=False, sweep_dir=sweep_dir)
+    outcome = run_sweep(ledger, jobs=1, cache=False)
     elapsed = time.perf_counter() - started
     document = {
         "kind": "sweep-report",
         "preset": PRESET,
         "sweep_id": outcome.sweep_id,
-        "spec_fingerprint": spec_fingerprint(spec),
+        "spec_fingerprint": ledger.spec_fingerprint,
         "n_cells": outcome.report.n_cells,
         "n_done": len(outcome.report.cells),
         "stopped": False,

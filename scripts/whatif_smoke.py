@@ -12,8 +12,9 @@ and proves the common-random-numbers contract on a real checkout:
    cache entry untouched (same mtime) — the baseline leg was a cache
    hit, not a recomputation;
 4. the detection report is complete, reduces deterministically from the
-   ledger (run bytes == ledger-only `build_detection_report` bytes),
-   and is written to `benchmarks/results/WHATIF_sav.txt`.
+   ledger (run bytes == the bytes `build_detection_report` makes from a
+   fresh `load_report` of the ledger), and is written to
+   `benchmarks/results/WHATIF_sav.txt`.
 
 Exit code 0 means the whole counterfactual path works on this checkout.
 """
@@ -35,6 +36,7 @@ from repro.counterfactual import (  # noqa: E402
     run_whatif,
     whatif_preset,
 )
+from repro.sweep.scheduler import load_report  # noqa: E402
 from repro.sweep.spec import expand  # noqa: E402
 
 OUT = REPO / "benchmarks" / "results" / "WHATIF_sav.txt"
@@ -105,7 +107,7 @@ def main() -> int:
     # 4. the report reduces deterministically from the ledger alone.
     run_bytes = artifact_json_bytes(outcome.report.to_document())
     ledger_bytes = artifact_json_bytes(
-        build_detection_report(pairing).to_document()
+        build_detection_report(pairing, load_report(outcome.sweep.ledger)).to_document()
     )
     if run_bytes != ledger_bytes:
         fail("run-produced and ledger-only detection documents differ")

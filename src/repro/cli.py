@@ -931,6 +931,7 @@ def _command_conformance(args: argparse.Namespace) -> int:
 
 def _command_sweep(args: argparse.Namespace) -> int:
     from repro.sweep import (
+        SweepLedger,
         expand,
         load_report,
         preset,
@@ -989,9 +990,10 @@ def _command_sweep(args: argparse.Namespace) -> int:
         spec = preset(args.preset)
     except KeyError as error:
         raise SystemExit(str(error))
+    ledger = SweepLedger(spec, root=args.cache_dir)
 
     if args.action == "status":
-        status = sweep_status(spec, sweep_dir=args.cache_dir)
+        status = sweep_status(ledger)
         print(f"sweep {status['sweep_id']}")
         print(f"  ledger {status['ledger_path']}")
         print(
@@ -1012,7 +1014,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "report":
-        report = load_report(spec, sweep_dir=args.cache_dir)
+        report = load_report(ledger)
         if not report.complete and not args.allow_partial:
             raise SystemExit(
                 f"sweep {report.sweep_id} has {len(report.cells)}/"
@@ -1038,7 +1040,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
             warm_pool(workers)
         outcome = run_sweep(
-            spec,
+            ledger,
             jobs=args.jobs,
             resume=args.resume,
             cache=False if args.no_cache else None,
@@ -1057,7 +1059,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     # The run-level manifest carries the sweep id with a null cell index;
     # per-cell manifests live under the ledger's cells/ directory.
     return _observed_command(
-        args, "sweep", spec.base, body, sweep=sweep_provenance(spec)
+        args, "sweep", spec.base, body, sweep=sweep_provenance(ledger)
     )
 
 
@@ -1070,7 +1072,8 @@ def _command_whatif(args: argparse.Namespace) -> int:
         run_whatif,
         whatif_preset,
     )
-    from repro.sweep.scheduler import sweep_provenance
+    from repro.sweep.ledger import SweepLedger
+    from repro.sweep.scheduler import load_report, sweep_provenance
     from repro.sweep.spec import expand
     from repro.util.parallel import effective_jobs
 
@@ -1125,9 +1128,10 @@ def _command_whatif(args: argparse.Namespace) -> int:
                 args.out.write_text(report.render() + "\n", encoding="utf-8")
             print(f"wrote {args.out}", file=sys.stderr)
 
+    ledger = SweepLedger(pairing.spec(), root=args.cache_dir)
     if args.action == "report":
         try:
-            report = build_detection_report(pairing, sweep_dir=args.cache_dir)
+            report = build_detection_report(pairing, load_report(ledger))
         except ValueError as error:
             raise SystemExit(str(error))
         emit_report(report)
@@ -1135,7 +1139,6 @@ def _command_whatif(args: argparse.Namespace) -> int:
 
     # action == "run"
     workers = effective_jobs(args.jobs, None)
-    spec = pairing.spec()
 
     def body() -> int:
         if workers > 1:
@@ -1165,7 +1168,7 @@ def _command_whatif(args: argparse.Namespace) -> int:
     # Same manifest convention as sweep run: the run-level manifest
     # carries the pairing's sweep id with a null cell index.
     return _observed_command(
-        args, "whatif", spec.base, body, sweep=sweep_provenance(spec)
+        args, "whatif", pairing.base, body, sweep=sweep_provenance(ledger)
     )
 
 

@@ -24,7 +24,6 @@ import datetime as _dt
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any
 
@@ -34,6 +33,7 @@ from repro.attacks.events import AttackClass
 from repro.core.io import pack_result, unpack_result
 from repro.obs import counter, span
 from repro.observatories.base import Observations
+from repro.util.atomic import atomic_write
 from repro.util.calendar import StudyCalendar
 
 #: Environment variable overriding the cache directory.
@@ -199,16 +199,8 @@ class StudyCache:
             path = self.path_for(fingerprint)
             try:
                 self.root.mkdir(parents=True, exist_ok=True)
-                fd, tmp_name = tempfile.mkstemp(
-                    prefix=path.stem, suffix=".tmp", dir=self.root
-                )
-                try:
-                    with os.fdopen(fd, "wb") as handle:
-                        np.savez(handle, **items)
-                    os.replace(tmp_name, path)
-                except BaseException:
-                    os.unlink(tmp_name)
-                    raise
+                with atomic_write(path) as handle:
+                    np.savez(handle, **items)
             except OSError:
                 return None
             written = path.stat().st_size
@@ -286,16 +278,8 @@ class StudyCache:
             for key, delta in deltas.items():
                 updated[key] = updated.get(key, 0) + int(delta)
             self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                prefix="stats", suffix=".tmp", dir=self.root
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(updated, handle, sort_keys=True)
-                os.replace(tmp_name, self.stats_path)
-            except BaseException:
-                os.unlink(tmp_name)
-                raise
+            with atomic_write(self.stats_path) as handle:
+                handle.write(json.dumps(updated, sort_keys=True).encode("utf-8"))
         except OSError:
             pass
 

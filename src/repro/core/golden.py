@@ -26,7 +26,6 @@ import datetime as _dt
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -35,6 +34,7 @@ import numpy as np
 
 from repro.attacks.events import AttackClass
 from repro.core.cache import config_fingerprint
+from repro.util.atomic import atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (study -> golden)
     from repro.core.study import Study, StudyConfig
@@ -216,14 +216,8 @@ class GoldenStore:
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(name)
         text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
-        fd, tmp_name = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=self.root)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            os.unlink(tmp_name)
-            raise
+        with atomic_write(path) as handle:
+            handle.write((text + "\n").encode("utf-8"))
         return path
 
 

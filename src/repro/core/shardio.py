@@ -31,9 +31,7 @@ from __future__ import annotations
 
 import json
 import mmap
-import os
 import pickle
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +39,7 @@ import numpy as np
 from repro.attacks.events import AttackClass
 from repro.core.io import pack_result, unpack_result
 from repro.observatories.base import Observations
+from repro.util.atomic import atomic_write
 
 #: Format magic; the trailing digits version the layout.
 SHARD_MAGIC = b"RSHARD01"
@@ -90,27 +89,19 @@ def write_shard(
     base = len(SHARD_MAGIC) + 8 + len(header)
     base = -(-base // BLOB_ALIGN) * BLOB_ALIGN  # blobs start aligned too
 
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.stem, suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(SHARD_MAGIC)
-            handle.write(len(header).to_bytes(8, "little"))
-            handle.write(header)
-            cursor = len(SHARD_MAGIC) + 8 + len(header)
-            for entry, blob in zip(directory, blobs):
-                target = base + entry["offset"]
-                handle.write(b"\0" * (target - cursor))
-                handle.write(memoryview(blob).cast("B"))
-                cursor = target + entry["nbytes"]
-            meta_target = base + json.loads(header)["meta_offset"]
-            handle.write(b"\0" * (meta_target - cursor))
-            handle.write(meta_blob)
-        os.replace(tmp_name, path)
-    except BaseException:
-        os.unlink(tmp_name)
-        raise
+    with atomic_write(path) as handle:
+        handle.write(SHARD_MAGIC)
+        handle.write(len(header).to_bytes(8, "little"))
+        handle.write(header)
+        cursor = len(SHARD_MAGIC) + 8 + len(header)
+        for entry, blob in zip(directory, blobs):
+            target = base + entry["offset"]
+            handle.write(b"\0" * (target - cursor))
+            handle.write(memoryview(blob).cast("B"))
+            cursor = target + entry["nbytes"]
+        meta_target = base + json.loads(header)["meta_offset"]
+        handle.write(b"\0" * (meta_target - cursor))
+        handle.write(meta_blob)
     return path
 
 

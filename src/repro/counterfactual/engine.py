@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro import obs
-from repro.counterfactual.divergence import detect
+from repro.counterfactual.divergence import DivergenceSeries, detect
 from repro.counterfactual.report import (
     DetectionReport,
     ObservatoryVerdict,
@@ -37,14 +37,13 @@ from repro.counterfactual.report import (
 )
 from repro.counterfactual.spec import InterventionSpec
 from repro.sweep.ledger import SweepLedger
-from repro.sweep.report import CellResult
-from repro.sweep.scheduler import CellExecutor, SweepOutcome, run_sweep
+from repro.sweep.report import CellResult, SweepReport
+from repro.sweep.scheduler import CellExecutor, SweepOutcome, load_report, run_sweep
 from repro.sweep.spec import (
     Axis,
     AxisPoint,
     ScenarioSpec,
     SweepCell,
-    expand,
     seed_axis,
     spec_fingerprint,
 )
@@ -157,37 +156,36 @@ def run_whatif(
     ``executor`` is forwarded to :func:`~repro.sweep.scheduler.run_sweep`
     (``None`` runs the cells inline).
     """
-    spec = pairing.spec()
-    cells = expand(spec)
+    ledger = SweepLedger(
+        pairing.spec(), root=sweep_dir if sweep_dir is not None else cache_dir
+    )
     progress = {
         "intervention": pairing.intervention.name,
         "strength": float(pairing.strength),
-        "n_cells": len(cells),
+        "n_cells": len(ledger.cells),
         "cells_done": 0,
         "executed": 0,
         "ledger_hits": 0,
         "divergence": None,
     }
 
-    ledger_root = sweep_dir if sweep_dir is not None else cache_dir
     on_cell = None
     if on_progress is not None:
 
         def on_cell(cell: SweepCell, status: str) -> None:
             progress["cells_done"] += 1
             progress["executed" if status == "executed" else "ledger_hits"] += 1
-            progress["divergence"] = _divergence_summary(spec, ledger_root)
+            progress["divergence"] = _divergence_summary(load_report(ledger))
             on_progress(dict(progress))
 
     with obs.span("whatif.run"):
-        obs.gauge("whatif.cells").set(len(cells))
+        obs.gauge("whatif.cells").set(len(ledger.cells))
         sweep_outcome = run_sweep(
-            spec,
+            ledger,
             jobs=jobs,
             resume=resume,
             cache=cache,
             cache_dir=cache_dir,
-            sweep_dir=sweep_dir,
             should_stop=should_stop,
             on_cell=on_cell,
             executor=executor,
@@ -195,7 +193,7 @@ def run_whatif(
         )
         report: DetectionReport | None
         try:
-            report = build_detection_report(pairing, sweep_dir=ledger_root)
+            report = build_detection_report(pairing, sweep_outcome.report)
         except ValueError:
             # Only tolerable when a stop drained the run before any seed
             # finished both legs; a complete run must always reduce.
@@ -206,30 +204,6 @@ def run_whatif(
 
 
 # -- ledger reduction ----------------------------------------------------------
-
-
-def _paired_results(
-    spec: ScenarioSpec, ledger_root: str | Path | None
-) -> tuple[dict[int, CellResult], dict[int, CellResult], int]:
-    """Ledger cells split by leg: ``(baseline, counterfactual, total)``.
-
-    Keys are seeds; only completed cells appear.  ``total`` is the full
-    cell count, so callers can tell a partial pairing from a finished
-    one.
-    """
-    cells = expand(spec)
-    ledger = SweepLedger(spec, root=ledger_root)
-    state = ledger.read()
-    baseline: dict[int, CellResult] = {}
-    counterfactual: dict[int, CellResult] = {}
-    for cell in cells:
-        if cell.index not in state.cells:
-            continue
-        result = CellResult.from_dict(state.cells[cell.index]["result"])
-        leg = cell.label_map.get("leg")
-        target = baseline if leg == BASELINE_LEG else counterfactual
-        target[result.seed] = result
-    return baseline, counterfactual, len(cells)
 
 
 def _weekly_by_seed(
@@ -243,38 +217,55 @@ def _weekly_by_seed(
     }
 
 
-def build_detection_report(
-    pairing: WhatifPairing,
-    *,
-    sweep_dir: str | Path | None = None,
-) -> DetectionReport:
-    """Reduce a pairing's ledger to its :class:`DetectionReport`.
+def _paired_legs(
+    report: SweepReport,
+) -> tuple[
+    dict[int, CellResult],
+    dict[int, CellResult],
+    tuple[int, ...],
+    dict[str, DivergenceSeries],
+]:
+    """A pairing's report split by leg: ``(baseline, counterfactual,
+    paired seeds, divergence)``.
 
-    Works from the ledger alone (pass ``sweep_dir`` to point at it
-    without running anything), so ``whatif report`` never simulates.
-    Seeds missing either leg — a stopped run — are excluded from the
-    divergence comparison and the report is marked partial.  Detection
-    uses :func:`~repro.counterfactual.divergence.detect`'s default
+    Both legs are keyed by seed and hold only completed cells.  The
+    paired seeds are those whose two legs both carry the weekly series;
+    the divergence verdicts compare exactly those seeds, and are empty
+    while no seed is paired.
+    """
+    baseline: dict[int, CellResult] = {}
+    counterfactual: dict[int, CellResult] = {}
+    for result in report.cells:
+        leg = result.labels.get("leg")
+        target = baseline if leg == BASELINE_LEG else counterfactual
+        target[result.seed] = result
+    baseline_weekly = _weekly_by_seed(baseline)
+    counterfactual_weekly = _weekly_by_seed(counterfactual)
+    paired_seeds = tuple(sorted(set(baseline_weekly) & set(counterfactual_weekly)))
+    series = detect(baseline_weekly, counterfactual_weekly) if paired_seeds else {}
+    return baseline, counterfactual, paired_seeds, series
+
+
+def build_detection_report(
+    pairing: WhatifPairing, report: SweepReport
+) -> DetectionReport:
+    """Reduce a pairing's sweep report to its :class:`DetectionReport`.
+
+    ``report`` is the pairing ledger's
+    :func:`~repro.sweep.scheduler.load_report`, built from the ledger
+    alone, so ``whatif report`` never simulates.  Seeds missing either
+    leg — a stopped run — are excluded from the divergence comparison
+    and the report is marked partial.  Detection uses
+    :func:`~repro.counterfactual.divergence.detect`'s default
     thresholds; the report does not record them, so they are fixed.
     """
-    spec = pairing.spec()
-    ledger_root = sweep_dir
     with obs.span("whatif.detect"):
-        baseline, counterfactual, n_cells = _paired_results(spec, ledger_root)
-        baseline_weekly = _weekly_by_seed(baseline)
-        counterfactual_weekly = _weekly_by_seed(counterfactual)
-        paired_seeds = tuple(
-            sorted(set(baseline_weekly) & set(counterfactual_weekly))
-        )
+        baseline, counterfactual, paired_seeds, series = _paired_legs(report)
         if not paired_seeds:
             raise ValueError(
                 f"pairing {pairing.intervention.name!r}: no seed has both "
                 "legs in the ledger yet (run or resume the pairing first)"
             )
-        series = detect(
-            {seed: baseline_weekly[seed] for seed in paired_seeds},
-            {seed: counterfactual_weekly[seed] for seed in paired_seeds},
-        )
         verdicts = tuple(
             ObservatoryVerdict(
                 label=label,
@@ -300,8 +291,8 @@ def build_detection_report(
         reference = baseline[paired_seeds[0]]
         return DetectionReport(
             intervention=pairing.intervention.to_document(pairing.strength),
-            sweep_id=SweepLedger(spec, root=ledger_root).sweep_id,
-            spec_fingerprint=spec_fingerprint(spec),
+            sweep_id=report.sweep_id,
+            spec_fingerprint=report.spec_fingerprint,
             baseline_fingerprints={
                 seed: baseline[seed].config_fingerprint
                 for seed in paired_seeds
@@ -309,27 +300,18 @@ def build_detection_report(
             seeds=paired_seeds,
             window=reference.window,
             n_weeks=reference.n_weeks,
-            complete=len(baseline) + len(counterfactual) == n_cells
+            complete=len(baseline) + len(counterfactual) == report.n_cells
             and set(baseline) == set(counterfactual) == set(pairing.seeds),
             verdicts=verdicts,
         )
 
 
-def _divergence_summary(
-    spec: ScenarioSpec, ledger_root: str | Path | None
-) -> dict[str, Any] | None:
+def _divergence_summary(report: SweepReport) -> dict[str, Any] | None:
     """Running mid-run divergence digest, or ``None`` before any seed
     has both legs — the incremental-progress payload."""
-    baseline, counterfactual, _ = _paired_results(spec, ledger_root)
-    baseline_weekly = _weekly_by_seed(baseline)
-    counterfactual_weekly = _weekly_by_seed(counterfactual)
-    paired_seeds = sorted(set(baseline_weekly) & set(counterfactual_weekly))
+    _, _, paired_seeds, series = _paired_legs(report)
     if not paired_seeds:
         return None
-    series = detect(
-        {seed: baseline_weekly[seed] for seed in paired_seeds},
-        {seed: counterfactual_weekly[seed] for seed in paired_seeds},
-    )
     detections = {
         label: verdict.first_detection_week
         for label, verdict in series.items()

@@ -22,12 +22,12 @@ import json
 import os
 import platform
 import sys
-import tempfile
 from pathlib import Path
 from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import SpanNode, Tracer
+from repro.util.atomic import atomic_write
 
 #: Bumped when the manifest document layout changes.
 MANIFEST_SCHEMA_VERSION = 1
@@ -108,14 +108,9 @@ def write_manifest(path: str | Path, manifest: dict[str, Any]) -> Path:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        os.unlink(tmp_name)
-        raise
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    with atomic_write(path) as handle:
+        handle.write(text.encode("utf-8"))
     return path
 
 

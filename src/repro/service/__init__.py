@@ -26,11 +26,12 @@ worker count.
 
 The load tier (``docs/SERVICE.md``): job bodies run on the persistent
 multi-process warm pool by default (``execution="process"``), artifact
-responses carry content-fingerprint ``ETag`` headers honoured by
-``If-None-Match`` conditional GETs (:mod:`repro.service.hotcache`), and
-large bodies stream in chunks.  The repository benchmark's ``service``
-workload (``perfbench/README.md``) measures the whole stack under
-concurrent clients.
+responses carry content-fingerprint ``ETag`` headers, hashed once beside
+the bytes on the job's :class:`JobResult` and honoured by
+``If-None-Match`` conditional GETs, and large bodies stream in chunks.
+The repository benchmark's ``service`` workload
+(``perfbench/README.md``) measures the whole stack under concurrent
+clients.
 """
 
 from repro.service.app import ROUTES, App, Route
@@ -46,7 +47,6 @@ from repro.service.dist import (
     run_worker,
 )
 from repro.service.openapi import openapi_document
-from repro.service.hotcache import HotArtifactCache
 from repro.service.http import etag_matches, make_etag
 from repro.service.jobs import (
     CANCELLED,
@@ -86,7 +86,6 @@ __all__ = [
     "CoordinatorClient",
     "DistCoordinator",
     "Draining",
-    "HotArtifactCache",
     "Job",
     "JobCancelled",
     "JobManager",

@@ -36,9 +36,9 @@ carry one) — and artifact bytes are returned verbatim from the job
 result, never re-encoded, so the service can only serve what the
 canonical encoder produced.
 
-Artifact responses carry a content-fingerprint ``ETag`` (precomputed by
-the :class:`~repro.service.hotcache.HotArtifactCache` the moment the job
-completes) and honour ``If-None-Match``: a matching conditional GET
+Artifact responses carry a content-fingerprint ``ETag`` (hashed once,
+beside the bytes, when the job's :class:`~repro.service.jobs.JobResult`
+is made) and honour ``If-None-Match``: a matching conditional GET
 answers ``304 Not Modified`` with zero body bytes.  Because artifact
 bytes are canonical and timestamp-free, the tags are also marked
 ``Cache-Control: immutable``.
@@ -59,7 +59,6 @@ from repro.service.dist.protocol import (
     protocol_descriptor,
     validate_message,
 )
-from repro.service.hotcache import HotArtifactCache
 from repro.service.http import (
     BadRequest,
     Request,
@@ -209,13 +208,11 @@ class App:
         self,
         manager: JobManager,
         *,
-        hot_cache: HotArtifactCache | None = None,
         execution: str = "thread",
         coordinator: Any | None = None,
         routes: tuple[Route, ...] = ROUTES,
     ) -> None:
         self.manager = manager
-        self.hot_cache = hot_cache if hot_cache is not None else HotArtifactCache()
         self.execution = execution
         self.coordinator = coordinator
         self.routes = routes
@@ -268,7 +265,6 @@ class App:
             "execution": self.execution,
             "queue_size": manager.queue_size,
             "jobs": manager.counts(),
-            "hot_cache_entries": len(self.hot_cache),
             "role": "coordinator" if self.coordinator is not None else "standalone",
         }
         return Response.json(document)
@@ -358,7 +354,7 @@ class App:
                 f"job {job_id} has no artifact {name!r}; "
                 f"available: {sorted(job.result.artifacts)}",
             )
-        etag = self.hot_cache.etag_for(job_id, name, body)
+        etag = job.result.etags[name]
         conditional = request.headers.get("if-none-match")
         if conditional is not None and etag_matches(conditional, etag):
             obs.counter("service.artifacts.not_modified").inc()

@@ -26,7 +26,6 @@ from typing import Callable
 
 from repro import obs
 from repro.service.app import App
-from repro.service.hotcache import HotArtifactCache
 from repro.service.http import BadRequest, Response, read_request, write_response
 from repro.service.jobs import JobManager
 from repro.service.runners import EXECUTION_MODES, ServiceSettings, make_runner
@@ -127,7 +126,6 @@ async def serve(
             lease_ttl_s=config.lease_ttl_s,
             heartbeat_timeout_s=config.heartbeat_timeout_s,
         )
-    hot_cache = HotArtifactCache()
     if coordinator is not None:
         runner = make_runner(settings, coordinator)
     else:
@@ -137,7 +135,6 @@ async def serve(
         workers=config.workers,
         queue_size=config.queue_size,
         default_timeout_s=config.job_timeout_s,
-        on_done=hot_cache.warm_job,
     )
     manager.start()
     # Warm the persistent worker pool up front: jobs submitted over the
@@ -153,12 +150,7 @@ async def serve(
         if resolved_jobs > 1:
             warm_pool(resolved_jobs)
             log(f"warmed shard worker pool: {resolved_jobs} processes")
-    app = App(
-        manager,
-        hot_cache=hot_cache,
-        execution=config.execution,
-        coordinator=coordinator,
-    )
+    app = App(manager, execution=config.execution, coordinator=coordinator)
 
     async def handle_connection(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter

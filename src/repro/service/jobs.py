@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro import obs
+from repro.service.http import make_etag
 
 #: Job lifecycle states (terminal: done/failed/cancelled/timeout).
 QUEUED = "queued"
@@ -76,6 +77,12 @@ class JobResult:
     artifacts: dict[str, bytes] = field(default_factory=dict)
     #: small JSON-safe summary shown inline in the job document.
     summary: dict[str, Any] = field(default_factory=dict)
+    #: artifact name -> strong ETag of its bytes, hashed once here (in
+    #: the process that ran the body) so no request hashes a body.
+    etags: dict[str, str] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.etags = {name: make_etag(body) for name, body in self.artifacts.items()}
 
 
 class Job:
@@ -174,7 +181,6 @@ class JobManager:
         workers: int = 1,
         queue_size: int = 16,
         default_timeout_s: float | None = None,
-        on_done: Callable[[Job], None] | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
@@ -184,9 +190,6 @@ class JobManager:
         self.workers = workers
         self.queue_size = queue_size
         self.default_timeout_s = default_timeout_s
-        #: called with each job that reaches ``done`` (the daemon warms
-        #: the hot artifact cache here); hook failures never fail jobs.
-        self.on_done = on_done
         self.draining = False
         self._jobs: dict[str, Job] = {}
         self._by_key: dict[str, str] = {}
@@ -395,8 +398,3 @@ class JobManager:
         self._admitted = max(0, self._admitted - 1)
         obs.counter(f"service.jobs.{status}").inc()
         obs.gauge("service.queue.depth").set(self._admitted)
-        if status == DONE and self.on_done is not None:
-            try:
-                self.on_done(job)
-            except Exception:  # noqa: BLE001 - cache warming must not fail jobs
-                obs.counter("service.jobs.on_done_errors").inc()

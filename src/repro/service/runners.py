@@ -51,6 +51,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.service.jobs import Job, JobCancelled, JobResult
+from repro.util.atomic import atomic_write
 
 KINDS = ("study", "sweep", "conformance", "whatif")
 
@@ -291,13 +292,14 @@ def run_sweep_job(job: Job, settings: ServiceSettings, coordinator=None) -> JobR
     hold are leased to dist workers; the body and the bytes are the same.
     """
     from repro.core.artifacts import artifact_json_bytes
+    from repro.sweep.ledger import SweepLedger
     from repro.sweep.presets import preset as sweep_preset
     from repro.sweep.scheduler import run_sweep
-    from repro.sweep.spec import expand
 
-    spec = sweep_preset(job.payload["preset"])
+    root = settings.sweep_dir if settings.sweep_dir is not None else settings.cache_dir
+    ledger = SweepLedger(sweep_preset(job.payload["preset"]), root=root)
     progress = {
-        "n_cells": len(expand(spec)),
+        "n_cells": len(ledger.cells),
         "cells_done": 0,
         "executed": 0,
         "ledger_hits": 0,
@@ -309,12 +311,11 @@ def run_sweep_job(job: Job, settings: ServiceSettings, coordinator=None) -> JobR
         job.set_progress(progress)
 
     outcome = run_sweep(
-        spec,
+        ledger,
         jobs=settings.jobs,
         resume=job.payload["resume"],
         cache=settings.cache,
         cache_dir=settings.cache_dir,
-        sweep_dir=settings.sweep_dir,
         should_stop=lambda: job.cancel_requested,
         on_cell=on_cell,
         executor=_executor(job, coordinator, "sweep-preset"),
@@ -487,10 +488,8 @@ class ProcessJob:
         """Publish progress across the process boundary (atomic write)."""
         if not self.progress_path:
             return
-        tmp = self.progress_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, self.progress_path)
+        with atomic_write(self.progress_path) as handle:
+            handle.write(json.dumps(payload).encode("utf-8"))
 
 
 def _execute_job_body(

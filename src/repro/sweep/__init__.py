@@ -6,20 +6,21 @@ Four layers (see ``docs/SWEEPS.md``):
     :class:`ScenarioSpec` — axes of ``StudyConfig`` overrides expanded
     into deterministic :class:`SweepCell` s.
 :mod:`repro.sweep.ledger`
-    The on-disk JSONL run ledger under the study cache root; interrupted
-    sweeps resume with zero recomputed cells.
+    :class:`SweepLedger` — the on-disk JSONL run ledger under the study
+    cache root, and the one owner of a sweep's identity and cells;
+    interrupted sweeps resume with zero recomputed cells.
 :mod:`repro.sweep.scheduler`
-    :func:`run_sweep` — executes cells through the sharded executor and
-    study cache, appending results to the ledger.
+    :func:`run_sweep` — executes a ledger's cells through the sharded
+    executor and study cache, appending results to the ledger.
 :mod:`repro.sweep.report`
     :class:`SweepReport` — trend-symbol stability fractions, median/IQR
     bands, conformance pass rates.
 
 Quick start::
 
-    from repro.sweep import preset, run_sweep
+    from repro.sweep import SweepLedger, preset, run_sweep
 
-    outcome = run_sweep(preset("smoke"), jobs=2)
+    outcome = run_sweep(SweepLedger(preset("smoke")), jobs=2)
     print(outcome.report.render())
 """
 

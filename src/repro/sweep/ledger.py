@@ -15,14 +15,22 @@ One directory per sweep under ``<cache root>/sweeps/<sweep id>/``:
     A run manifest per cell (:func:`repro.obs.build_manifest`) carrying
     sweep provenance: sweep id, cell index, spec fingerprint.
 
+A :class:`SweepLedger` owns its sweep's identity and cells: it
+fingerprints the spec once, expands it at most once, and every reader
+and writer of the sweep shares that one object.
+
 Reading is tolerant by construction: a truncated trailing line (the
-process died mid-append) is ignored, a header that does not match the
-spec fingerprint invalidates the whole ledger, and any duplicate cell
-index keeps the *first* record so a resumed sweep can never flip an
-already-published result.  The ledger stores everything a report needs
-— building a :class:`~repro.sweep.report.SweepReport` never re-runs a
-simulation, which is what makes interrupted-and-resumed output
-bit-identical to an uninterrupted run.
+process died mid-append) is ignored, and a header that does not match
+the spec fingerprint invalidates the whole ledger.  A cell record counts
+only when its index and config fingerprint match one of the spec's
+cells, and the *first* such record per index wins, so a resumed sweep
+can never flip an already-published result.  A record whose config
+fingerprint no longer matches (the cache schema moved on, or the file
+was edited) is skipped, and its cell runs again.  The ledger stores
+everything a report needs — building a
+:class:`~repro.sweep.report.SweepReport` never re-runs a simulation,
+which is what makes interrupted-and-resumed output bit-identical to an
+uninterrupted run.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -37,8 +46,9 @@ from repro.core.cache import sweeps_root
 from repro.sweep.spec import (
     SWEEP_SCHEMA_VERSION,
     ScenarioSpec,
+    SweepCell,
+    expand,
     spec_fingerprint,
-    sweep_id,
 )
 
 LEDGER_FILE = "ledger.jsonl"
@@ -66,10 +76,15 @@ class SweepLedger:
 
     def __init__(self, spec: ScenarioSpec, root: str | Path | None = None) -> None:
         self.spec = spec
-        self.sweep_id = sweep_id(spec)
         self.spec_fingerprint = spec_fingerprint(spec)
+        self.sweep_id = f"{spec.name}-{self.spec_fingerprint[:12]}"
         self.dir = sweeps_root(root) / self.sweep_id
         self._tail_repaired = False
+
+    @cached_property
+    def cells(self) -> tuple[SweepCell, ...]:
+        """The spec's cells, expanded on first use."""
+        return expand(self.spec)
 
     @property
     def path(self) -> Path:
@@ -87,10 +102,13 @@ class SweepLedger:
     def read(self) -> LedgerState:
         """Parse the ledger, skipping a torn trailing line.
 
+        Keeps the first record per cell whose index and config
+        fingerprint match that cell; any other record is skipped.
         Raises :class:`LedgerMismatch` if the header exists but pins a
         different spec fingerprint or schema — resuming against it would
         mix cells from two different ensembles.
         """
+        fingerprints = {cell.index: cell.config_fingerprint for cell in self.cells}
         header: dict[str, Any] | None = None
         cells: dict[int, dict[str, Any]] = {}
         try:
@@ -111,9 +129,12 @@ class SweepLedger:
             if kind == "sweep" and header is None:
                 header = record
             elif kind == "cell":
-                index = int(record.get("index", -1))
-                if index >= 0:
-                    cells.setdefault(index, record)
+                index = record.get("index")
+                if (
+                    index not in cells
+                    and fingerprints.get(index) == record.get("config_fingerprint")
+                ):
+                    cells[index] = record
         if header is not None:
             if header.get("schema") != SWEEP_SCHEMA_VERSION or header.get(
                 "spec_fingerprint"
@@ -140,7 +161,7 @@ class SweepLedger:
                 except OSError:
                     pass
 
-    def write_header(self, n_cells: int) -> None:
+    def write_header(self) -> None:
         """Start a ledger: directory plus the identifying header record."""
         self.dir.mkdir(parents=True, exist_ok=True)
         self._append(
@@ -150,7 +171,7 @@ class SweepLedger:
                 "sweep_id": self.sweep_id,
                 "name": self.spec.name,
                 "spec_fingerprint": self.spec_fingerprint,
-                "n_cells": int(n_cells),
+                "n_cells": len(self.cells),
             }
         )
 

@@ -1,9 +1,10 @@
-"""The sweep scheduler: expand, resume, execute, aggregate.
+"""The sweep scheduler: resume, execute, aggregate.
 
 :func:`run_sweep` is the one entry point and the only writer of the run
-ledger (:mod:`repro.sweep.ledger`).  It expands a
-:class:`~repro.sweep.spec.ScenarioSpec` into cells, settles the cells
-the ledger already holds as hits, and hands the rest to an *executor*:
+ledger (:mod:`repro.sweep.ledger`).  It takes the
+:class:`~repro.sweep.ledger.SweepLedger` that owns a sweep's cells,
+settles the cells the ledger already holds as hits, and hands the rest
+to an *executor*:
 
 * inline (the default) runs them here, one after another in cell order
   — each cell is a :class:`~repro.core.study.Study` whose simulation
@@ -40,7 +41,7 @@ from repro import obs
 from repro.core.study import Study
 from repro.sweep.ledger import SweepLedger
 from repro.sweep.report import CellResult, SweepReport, extract_cell
-from repro.sweep.spec import ScenarioSpec, SweepCell, expand
+from repro.sweep.spec import SweepCell
 from repro.util.parallel import effective_jobs
 
 Log = Callable[[str], None]
@@ -73,20 +74,9 @@ class SweepOutcome:
     #: ledger stays resumable (re-run with ``resume=True`` to finish).
     stopped: bool = False
 
-    @property
-    def n_cells(self) -> int:
-        return len(self.executed) + len(self.ledger_hits)
 
-
-def sweep_provenance(
-    spec_or_ledger: ScenarioSpec | SweepLedger, cell_index: int | None = None
-) -> dict:
+def sweep_provenance(ledger: SweepLedger, cell_index: int | None = None) -> dict:
     """The manifest provenance block: sweep id, cell index, spec print."""
-    ledger = (
-        spec_or_ledger
-        if isinstance(spec_or_ledger, SweepLedger)
-        else SweepLedger(spec_or_ledger)
-    )
     return {
         "sweep_id": ledger.sweep_id,
         "cell_index": cell_index,
@@ -144,13 +134,12 @@ def _execute_inline(
 
 
 def run_sweep(
-    spec: ScenarioSpec,
+    ledger: SweepLedger,
     *,
     jobs: int | None = 1,
     resume: bool = True,
     cache: bool | None = None,
     cache_dir: str | Path | None = None,
-    sweep_dir: str | Path | None = None,
     should_stop: Callable[[], bool] | None = None,
     on_cell: Callable[[SweepCell, str], None] | None = None,
     executor: CellExecutor | None = None,
@@ -158,12 +147,12 @@ def run_sweep(
 ) -> SweepOutcome:
     """Run (or resume) a sweep to completion and aggregate it.
 
-    ``resume=True`` replays completed cells from the ledger without
-    recomputation; ``resume=False`` resets the ledger first.  ``jobs``
-    shards each cell's simulation.  ``cache``/``cache_dir`` are
-    forwarded to each cell's :class:`~repro.core.study.Study`;
-    ``sweep_dir`` overrides where the ledger lives (default: the study
-    cache root).
+    ``ledger`` names the sweep and where its records live
+    (``SweepLedger(spec, root=...)``).  ``resume=True`` replays
+    completed cells from the ledger without recomputation;
+    ``resume=False`` resets the ledger first.  ``jobs`` shards each
+    cell's simulation.  ``cache``/``cache_dir`` are forwarded to each
+    cell's :class:`~repro.core.study.Study`.
 
     ``executor`` runs the cells the ledger does not hold.  ``None``
     runs them inline, sequentially in cell order, with a run manifest
@@ -185,9 +174,7 @@ def run_sweep(
     incremental job status) use to publish progress.  Hook failures
     propagate: a caller's progress callback is part of the run.
     """
-    cells = expand(spec)
-    ledger_root = sweep_dir if sweep_dir is not None else cache_dir
-    ledger = SweepLedger(spec, root=ledger_root)
+    cells = ledger.cells
     outcome = SweepOutcome(sweep_id=ledger.sweep_id, ledger=ledger)
 
     def stop() -> bool:
@@ -206,27 +193,22 @@ def run_sweep(
             ledger.reset()
         state = ledger.read()
         if state.header is None:
-            ledger.write_header(len(cells))
+            ledger.write_header()
         log(
             f"sweep {ledger.sweep_id}: {len(cells)} cells, "
-            f"{len(state.completed & {c.index for c in cells})} already in ledger, "
+            f"{len(state.cells)} already in ledger, "
             f"jobs {effective_jobs(jobs, None)}"
         )
         for cell in cells:
             if stop():
                 return
-            record = state.cells.get(cell.index)
-            if record is not None:
-                if record.get("config_fingerprint") == cell.config_fingerprint:
-                    outcome.ledger_hits.append(cell.index)
-                    obs.counter("sweep.cells.ledger_hits").inc()
-                    log(f"cell {cell.index} [{cell.describe()}]: ledger hit")
-                    if on_cell is not None:
-                        on_cell(cell, "ledger-hit")
-                    continue
-                # Defensive: ledger passed fingerprint validation, so a
-                # per-cell mismatch means a hand-edited file; recompute.
-                log(f"cell {cell.index}: ledger record stale, re-running")
+            if cell.index in state.cells:
+                outcome.ledger_hits.append(cell.index)
+                obs.counter("sweep.cells.ledger_hits").inc()
+                log(f"cell {cell.index} [{cell.describe()}]: ledger hit")
+                if on_cell is not None:
+                    on_cell(cell, "ledger-hit")
+                continue
             yield cell
 
     if executor is None:
@@ -256,60 +238,50 @@ def run_sweep(
             )
             if on_cell is not None:
                 on_cell(cell, "executed")
-    outcome.report = load_report(spec, sweep_dir=ledger_root)
+    outcome.report = load_report(ledger)
     return outcome
 
 
-def sweep_status(
-    spec: ScenarioSpec, *, sweep_dir: str | Path | None = None
-) -> dict:
+def sweep_status(ledger: SweepLedger) -> dict:
     """Ledger-only progress view (never simulates)."""
-    cells = expand(spec)
-    ledger = SweepLedger(spec, root=sweep_dir)
     state = ledger.read()
-    done = sorted(index for index in state.completed if index < len(cells))
-    pending = [cell.index for cell in cells if cell.index not in state.completed]
     return {
         "sweep_id": ledger.sweep_id,
         "spec_fingerprint": ledger.spec_fingerprint,
         "ledger_path": str(ledger.path),
-        "n_cells": len(cells),
-        "done": done,
-        "pending": pending,
+        "n_cells": len(ledger.cells),
+        "done": sorted(state.cells),
+        "pending": [
+            cell.index for cell in ledger.cells if cell.index not in state.cells
+        ],
         "cells": [
             {
                 "index": cell.index,
                 "cell_id": cell.cell_id,
                 "labels": cell.label_map,
-                "status": "done" if cell.index in state.completed else "pending",
+                "status": "done" if cell.index in state.cells else "pending",
                 "elapsed_s": state.cells.get(cell.index, {}).get("elapsed_s"),
             }
-            for cell in cells
+            for cell in ledger.cells
         ],
     }
 
 
-def load_report(
-    spec: ScenarioSpec, *, sweep_dir: str | Path | None = None
-) -> SweepReport:
+def load_report(ledger: SweepLedger) -> SweepReport:
     """Build the sweep report from the ledger alone.
 
     Every report — mid-flight, post-resume, or after an uninterrupted
     run — comes through here, which is what makes the rendered output
     independent of how the sweep reached completion.
     """
-    cells = expand(spec)
-    ledger = SweepLedger(spec, root=sweep_dir)
     state = ledger.read()
-    results = [
-        CellResult.from_dict(state.cells[cell.index]["result"])
-        for cell in cells
-        if cell.index in state.cells
-    ]
     return SweepReport(
-        name=spec.name,
+        name=ledger.spec.name,
         sweep_id=ledger.sweep_id,
         spec_fingerprint=ledger.spec_fingerprint,
-        n_cells=len(cells),
-        cells=results,
+        n_cells=len(ledger.cells),
+        cells=[
+            CellResult.from_dict(state.cells[index]["result"])
+            for index in sorted(state.cells)
+        ],
     )

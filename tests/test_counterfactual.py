@@ -40,6 +40,7 @@ from repro.obs import load_manifest, validate_manifest
 from repro.observatories.tuning import ObservatoryTuning
 from repro.scenarios.config import BooterTakedownScenario, ScenarioConfig
 from repro.sweep.ledger import SweepLedger
+from repro.sweep.scheduler import load_report
 from repro.sweep.spec import expand
 from repro.util.calendar import StudyCalendar
 
@@ -314,6 +315,37 @@ class TestEngine:
             assert not verdict.flipped
         assert report.detected() == []
 
+    def test_warm_run_expands_once_and_parses_the_ledger_twice(
+        self, tmp_path, monkeypatch
+    ):
+        """A warm re-run reads the ledger once to settle its hits and once
+        for the report, and expands the spec once; the detection report
+        reduces the sweep report instead of reading the ledger again."""
+        import repro.sweep.spec as spec_module
+
+        pairing = WhatifPairing(intervention=TINY, base=_base(), seeds=(0, 1))
+        run_whatif(pairing, sweep_dir=tmp_path)
+
+        reads, fingerprints = [], []
+        read, fingerprint = SweepLedger.read, spec_module.config_fingerprint
+
+        def counted_read(ledger):
+            reads.append(ledger.sweep_id)
+            return read(ledger)
+
+        def counted_fingerprint(config):
+            fingerprints.append(config)
+            return fingerprint(config)
+
+        monkeypatch.setattr(SweepLedger, "read", counted_read)
+        monkeypatch.setattr(spec_module, "config_fingerprint", counted_fingerprint)
+        warm = run_whatif(pairing, sweep_dir=tmp_path)
+        assert warm.sweep.ledger_hits == [0, 1, 2, 3]
+        assert warm.report.complete
+        assert len(reads) == 2
+        # expand() fingerprints each of the four cells once.
+        assert len(fingerprints) == 4
+
     def test_stop_then_resume_completes_the_pairing(self, tmp_path):
         calls = iter([False, True])
         pairing = WhatifPairing(intervention=TINY, base=_base())
@@ -325,7 +357,7 @@ class TestEngine:
         # One leg in the ledger: nothing to compare yet.
         assert stopped.report is None
         with pytest.raises(ValueError, match="no seed has both legs"):
-            build_detection_report(pairing, sweep_dir=tmp_path)
+            build_detection_report(pairing, load_report(stopped.sweep.ledger))
 
         resumed = run_whatif(pairing, sweep_dir=tmp_path)
         assert not resumed.stopped
@@ -337,7 +369,9 @@ class TestEngine:
         # `whatif report` works from the ledger alone, byte-identically.
         from repro.core.artifacts import artifact_json_bytes
 
-        offline = build_detection_report(pairing, sweep_dir=tmp_path)
+        offline = build_detection_report(
+            pairing, load_report(SweepLedger(pairing.spec(), root=tmp_path))
+        )
         assert artifact_json_bytes(offline.to_document()) == artifact_json_bytes(
             resumed.report.to_document()
         )
@@ -409,8 +443,9 @@ class TestCli:
 
         from repro.core.artifacts import artifact_json_bytes
 
+        pairing = _tiny_preset().pairing()
         library = build_detection_report(
-            _tiny_preset().pairing(), sweep_dir=tmp_path
+            pairing, load_report(SweepLedger(pairing.spec(), root=tmp_path))
         )
         assert artifact_json_bytes(library.to_document()) == run_bytes
 

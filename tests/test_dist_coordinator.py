@@ -451,8 +451,7 @@ class TestResume:
 
         def sweep(coordinator, should_stop=None):
             return run_sweep(
-                spec,
-                sweep_dir=tmp_path,
+                SweepLedger(spec, root=tmp_path),
                 should_stop=should_stop,
                 executor=partial(coordinator.execute, smoke_descriptor()),
             )
@@ -492,5 +491,5 @@ class TestResume:
         assert resumed.ledger_hits == [0, 1]
         assert resumed.executed == [2, 3]
         assert resumed.report.complete
-        serial = run_sweep(spec, sweep_dir=tmp_path / "serial")
+        serial = run_sweep(SweepLedger(spec, root=tmp_path / "serial"))
         assert resumed.report.render() == serial.report.render()

@@ -79,7 +79,9 @@ def test_sigkilled_worker_never_changes_the_bytes(tmp_path):
     from repro.sweep.scheduler import run_sweep
 
     spec = preset("smoke")
-    serial = run_sweep(spec, jobs=1, sweep_dir=tmp_path / "serial", cache=False)
+    serial = run_sweep(
+        SweepLedger(spec, root=tmp_path / "serial"), jobs=1, cache=False
+    )
     expected = artifact_json_bytes(
         {
             "kind": "sweep-report",
@@ -196,7 +198,9 @@ def test_restarted_coordinator_resumes_from_the_ledger(tmp_path):
     from repro.sweep.scheduler import run_sweep
 
     spec = preset("smoke")
-    serial = run_sweep(spec, jobs=1, sweep_dir=tmp_path / "serial", cache=False)
+    serial = run_sweep(
+        SweepLedger(spec, root=tmp_path / "serial"), jobs=1, cache=False
+    )
     expected = artifact_json_bytes(
         {
             "kind": "sweep-report",

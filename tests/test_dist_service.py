@@ -20,6 +20,7 @@ from repro.service.dist import (
     WorkerConfig,
     run_worker,
 )
+from repro.sweep.ledger import SweepLedger
 from repro.sweep.presets import preset
 from repro.sweep.spec import spec_fingerprint
 
@@ -140,7 +141,7 @@ class TestDistributedSweep:
 
         spec = preset("smoke")
         serial = run_sweep(
-            spec, jobs=1, sweep_dir=tmp_path / "serial", cache=False
+            SweepLedger(spec, root=tmp_path / "serial"), jobs=1, cache=False
         )
         expected = artifact_json_bytes(
             {

@@ -519,12 +519,13 @@ class TestSweepJobs:
         serial ``run_sweep`` document, and every settled cell published
         progress."""
         from repro.core.artifacts import artifact_json_bytes
+        from repro.sweep.ledger import SweepLedger
         from repro.sweep.presets import preset
         from repro.sweep.scheduler import run_sweep
         from repro.sweep.spec import spec_fingerprint
 
         spec = preset("smoke")
-        serial = run_sweep(spec, sweep_dir=tmp_path / "serial")
+        serial = run_sweep(SweepLedger(spec, root=tmp_path / "serial"))
         expected = artifact_json_bytes(
             {
                 "kind": "sweep-report",
@@ -672,9 +673,12 @@ class TestWhatifJobs:
         # canonical bytes for the same ledger.
         from repro.core.artifacts import artifact_json_bytes
         from repro.counterfactual import build_detection_report, whatif_preset
+        from repro.sweep.ledger import SweepLedger
+        from repro.sweep.scheduler import load_report
 
+        pairing = whatif_preset("tiny-service-floor")
         report = build_detection_report(
-            whatif_preset("tiny-service-floor"), sweep_dir=tmp_path
+            pairing, load_report(SweepLedger(pairing.spec(), root=tmp_path))
         )
         assert scenario.raw == artifact_json_bytes(report.to_document())
 

@@ -64,34 +64,34 @@ SPEC4 = ScenarioSpec(
 
 class TestRunAndResume:
     def test_run_executes_all_then_resumes_from_ledger(self, tmp_path):
-        first = run_sweep(SPEC2, jobs=1, sweep_dir=tmp_path)
+        first = run_sweep(SweepLedger(SPEC2, root=tmp_path), jobs=1)
         assert first.executed == [0, 1]
         assert first.ledger_hits == []
         assert first.report.complete
 
-        second = run_sweep(SPEC2, jobs=1, sweep_dir=tmp_path)
+        second = run_sweep(SweepLedger(SPEC2, root=tmp_path), jobs=1)
         assert second.executed == []
         assert second.ledger_hits == [0, 1]
         assert second.report.render() == first.report.render()
 
     def test_resume_false_resets_the_ledger(self, tmp_path):
-        run_sweep(SPEC2, jobs=1, sweep_dir=tmp_path)
-        fresh = run_sweep(SPEC2, jobs=1, resume=False, sweep_dir=tmp_path)
+        run_sweep(SweepLedger(SPEC2, root=tmp_path), jobs=1)
+        fresh = run_sweep(SweepLedger(SPEC2, root=tmp_path), jobs=1, resume=False)
         assert fresh.executed == [0, 1]
         assert fresh.ledger_hits == []
 
     def test_report_independent_of_jobs(self, tmp_path):
-        serial = run_sweep(SPEC2, jobs=1, sweep_dir=tmp_path / "a")
-        sharded = run_sweep(SPEC2, jobs=2, sweep_dir=tmp_path / "b")
+        serial = run_sweep(SweepLedger(SPEC2, root=tmp_path / "a"), jobs=1)
+        sharded = run_sweep(SweepLedger(SPEC2, root=tmp_path / "b"), jobs=2)
         assert serial.report.cells == sharded.report.cells
         assert serial.report.render() == sharded.report.render()
 
     def test_status_tracks_progress(self, tmp_path):
-        before = sweep_status(SPEC2, sweep_dir=tmp_path)
+        before = sweep_status(SweepLedger(SPEC2, root=tmp_path))
         assert before["done"] == []
         assert before["pending"] == [0, 1]
-        run_sweep(SPEC2, jobs=1, sweep_dir=tmp_path)
-        after = sweep_status(SPEC2, sweep_dir=tmp_path)
+        run_sweep(SweepLedger(SPEC2, root=tmp_path), jobs=1)
+        after = sweep_status(SweepLedger(SPEC2, root=tmp_path))
         assert after["done"] == [0, 1]
         assert after["pending"] == []
         assert all(cell["status"] == "done" for cell in after["cells"])
@@ -101,7 +101,7 @@ class TestRunAndResume:
 
         from repro.obs import validate_manifest
 
-        outcome = run_sweep(SPEC2, jobs=1, sweep_dir=tmp_path)
+        outcome = run_sweep(SweepLedger(SPEC2, root=tmp_path), jobs=1)
         schema = json.loads(
             (Path(__file__).parent / "manifest_schema.json").read_text()
         )
@@ -117,12 +117,12 @@ class TestRunAndResume:
             }
 
     def test_partial_report_from_ledger_only(self, tmp_path):
-        run_sweep(SPEC2, jobs=1, sweep_dir=tmp_path)
+        run_sweep(SweepLedger(SPEC2, root=tmp_path), jobs=1)
         # Drop one record to fake a half-done sweep.
         ledger = SweepLedger(SPEC2, root=tmp_path)
         lines = ledger.path.read_text().splitlines()
         ledger.path.write_text("\n".join(lines[:2]) + "\n", encoding="utf-8")
-        report = load_report(SPEC2, sweep_dir=tmp_path)
+        report = load_report(ledger)
         assert not report.complete
         assert len(report.cells) == 1
         assert "PARTIAL" in report.render()
@@ -135,9 +135,8 @@ class TestStopAndResume:
     def test_stop_then_resume_never_recomputes_completed_cells(self, tmp_path):
         calls = iter([False, True])
         stopped = run_sweep(
-            SPEC2,
+            SweepLedger(SPEC2, root=tmp_path),
             jobs=1,
-            sweep_dir=tmp_path,
             should_stop=lambda: next(calls),
         )
         assert stopped.stopped
@@ -147,7 +146,7 @@ class TestStopAndResume:
 
         record_before = SweepLedger(SPEC2, root=tmp_path).read().cells[0]
 
-        resumed = run_sweep(SPEC2, jobs=1, resume=True, sweep_dir=tmp_path)
+        resumed = run_sweep(SweepLedger(SPEC2, root=tmp_path), jobs=1, resume=True)
         assert not resumed.stopped
         # The cell completed before the stop replays as a ledger hit —
         # the stop poll sits before the ledger check, so nothing that
@@ -159,13 +158,13 @@ class TestStopAndResume:
         # The pre-stop record survived the resume byte-for-byte, and the
         # stitched report matches an uninterrupted run exactly.
         assert SweepLedger(SPEC2, root=tmp_path).read().cells[0] == record_before
-        baseline = run_sweep(SPEC2, jobs=1, sweep_dir=tmp_path / "baseline")
+        baseline = run_sweep(SweepLedger(SPEC2, root=tmp_path / "baseline"), jobs=1)
         assert resumed.report.render() == baseline.report.render()
         assert resumed.report.cells == baseline.report.cells
 
     def test_stop_before_first_cell_runs_nothing(self, tmp_path):
         stopped = run_sweep(
-            SPEC2, jobs=1, sweep_dir=tmp_path, should_stop=lambda: True
+            SweepLedger(SPEC2, root=tmp_path), jobs=1, should_stop=lambda: True
         )
         assert stopped.stopped
         assert stopped.executed == []
@@ -174,21 +173,54 @@ class TestStopAndResume:
     def test_on_cell_reports_how_each_cell_settled(self, tmp_path):
         events: list[tuple[int, str]] = []
         run_sweep(
-            SPEC2,
+            SweepLedger(SPEC2, root=tmp_path),
             jobs=1,
-            sweep_dir=tmp_path,
             on_cell=lambda cell, status: events.append((cell.index, status)),
         )
         assert events == [(0, "executed"), (1, "executed")]
 
         events.clear()
         run_sweep(
-            SPEC2,
+            SweepLedger(SPEC2, root=tmp_path),
             jobs=1,
-            sweep_dir=tmp_path,
             on_cell=lambda cell, status: events.append((cell.index, status)),
         )
         assert events == [(0, "ledger-hit"), (1, "ledger-hit")]
+
+
+class TestStaleRecord:
+    """A record whose config fingerprint no longer matches its cell (the
+    cache schema moved on, or the file was edited) is skipped: its cell
+    runs once more, the new record is the one reported, and the next
+    resume is all ledger hits."""
+
+    def test_stale_record_reruns_once_and_is_not_reported(self, tmp_path):
+        import json
+
+        baseline = run_sweep(SweepLedger(SPEC2, root=tmp_path / "baseline"), jobs=1)
+        ledger = SweepLedger(SPEC2, root=tmp_path / "stale")
+        run_sweep(ledger, jobs=1)
+        lines = ledger.path.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        stale = next(r for r in records if r["kind"] == "cell" and r["index"] == 0)
+        stale["config_fingerprint"] = "0" * 64
+        for trend in stale["result"]["trends"].values():
+            trend["change"] = 123.0
+        ledger.path.write_text(
+            "".join(json.dumps(record) + "\n" for record in records),
+            encoding="utf-8",
+        )
+
+        resumed = run_sweep(ledger, jobs=1)
+        assert resumed.executed == [0]
+        assert resumed.ledger_hits == [1]
+        assert resumed.report.cells == baseline.report.cells
+        assert resumed.report.render() == baseline.report.render()
+
+        again = run_sweep(ledger, jobs=1)
+        assert again.executed == []
+        assert again.ledger_hits == [0, 1]
+        assert again.report.cells == baseline.report.cells
 
 
 _CHILD = """
@@ -196,9 +228,9 @@ import sys
 
 from test_sweep_run import SPEC4
 
-from repro.sweep import run_sweep
+from repro.sweep import SweepLedger, run_sweep
 
-run_sweep(SPEC4, jobs=1, cache=False, sweep_dir=sys.argv[1])
+run_sweep(SweepLedger(SPEC4, root=sys.argv[1]), jobs=1, cache=False)
 """
 
 
@@ -241,7 +273,7 @@ class TestKillAndResume:
             index: record for index, record in ledger.read().cells.items()
         }
 
-        outcome = run_sweep(SPEC4, jobs=2, resume=True, sweep_dir=sweep_dir)
+        outcome = run_sweep(ledger, jobs=2, resume=True)
         assert set(outcome.ledger_hits) == completed_before
         assert set(outcome.executed) == set(range(4)) - completed_before
         assert outcome.executed, "resume had nothing left to do"
@@ -253,7 +285,7 @@ class TestKillAndResume:
             assert records_after[index] == records_before[index]
 
         # The resumed report matches an uninterrupted run exactly.
-        baseline = run_sweep(SPEC4, jobs=1, sweep_dir=tmp_path / "baseline")
+        baseline = run_sweep(SweepLedger(SPEC4, root=tmp_path / "baseline"), jobs=1)
         assert baseline.report.render() == outcome.report.render()
         assert baseline.report.cells == outcome.report.cells
 
@@ -266,7 +298,7 @@ class TestTornRecord:
     @pytest.fixture(scope="class")
     def finished(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("torn-baseline")
-        return root, run_sweep(SPEC2, jobs=1, sweep_dir=root).report.render()
+        return root, run_sweep(SweepLedger(SPEC2, root=root), jobs=1).report.render()
 
     @pytest.mark.parametrize("cut", ["1", "middle", "length-1"])
     def test_resume_reruns_only_the_torn_cell(self, finished, tmp_path, cut):
@@ -279,11 +311,11 @@ class TestTornRecord:
         ledger.path.write_bytes(b"".join(head) + record[: keep[cut]])
         assert ledger.read().completed == {0}
 
-        resumed = run_sweep(SPEC2, jobs=1, resume=True, sweep_dir=tmp_path)
+        resumed = run_sweep(ledger, jobs=1, resume=True)
         assert resumed.ledger_hits == [0]
         assert resumed.executed == [1]
         assert resumed.report.render() == baseline_report
 
-        again = run_sweep(SPEC2, jobs=1, resume=True, sweep_dir=tmp_path)
+        again = run_sweep(ledger, jobs=1, resume=True)
         assert again.executed == []
         assert again.report.render() == baseline_report
