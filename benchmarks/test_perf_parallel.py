@@ -112,7 +112,7 @@ def test_perf_cache_warm_load(benchmark, report, tmp_path):
     report(
         "PERF_cache",
         "Result cache - cold simulate vs warm load\n\n"
-        f"entry: study-{fingerprint[:12]}....npz ({size_mb:.1f} MB)\n"
+        f"entry: study-{fingerprint[:12]}....shard ({size_mb:.1f} MB)\n"
         f"  cold (simulate + store)  {cold_s:6.2f}s\n"
         f"  warm (load)              {warm_s:6.3f}s   "
         f"({cold_s / warm_s:.0f}x faster)",

@@ -9,12 +9,15 @@ it, so a second run with the same :class:`~repro.core.study.StudyConfig`
 loads in milliseconds and *any* config change (seed, calendar, generator
 parameters, ...) misses automatically.
 
-Layout: one ``study-<fingerprint>.npz`` per config under the cache root.
-The root resolves, in order, to ``$REPRO_CACHE_DIR``,
-``$XDG_CACHE_HOME/repro``, or ``~/.cache/repro``.  Writes are atomic
-(temp file + rename) and loads treat any unreadable or mismatched file as
-a miss, falling back to re-simulation — a corrupted cache can cost time,
-never correctness.
+Layout: one ``study-<fingerprint>.shard`` per config under the cache
+root, in the columnar file format of :mod:`repro.core.shardio` with
+``{schema, fingerprint, observatories}`` in its header.  A load maps the
+file and wraps its columns without copying them.  The root resolves, in
+order, to ``$REPRO_CACHE_DIR``, ``$XDG_CACHE_HOME/repro``, or
+``~/.cache/repro``.  Entries are written atomically and only ever
+replaced by rename (a study may still map the old file), and loads treat
+any unreadable, corrupted or mismatched file as a miss, falling back to
+re-simulation — a corrupted cache can cost time, never correctness.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from repro.attacks.events import AttackClass
-from repro.core.io import pack_result, unpack_result
+from repro.core.shardio import read_result, write_result
 from repro.obs import counter, span
 from repro.observatories.base import Observations
 from repro.util.atomic import atomic_write
@@ -50,8 +53,6 @@ CACHE_DISABLE_ENV = "REPRO_NO_CACHE"
 #: target/vector draws consume different RNG variates than the per-event
 #: loops they replaced).
 CACHE_SCHEMA_VERSION = 3
-
-_META_KEY = "__meta__"
 
 #: Persistent cache-activity counters, kept next to the entries so
 #: ``ddoscovery cache info`` can report hit rates across processes.
@@ -169,7 +170,7 @@ class StudyCache:
 
     def path_for(self, fingerprint: str) -> Path:
         """The cache file for a config fingerprint."""
-        return self.root / f"study-{fingerprint}.npz"
+        return self.root / f"study-{fingerprint}.shard"
 
     # -- store / load -----------------------------------------------------------
 
@@ -186,21 +187,15 @@ class StudyCache:
         in memory).
         """
         with span("cache.store"):
-            items = pack_result(sinks, ground_truth)
-            items[_META_KEY] = np.array(
-                json.dumps(
-                    {
-                        "schema": CACHE_SCHEMA_VERSION,
-                        "fingerprint": fingerprint,
-                        "observatories": sorted(sinks),
-                    }
-                )
-            )
+            meta = {
+                "schema": CACHE_SCHEMA_VERSION,
+                "fingerprint": fingerprint,
+                "observatories": sorted(sinks),
+            }
             path = self.path_for(fingerprint)
             try:
                 self.root.mkdir(parents=True, exist_ok=True)
-                with atomic_write(path) as handle:
-                    np.savez(handle, **items)
+                write_result(path, sinks, ground_truth, meta=meta)
             except OSError:
                 return None
             written = path.stat().st_size
@@ -214,22 +209,21 @@ class StudyCache:
     ) -> tuple[dict[str, Observations], dict[AttackClass, np.ndarray]] | None:
         """Load one simulation result, or ``None`` on miss.
 
-        Any failure — missing file, truncated archive, schema or
-        fingerprint mismatch, bad column shapes — is a miss.
+        Any failure — missing file, checksum mismatch, truncated or
+        foreign file, schema or fingerprint mismatch, bad column shapes —
+        is a miss.
         """
         path = self.path_for(fingerprint)
         with span("cache.load"):
             try:
-                with np.load(path, allow_pickle=False) as data:
-                    meta = json.loads(str(data[_META_KEY]))
-                    if meta.get("schema") != CACHE_SCHEMA_VERSION:
-                        return self._miss()
-                    if meta.get("fingerprint") != fingerprint:
-                        return self._miss()
-                    sinks, ground_truth = unpack_result(data)
-                    if sorted(sinks) != meta.get("observatories"):
-                        return self._miss()
+                (sinks, ground_truth), meta, _ = read_result(path)
             except Exception:  # noqa: BLE001 - any unreadable entry is a miss
+                return self._miss()
+            if (
+                meta.get("schema") != CACHE_SCHEMA_VERSION
+                or meta.get("fingerprint") != fingerprint
+                or sorted(sinks) != meta.get("observatories")
+            ):
                 return self._miss()
             read = path.stat().st_size
             counter("cache.hits").inc()
@@ -289,14 +283,16 @@ class StudyCache:
         """All cache files under the root (sorted for stable listings)."""
         if not self.root.is_dir():
             return []
-        return sorted(self.root.glob("study-*.npz"))
+        return sorted(self.root.glob("study-*.shard"))
 
     def clear(self) -> int:
         """Delete every cache entry (and the activity stats); returns the
         number of entries removed.
 
-        Also removes the ``*.tmp`` files a writer killed between its temp
-        file and the rename leaves behind; they are not entries.
+        Also removes, without counting them as entries, the ``*.tmp``
+        files a writer killed between its temp file and the rename leaves
+        behind and the ``study-*.npz`` entries of earlier versions, which
+        nothing reads any more.
         """
         removed = 0
         for path in self.entries():
@@ -305,7 +301,11 @@ class StudyCache:
                 removed += 1
             except OSError:
                 continue
-        leftovers = sorted(self.root.glob("*.tmp")) if self.root.is_dir() else []
+        leftovers = (
+            [*self.root.glob("*.tmp"), *self.root.glob("study-*.npz")]
+            if self.root.is_dir()
+            else []
+        )
         for path in [*leftovers, self.stats_path]:
             try:
                 path.unlink()

@@ -1,4 +1,4 @@
-"""Data interchange: observatory records as CSV and npz items.
+"""Data interchange: observatory records as CSV and flat column mappings.
 
 The analysis toolkit is simulation-agnostic — these helpers let a real
 attack feed (daily attack records) flow into the same pipeline, and let
@@ -11,11 +11,11 @@ Formats:
   0-based study-day index, ``target`` a dotted-quad IPv4 address,
   ``vector`` a catalogue name (see :mod:`repro.attacks.vectors`);
   ``duration`` (seconds) may be empty for feeds that do not report it.
-* **columnar npz items** — flat ``{key: array}`` mappings packing many
+* **flat column mappings** — ``{key: array}`` mappings packing many
   observatories' records for binary storage; :func:`pack_result` adds the
-  weekly ground truth, the one simulation-result layout the on-disk study
-  cache (:mod:`repro.core.cache`) and the shard transport
-  (:mod:`repro.core.shardio`) both store.
+  weekly ground truth, the one simulation-result layout that the columnar
+  file format of :mod:`repro.core.shardio` stores, for the on-disk study
+  cache (:mod:`repro.core.cache`) and the shard transport alike.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from repro.observatories.base import OBSERVATION_COLUMNS, Observations
 
 _RECORD_FIELDS = ("day", "target", "attack_class", "vector", "spoofed", "bps", "duration")
 
-#: Separator in flat npz item keys: ``obs::<observatory>::<column>``.
-_NPZ_SEP = "::"
-_NPZ_PREFIX = "obs"
+#: Separator in flat column keys: ``obs::<observatory>::<column>``.
+_KEY_SEP = "::"
+_OBS_PREFIX = "obs"
 #: Key prefix of the weekly ground-truth columns: ``truth::<class>``.
 _TRUTH_PREFIX = "truth::"
 
@@ -44,31 +44,30 @@ def pack_observations(
 ) -> dict[str, np.ndarray]:
     """Flatten per-observatory records into one ``{key: array}`` mapping.
 
-    Keys are ``obs::<observatory>::<column>``, ready for ``np.savez``.
+    Keys are ``obs::<observatory>::<column>``.
     """
     items: dict[str, np.ndarray] = {}
     for name, observations in sinks.items():
-        if _NPZ_SEP in name:
-            raise ValueError(f"observatory name may not contain {_NPZ_SEP!r}: {name!r}")
+        if _KEY_SEP in name:
+            raise ValueError(f"observatory name may not contain {_KEY_SEP!r}: {name!r}")
         for column, _ in OBSERVATION_COLUMNS:
-            items[f"{_NPZ_PREFIX}{_NPZ_SEP}{name}{_NPZ_SEP}{column}"] = getattr(
+            items[f"{_OBS_PREFIX}{_KEY_SEP}{name}{_KEY_SEP}{column}"] = getattr(
                 observations, column
             )
     return items
 
 
 def unpack_observations(
-    items: "dict[str, np.ndarray] | object",
+    items: dict[str, np.ndarray],
 ) -> dict[str, Observations]:
     """Rebuild per-observatory records from :func:`pack_observations` keys.
 
-    Accepts any mapping-like object with ``keys()`` and item access (such
-    as a loaded ``NpzFile``); unrelated keys are ignored.
+    Unrelated keys are ignored.
     """
     columns: dict[str, dict[str, np.ndarray]] = {}
-    for key in items.keys():  # noqa: SIM118 - NpzFile has no __iter__ contract
-        parts = key.split(_NPZ_SEP)
-        if len(parts) != 3 or parts[0] != _NPZ_PREFIX:
+    for key in items:
+        parts = key.split(_KEY_SEP)
+        if len(parts) != 3 or parts[0] != _OBS_PREFIX:
             continue
         _, name, column = parts
         columns.setdefault(name, {})[column] = items[key]
@@ -92,7 +91,7 @@ def pack_result(
 
 
 def unpack_result(
-    columns: "dict[str, np.ndarray] | object",
+    columns: dict[str, np.ndarray],
 ) -> tuple[dict[str, Observations], dict[AttackClass, np.ndarray]]:
     """Rebuild ``(sinks, ground_truth)`` from :func:`pack_result` keys.
 

@@ -80,11 +80,13 @@ def unique_keys(keys: np.ndarray) -> np.ndarray:
 class Observations:
     """The attack records of one observatory: seven parallel columns.
 
-    Built once, never appended to: an observatory's
-    :meth:`Observatory.observe` returns one, :meth:`from_arrays` wraps
-    stored columns, and :meth:`merge` concatenates day-range shards in
-    order, which is how the sharded executor in
-    :mod:`repro.util.parallel` combines per-shard results.
+    Built once and immutable: every column is a read-only array.  An
+    observatory's :meth:`Observatory.observe` returns one,
+    :meth:`from_arrays` wraps stored columns, and :meth:`merge`
+    concatenates day-range shards in order, which is how the sharded
+    executor in :mod:`repro.util.parallel` combines per-shard results.
+    Because nothing can change the records, :meth:`target_keys` derives
+    each class's keys once per instance.
     """
 
     observatory: str
@@ -128,7 +130,10 @@ class Observations:
         for (name, dtype), column in zip(OBSERVATION_COLUMNS, columns):
             # np.array copies: a caller mutating its arrays afterwards
             # cannot change the records.
-            setattr(self, name, np.array(column, dtype=dtype))
+            column = np.array(column, dtype=dtype)
+            column.flags.writeable = False
+            setattr(self, name, column)
+        self._keys: dict[AttackClass | None, np.ndarray] = {}
 
     @classmethod
     def from_batch(
@@ -162,7 +167,12 @@ class Observations:
         cls, observatory: str, arrays: dict[str, np.ndarray]
     ) -> "Observations":
         """Wrap a stored column dict without copying (cache loads, the
-        memory-mapped shard transport, shard merges)."""
+        memory-mapped shard transport, shard merges).
+
+        The caller hands the arrays over: each column is a read-only view,
+        which leaves the caller's own arrays writable, so the caller must
+        not write to them afterwards.
+        """
         missing = {name for name, _ in OBSERVATION_COLUMNS} - set(arrays)
         if missing:
             raise ValueError(f"missing observation columns: {sorted(missing)}")
@@ -170,10 +180,12 @@ class Observations:
         observations.observatory = observatory
         length = len(arrays["day"])
         for name, dtype in OBSERVATION_COLUMNS:
-            column = np.asarray(arrays[name], dtype=dtype)
+            column = np.asarray(arrays[name], dtype=dtype).view()
             if len(column) != length:
                 raise ValueError(f"column {name} length mismatch")
+            column.flags.writeable = False
             setattr(observations, name, column)
+        observations._keys = {}
         return observations
 
     @classmethod
@@ -223,13 +235,20 @@ class Observations:
         The paper identifies a target by its (day, target-IP) tuple.  An
         address lies in [0, 2**32), so the packed keys sort exactly like
         the tuples; a target outside that range raises ``ValueError``.
+        Built once per attack class and returned read-only, the same
+        array on every call.
         """
-        mask = self.class_mask(attack_class)
-        targets = self.target[mask]
-        if len(targets) and (targets.min() < 0 or targets.max() > IPV4_MAX):
-            raise ValueError("target address outside [0, 2**32)")
-        days = self.day[mask].astype(np.int64)
-        return unique_keys(days << IPV4_BITS | targets)
+        keys = self._keys.get(attack_class)
+        if keys is None:
+            mask = self.class_mask(attack_class)
+            targets = self.target[mask]
+            if len(targets) and (targets.min() < 0 or targets.max() > IPV4_MAX):
+                raise ValueError("target address outside [0, 2**32)")
+            days = self.day[mask].astype(np.int64)
+            keys = unique_keys(days << IPV4_BITS | targets)
+            keys.flags.writeable = False
+            self._keys[attack_class] = keys
+        return keys
 
 
 class VisibilityNoise:

@@ -36,7 +36,7 @@ def _isolated_cache_dir(tmp_path_factory: pytest.TempPathFactory):
     with pytest.MonkeyPatch.context() as patcher:
         patcher.delenv(cache_module.CACHE_DIR_ENV, raising=False)
         real_root = cache_module.default_cache_dir()
-    before = set(real_root.glob("study-*.npz")) if real_root.is_dir() else set()
+    before = set(real_root.glob("study-*.shard")) if real_root.is_dir() else set()
 
     with pytest.MonkeyPatch.context() as patcher:
         patcher.setenv(
@@ -45,7 +45,7 @@ def _isolated_cache_dir(tmp_path_factory: pytest.TempPathFactory):
         )
         yield
 
-    after = set(real_root.glob("study-*.npz")) if real_root.is_dir() else set()
+    after = set(real_root.glob("study-*.shard")) if real_root.is_dir() else set()
     leaked = after - before
     assert not leaked, f"tests wrote to the real cache dir {real_root}: {leaked}"
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import os
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +20,10 @@ from repro.core.cache import (
     config_fingerprint,
     default_cache_dir,
 )
+from repro.core.io import pack_result
 from repro.core.study import Study, StudyConfig
 from repro.net.plan import PlanConfig
+from repro.observatories.base import OBSERVATION_COLUMNS, Observations
 from repro.util.calendar import StudyCalendar
 from repro.util.parallel import simulate
 
@@ -143,10 +148,129 @@ class TestStoreLoad:
     ):
         cache = StudyCache(tmp_path)
         cache.store(config_fingerprint(tiny_config), *tiny_result)
-        (tmp_path / "study-abc123.tmp").write_bytes(b"torn npz")
+        (tmp_path / "study-abc123.tmp").write_bytes(b"torn entry")
         (tmp_path / "stats9x.tmp").write_text("{", encoding="utf-8")
         assert cache.clear() == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_clear_removes_npz_entries_of_earlier_versions(
+        self, tiny_config, tiny_result, tmp_path
+    ):
+        cache = StudyCache(tmp_path)
+        cache.store(config_fingerprint(tiny_config), *tiny_result)
+        (tmp_path / f"study-{'a' * 64}.npz").write_bytes(b"an old entry")
+        assert len(cache.entries()) == 1
+        assert cache.clear() == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+def _replace_with_flipped(path, index: int) -> None:
+    """Rename a copy of ``path`` with byte ``index`` flipped over it.
+
+    A study may still map a cache entry, so an entry is never rewritten
+    in place.  Flipping the low bit keeps a digit a digit.
+    """
+    data = bytearray(path.read_bytes())
+    data[index] ^= 0x01
+    copy = path.with_name(path.name + ".flipped")
+    copy.write_bytes(bytes(data))
+    os.replace(copy, path)
+
+
+def _header_digit(data: bytes, sinks) -> int:
+    """A nonzero digit that places a column: an offset in the JSON header
+    (in the npz entries of earlier versions, a member's shape)."""
+    match = re.search(rb"(\"offset\": |'shape': \()[1-9]", data)
+    return match.end() - 1
+
+
+def _column_byte(data: bytes, sinks) -> int:
+    """A byte inside the target column of the largest feed."""
+    column = max(sinks.values(), key=len).target.tobytes()
+    return data.index(column[:64]) + 3
+
+
+def _packed_bytes(result) -> dict[str, bytes]:
+    return {key: column.tobytes() for key, column in pack_result(*result).items()}
+
+
+class TestEntryIntegrity:
+    """A damaged entry is a miss, wherever the damage is, and the study
+    re-simulates the same bytes; a load never unpickles."""
+
+    @pytest.mark.parametrize("locate", [_header_digit, _column_byte])
+    def test_flipped_byte_is_a_miss(
+        self, tiny_config, tiny_result, tmp_path, locate
+    ):
+        cache = StudyCache(tmp_path)
+        fingerprint = config_fingerprint(tiny_config)
+        path = cache.store(fingerprint, *tiny_result)
+        _replace_with_flipped(path, locate(path.read_bytes(), tiny_result[0]))
+        assert cache.load(fingerprint) is None
+
+        study = Study(tiny_config, cache=True, cache_dir=tmp_path)
+        sinks = study.observations
+        truth = {c: study.ground_truth_weekly(c) for c in AttackClass}
+        assert _packed_bytes((sinks, truth)) == _packed_bytes(tiny_result)
+        assert cache.stats()["misses"] == 2
+        reloaded = cache.load(fingerprint)
+        assert reloaded is not None
+        assert _packed_bytes(reloaded) == _packed_bytes(tiny_result)
+
+    def test_load_never_unpickles(
+        self, tiny_config, tiny_result, tmp_path, monkeypatch
+    ):
+        cache = StudyCache(tmp_path)
+        fingerprint = config_fingerprint(tiny_config)
+        cache.store(fingerprint, *tiny_result)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache load unpickled")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        monkeypatch.setattr(pickle, "load", refuse)
+        loaded = cache.load(fingerprint)
+        assert loaded is not None
+        assert _packed_bytes(loaded) == _packed_bytes(tiny_result)
+
+
+class TestReadOnlyColumns:
+    """Observations are immutable: every column is read-only."""
+
+    @staticmethod
+    def _assert_read_only(observations: Observations) -> None:
+        for name, _ in OBSERVATION_COLUMNS:
+            column = getattr(observations, name)
+            with pytest.raises(ValueError, match="read-only"):
+                column[:1] = column[:1]
+
+    def test_simulated_merged_and_loaded_columns(
+        self, tiny_config, tiny_result, tmp_path
+    ):
+        sinks, truth = tiny_result
+        cache = StudyCache(tmp_path)
+        fingerprint = config_fingerprint(tiny_config)
+        cache.store(fingerprint, sinks, truth)
+        loaded, _ = cache.load(fingerprint)
+        for name, observations in sinks.items():
+            self._assert_read_only(observations)
+            self._assert_read_only(Observations.merge([observations, observations]))
+            self._assert_read_only(loaded[name])
+
+    def test_constructed_columns(self):
+        observations = Observations(
+            "X", [0, 1], [3, 4], [0, 0], [0, 0], [True, False], [1.0, 2.0]
+        )
+        self._assert_read_only(observations)
+
+    def test_arrays_stay_writable_for_their_owner(self):
+        arrays = {
+            name: np.zeros(2, dtype=dtype) for name, dtype in OBSERVATION_COLUMNS
+        }
+        observations = Observations.from_arrays("X", arrays)
+        self._assert_read_only(observations)
+        arrays["target"][1] = 7
+        assert observations.target[1] == 7
 
 
 class TestEnvironment:

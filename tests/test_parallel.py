@@ -178,6 +178,33 @@ class TestShardTransport:
         assert read_snapshot == snapshot
         assert read_tree == tree
 
+    def test_file_size_does_not_depend_on_span_timings(
+        self, short_config, tmp_path
+    ):
+        """Replays of one shard write files of equal size whatever their
+        span timings, so ``shardio.bytes`` is a work count."""
+
+        def scaled(tree: dict, factor: float) -> dict:
+            return {
+                **tree,
+                "wall_s": tree["wall_s"] * factor,
+                "cpu_s": tree["cpu_s"] * factor,
+                "children": [scaled(child, factor) for child in tree["children"]],
+            }
+
+        start, stop = plan_shards(short_config.calendar.n_days)[0]
+        (sinks, truth), snapshot, tree = parallel._run_shard_task(
+            (short_config, start, stop)
+        )
+        sizes = [
+            shardio.write_shard(
+                tmp_path / f"{factor}.shard", sinks, truth, snapshot,
+                scaled(tree, factor),
+            ).stat().st_size
+            for factor in (1.0, 1.37, 1e6)
+        ]
+        assert len(set(sizes)) == 1, sizes
+
     def test_read_shard_rejects_foreign_files(self, tmp_path):
         bogus = tmp_path / "bogus.shard"
         bogus.write_bytes(b"definitely not a shard file")

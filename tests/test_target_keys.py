@@ -295,3 +295,39 @@ class TestTargetKeys:
 
     def test_empty_feed(self):
         assert len(Observations("X").target_keys()) == 0
+
+    def test_keys_are_derived_once_and_read_only(self):
+        feed = _feed([0, 0, 1], [5, 3, 5])
+        keys = feed.target_keys()
+        assert feed.target_keys() is keys
+        with pytest.raises(ValueError, match="read-only"):
+            keys[0] = 0
+
+
+class TestOneDerivationPerFeed:
+    def test_warm_study_sorts_each_feeds_keys_once(self, small_study, monkeypatch):
+        """All 17 artifacts plus conformance on a warm study derive each of
+        the 8 feeds' target keys once, plus the academic membership union:
+        9 ``unique_keys`` calls."""
+        import repro.core.overlap as overlap_module
+        import repro.observatories.base as base_module
+        from repro.core.artifacts import artifact_json_bytes, artifact_names
+        from repro.core.study import Study
+        from repro.obs import collecting
+
+        calls = []
+
+        def counted(keys):
+            calls.append(len(keys))
+            return unique_keys(keys)
+
+        monkeypatch.setattr(base_module, "unique_keys", counted)
+        monkeypatch.setattr(overlap_module, "unique_keys", counted)
+        with collecting() as registry:
+            study = Study(small_study.config, cache=True)
+            for name in artifact_names():
+                artifact_json_bytes(study.artifact(name))
+            study.conformance()
+        assert registry.snapshot()["counters"].get("cache.hits") == 1
+        assert len(study.observations) == 8
+        assert len(calls) == 9

@@ -10,12 +10,14 @@ from repro.observatories.base import Observations
 from tests.conftest import SMALL_CALENDAR
 
 
-def feed(days, vectors=None, classes=None, bps=None, spoofed=None, name="X"):
+def feed(
+    days, vectors=None, classes=None, bps=None, spoofed=None, name="X", targets=None
+):
     n = len(days)
     return Observations(
         name,
         days,
-        [1000 + i for i in range(n)],
+        targets or [1000 + i for i in range(n)],
         classes or [int(AttackClass.DIRECT_PATH)] * n,
         vectors or [vector_id("SYN-flood")] * n,
         spoofed or [True] * n,
@@ -55,8 +57,7 @@ class TestValidation:
         assert any("window" in error for error in report.errors)
 
     def test_out_of_range_targets(self):
-        observations = feed([0, 1])
-        observations.target[1] = 1 << 32
+        observations = feed([0, 1], targets=[1000, 1 << 32])
         report = validate_observations(observations, SMALL_CALENDAR)
         assert not report.ok
         assert any("target addresses" in error for error in report.errors)
