@@ -3,10 +3,11 @@
 The goldens (:mod:`repro.core.golden`) fingerprint the weekly series,
 trend slopes, Figure 6's Spearman coefficients and ground truth, but
 nothing of Section 7.  These sha256 digests of the canonical artifact
-bytes (and of the pairwise overlap shares) pin the UpSet,
-highly-visible, federation, overlap, quarterly-correlation, Table-4 and
-headline outputs on two configurations, so a rewrite of the target
-analysis must reproduce them bit for bit.
+bytes (and of the pairwise overlap shares and the Section 7.3 text
+artefact) pin the UpSet, highly-visible, federation, overlap,
+quarterly-correlation, Table-4, headline and per-protocol outputs on two
+configurations, so a rewrite of the target analysis must reproduce them
+bit for bit.
 
 The other nine artifacts and the rendered conformance report are pinned
 the same way (``PINNED_REST``): Figure 6's p-values and Pearson matrix
@@ -22,6 +23,7 @@ import json
 
 import pytest
 
+from repro.core import report
 from repro.core.artifacts import artifact_json_bytes, artifact_names
 from repro.core.study import Study, StudyConfig
 from repro.util.calendar import calendar_for_weeks
@@ -38,7 +40,8 @@ SECTION7_ARTIFACTS = (
 )
 
 #: sha256 per artifact name, plus ``pairwise`` for
-#: :meth:`Study.pairwise_target_overlaps`.
+#: :meth:`Study.pairwise_target_overlaps` and ``S73`` for
+#: :func:`repro.core.report.render_section73`.
 PINNED = {
     "small": {
         "fig7_upset": "f98136d0a18afffa8040e5a186b38c62b7babda14cc82b1b33f0b610e4cebe4b",
@@ -50,6 +53,7 @@ PINNED = {
         "table4": "aefe38b28041c6a63b23270f29ed7b620a302b786406bfaea4062f80d8f39345",
         "headline": "7354cef1d4e8fd3ba0b6ce2f91942e37297360ec557df4cf49c650b4f05b1815",
         "pairwise": "b218fae6f18abab3965b2109fb8aee098137dd58599efec12969b48c3e003485",
+        "S73": "31cb3cb5d98bbcf2ce0d9b8fbb66572c32ca7c953b4b38e0be6714afb6d8dd13",
     },
     "weeks16-seed5": {
         "fig7_upset": "3c346a9a40d00fbf12191d0636e1ce22cb34e72a917f7368ae046a7ae19c8df0",
@@ -61,6 +65,7 @@ PINNED = {
         "table4": "e45c1f9ad8f0d95f4de68719b6b6d0d5b9b2108f6bdad14f848cd2eb3b914dfa",
         "headline": "af51852c4a8970e63c9582e6b61a61a4be0d6e079bf1d1ed47a94092e70ff59a",
         "pairwise": "99caf04d41454d5aa3ad8e3e63d6d00851a6b2443ea898ee64296c56a695d3f2",
+        "S73": "ffa3168f635541fff68a117d24d762b83dbabd2572ebeb0f33f233c36a7d7902",
     },
 }
 
@@ -122,6 +127,7 @@ def section7_digests(study: Study) -> dict[str, str]:
         [a, b, share] for (a, b), share in study.pairwise_target_overlaps().items()
     ]
     digests["pairwise"] = _sha256(json.dumps(pairwise).encode())
+    digests["S73"] = _sha256(report.render_section73(study).encode())
     return digests
 
 
@@ -167,5 +173,5 @@ def test_reverse_build_order_keeps_bytes(name, request):
     for artifact in reversed(artifact_names()):
         digests[artifact] = _sha256(artifact_json_bytes(study.artifact(artifact)))
     expected = {**PINNED[name], **PINNED_REST[name]}
-    del expected["pairwise"]
+    del expected["pairwise"], expected["S73"]
     assert digests == expected
