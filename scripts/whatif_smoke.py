@@ -14,7 +14,10 @@ and proves the common-random-numbers contract on a real checkout:
 4. the detection report is complete, reduces deterministically from the
    ledger (run bytes == the bytes `build_detection_report` makes from a
    fresh `load_report` of the ledger), and is written to
-   `benchmarks/results/WHATIF_sav.txt`.
+   `benchmarks/results/WHATIF_sav.txt`;
+5. the run's progress hook saw every cell, and its last payload's
+   running divergence agrees with the report: the same paired seeds and
+   the same first detection week for every observatory that detects.
 
 Exit code 0 means the whole counterfactual path works on this checkout.
 """
@@ -88,7 +91,8 @@ def main() -> int:
         fail(f"golden cache entry missing after warm-up: {entry}")
     mtime_before = entry.stat().st_mtime_ns
 
-    outcome = run_whatif(pairing, jobs=0, resume=True)
+    progress: list[dict] = []
+    outcome = run_whatif(pairing, jobs=0, resume=True, on_progress=progress.append)
     if outcome.stopped or outcome.report is None:
         fail("paired run did not complete")
     if not outcome.report.complete:
@@ -112,6 +116,25 @@ def main() -> int:
     if run_bytes != ledger_bytes:
         fail("run-produced and ledger-only detection documents differ")
     print(f"whatif-smoke: detection document is deterministic ({len(run_bytes)} bytes)")
+
+    # 5. the progress path: the last payload matches the final report.
+    last = progress[-1] if progress else {}
+    if not last or last["cells_done"] != last["n_cells"]:
+        fail(f"last progress payload does not account for every cell: {last}")
+    divergence = last["divergence"] or {}
+    first_weeks = {
+        verdict.label: verdict.first_detection_week
+        for verdict in outcome.report.verdicts
+        if verdict.first_detection_week is not None
+    }
+    if divergence.get("paired_seeds") != list(outcome.report.seeds):
+        fail("last progress payload pairs other seeds than the report")
+    if divergence.get("first_detection_weeks") != first_weeks:
+        fail("last progress payload's detection weeks differ from the report's")
+    print(
+        f"whatif-smoke: progress ({len(progress)} payloads) ends at "
+        f"{last['cells_done']}/{last['n_cells']} cells, matching the report"
+    )
 
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(outcome.report.render() + "\n", encoding="utf-8")

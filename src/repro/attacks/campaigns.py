@@ -51,10 +51,6 @@ class Campaign:
     carpet: bool = False
     target_asn: int | None = None  # concentrate targets on one AS
 
-    def active_on(self, day: int) -> bool:
-        """Whether the campaign is running on a study day."""
-        return self.start_day <= day < self.start_day + self.duration_days
-
 
 @dataclass
 class CampaignConfig:

@@ -1128,8 +1128,8 @@ def _command_whatif(args: argparse.Namespace) -> int:
                 args.out.write_text(report.render() + "\n", encoding="utf-8")
             print(f"wrote {args.out}", file=sys.stderr)
 
-    ledger = SweepLedger(pairing.spec(), root=args.cache_dir)
     if args.action == "report":
+        ledger = SweepLedger(pairing.spec(), root=args.cache_dir)
         try:
             report = build_detection_report(pairing, load_report(ledger))
         except ValueError as error:
@@ -1139,6 +1139,10 @@ def _command_whatif(args: argparse.Namespace) -> int:
 
     # action == "run"
     workers = effective_jobs(args.jobs, None)
+    # Same manifest convention as sweep run: the run-level manifest
+    # carries the pairing's sweep id with a null cell index, taken from
+    # the ledger run_whatif built once the body has run.
+    provenance: dict = {}
 
     def body() -> int:
         if workers > 1:
@@ -1153,6 +1157,7 @@ def _command_whatif(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             log=lambda message: print(message, file=sys.stderr),
         )
+        provenance.update(sweep_provenance(outcome.sweep.ledger))
         print(
             f"whatif {outcome.sweep_id}: "
             f"{len(outcome.sweep.executed)} cells simulated, "
@@ -1165,11 +1170,7 @@ def _command_whatif(args: argparse.Namespace) -> int:
         emit_report(outcome.report)
         return 0
 
-    # Same manifest convention as sweep run: the run-level manifest
-    # carries the pairing's sweep id with a null cell index.
-    return _observed_command(
-        args, "whatif", pairing.base, body, sweep=sweep_provenance(ledger)
-    )
+    return _observed_command(args, "whatif", pairing.base, body, sweep=provenance)
 
 
 def _command_profile(args: argparse.Namespace) -> int:
@@ -1370,7 +1371,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         role=args.role,
         lease_ttl_s=args.lease_ttl,
         heartbeat_timeout_s=args.heartbeat_timeout,
-        sweep_dir=args.cache_dir,
     )
 
     def body() -> int:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.attacks.vectors import VECTORS
-from repro.observatories.base import Observations
+from repro.observatories.base import Observations, pack_keys, unique_keys
 
 
 @dataclass(frozen=True)
@@ -41,28 +43,23 @@ class VectorOverlap:
 def per_vector_target_overlap(
     a: Observations, b: Observations
 ) -> dict[str, VectorOverlap]:
-    """Per-vector (date, IP) target overlap between two observatories."""
+    """Per-vector (date, IP) target overlap between two observatories,
+    counted on sorted packed target keys (``day << 32 | ip``)."""
 
-    def sets_of(observations: Observations) -> dict[int, set[tuple[int, int]]]:
-        by_vector: dict[int, set[tuple[int, int]]] = {}
-        days = observations.day.tolist()
-        targets = observations.target.tolist()
-        vectors = observations.vector_id.tolist()
-        for day, target, vector in zip(days, targets, vectors):
-            by_vector.setdefault(vector, set()).add((day, target))
-        return by_vector
+    def keys_of(observations: Observations, vector_id: int) -> np.ndarray:
+        mask = observations.vector_id == vector_id
+        return unique_keys(pack_keys(observations.day[mask], observations.target[mask]))
 
-    sets_a = sets_of(a)
-    sets_b = sets_of(b)
     result: dict[str, VectorOverlap] = {}
-    for vector_id in sorted(set(sets_a) | set(sets_b)):
-        set_a = sets_a.get(vector_id, set())
-        set_b = sets_b.get(vector_id, set())
-        result[VECTORS[vector_id].name] = VectorOverlap(
-            vector=VECTORS[vector_id].name,
-            targets_a=len(set_a),
-            targets_b=len(set_b),
-            shared=len(set_a & set_b),
+    for vector_id in np.union1d(a.vector_id, b.vector_id).tolist():
+        keys_a = keys_of(a, vector_id)
+        keys_b = keys_of(b, vector_id)
+        name = VECTORS[vector_id].name
+        result[name] = VectorOverlap(
+            vector=name,
+            targets_a=len(keys_a),
+            targets_b=len(keys_b),
+            shared=len(np.intersect1d(keys_a, keys_b, assume_unique=True)),
         )
     return result
 

@@ -16,17 +16,19 @@ intervention's.
 
 :func:`run_whatif` drives the pairing through the ordinary sweep
 scheduler (warm ledger resume, per-cell manifests, ``should_stop``
-drain) and reduces the paired ledger to a
-:class:`~repro.counterfactual.report.DetectionReport`.  ``on_progress``
-receives an incremental status dict after every settled cell — the
-payload the service daemon republishes as job progress.
+drain), with its ledger under ``cache_dir``, and reduces the paired
+ledger to a :class:`~repro.counterfactual.report.DetectionReport`.
+``on_progress`` receives an incremental status dict after every settled
+cell — the payload the service daemon republishes as job progress —
+built from the ledger records ``run_sweep`` hands over, so the ledger is
+never re-read mid-run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro import obs
 from repro.counterfactual.divergence import DivergenceSeries, detect
@@ -38,7 +40,7 @@ from repro.counterfactual.report import (
 from repro.counterfactual.spec import InterventionSpec
 from repro.sweep.ledger import SweepLedger
 from repro.sweep.report import CellResult, SweepReport
-from repro.sweep.scheduler import CellExecutor, SweepOutcome, load_report, run_sweep
+from repro.sweep.scheduler import CellExecutor, SweepOutcome, run_sweep
 from repro.sweep.spec import (
     Axis,
     AxisPoint,
@@ -138,7 +140,6 @@ def run_whatif(
     resume: bool = True,
     cache: bool | None = None,
     cache_dir: str | Path | None = None,
-    sweep_dir: str | Path | None = None,
     should_stop: Callable[[], bool] | None = None,
     on_progress: Callable[[dict[str, Any]], None] | None = None,
     executor: CellExecutor | None = None,
@@ -147,7 +148,8 @@ def run_whatif(
     """Run (or resume) a paired study and build its detection report.
 
     Execution is the ordinary sweep scheduler: the pairing's cells land
-    in a resumable JSONL ledger, each baseline leg is a plain study at
+    in a resumable JSONL ledger under ``cache_dir`` (``None``: the
+    default cache dir), each baseline leg is a plain study at
     its seed (a cache hit whenever that study ran before, paired or
     not), and ``should_stop`` drains between cells leaving the ledger
     resumable.  ``on_progress`` is called after every settled cell with
@@ -156,9 +158,7 @@ def run_whatif(
     ``executor`` is forwarded to :func:`~repro.sweep.scheduler.run_sweep`
     (``None`` runs the cells inline).
     """
-    ledger = SweepLedger(
-        pairing.spec(), root=sweep_dir if sweep_dir is not None else cache_dir
-    )
+    ledger = SweepLedger(pairing.spec(), root=cache_dir)
     progress = {
         "intervention": pairing.intervention.name,
         "strength": float(pairing.strength),
@@ -171,11 +171,13 @@ def run_whatif(
 
     on_cell = None
     if on_progress is not None:
+        settled: list[CellResult] = []
 
-        def on_cell(cell: SweepCell, status: str) -> None:
+        def on_cell(cell: SweepCell, status: str, record: dict[str, Any]) -> None:
+            settled.append(CellResult.from_dict(record["result"]))
             progress["cells_done"] += 1
             progress["executed" if status == "executed" else "ledger_hits"] += 1
-            progress["divergence"] = _divergence_summary(load_report(ledger))
+            progress["divergence"] = _divergence_summary(settled)
             on_progress(dict(progress))
 
     with obs.span("whatif.run"):
@@ -218,24 +220,23 @@ def _weekly_by_seed(
 
 
 def _paired_legs(
-    report: SweepReport,
+    cells: Iterable[CellResult],
 ) -> tuple[
     dict[int, CellResult],
     dict[int, CellResult],
     tuple[int, ...],
     dict[str, DivergenceSeries],
 ]:
-    """A pairing's report split by leg: ``(baseline, counterfactual,
-    paired seeds, divergence)``.
+    """A pairing's completed cells split by leg: ``(baseline,
+    counterfactual, paired seeds, divergence)``.
 
-    Both legs are keyed by seed and hold only completed cells.  The
-    paired seeds are those whose two legs both carry the weekly series;
-    the divergence verdicts compare exactly those seeds, and are empty
-    while no seed is paired.
+    Both legs are keyed by seed.  The paired seeds are those whose two
+    legs both carry the weekly series; the divergence verdicts compare
+    exactly those seeds, and are empty while no seed is paired.
     """
     baseline: dict[int, CellResult] = {}
     counterfactual: dict[int, CellResult] = {}
-    for result in report.cells:
+    for result in cells:
         leg = result.labels.get("leg")
         target = baseline if leg == BASELINE_LEG else counterfactual
         target[result.seed] = result
@@ -260,7 +261,7 @@ def build_detection_report(
     thresholds; the report does not record them, so they are fixed.
     """
     with obs.span("whatif.detect"):
-        baseline, counterfactual, paired_seeds, series = _paired_legs(report)
+        baseline, counterfactual, paired_seeds, series = _paired_legs(report.cells)
         if not paired_seeds:
             raise ValueError(
                 f"pairing {pairing.intervention.name!r}: no seed has both "
@@ -306,10 +307,11 @@ def build_detection_report(
         )
 
 
-def _divergence_summary(report: SweepReport) -> dict[str, Any] | None:
-    """Running mid-run divergence digest, or ``None`` before any seed
-    has both legs — the incremental-progress payload."""
-    _, _, paired_seeds, series = _paired_legs(report)
+def _divergence_summary(cells: Iterable[CellResult]) -> dict[str, Any] | None:
+    """Running mid-run divergence digest of the cells settled so far, or
+    ``None`` before any seed has both legs — the incremental-progress
+    payload."""
+    _, _, paired_seeds, series = _paired_legs(cells)
     if not paired_seeds:
         return None
     detections = {

@@ -96,23 +96,9 @@ class InternetPlan:
 
     # -- vantage-point membership -------------------------------------------
 
-    def is_akamai_customer(self, address: int) -> bool:
-        """Whether ``address`` lies in a prefix rerouted through Prolexic."""
-        return self.akamai_customers.lookup(address) is not None
-
     def akamai_customer_mask(self, addresses: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`is_akamai_customer` over an address array."""
+        """Which addresses lie in a prefix rerouted through Prolexic."""
         return self.akamai_customers.covers_many(addresses)
-
-    def is_netscout_covered(self, address: int) -> bool:
-        """Whether the address's origin AS contributes alerts to Netscout."""
-        origin = self.routing.origin_as(address)
-        return origin in self.netscout_customer_asns
-
-    def is_ixp_covered(self, address: int) -> bool:
-        """Whether the address's origin AS peers at the modelled IXP."""
-        origin = self.routing.origin_as(address)
-        return origin in self.ixp_member_asns
 
     # -- target sampling -------------------------------------------------------
 
@@ -132,10 +118,6 @@ class InternetPlan:
         addresses for the same stream.
         """
         return self._sampler.from_uniforms(uniforms)
-
-    def sample_target(self, rng: np.random.Generator) -> int:
-        """Draw one attack-target address."""
-        return int(self._sampler.sample(rng, 1)[0])
 
     def origin_as(self, address: int) -> int | None:
         """Origin ASN of an address (routing LPM)."""

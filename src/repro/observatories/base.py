@@ -54,6 +54,18 @@ OBSERVATION_COLUMNS: tuple[tuple[str, type], ...] = (
 )
 
 
+def pack_keys(days: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Packed target keys ``day << 32 | ip`` of parallel record columns.
+
+    An address lies in [0, 2**32), so the packed keys sort exactly like
+    the (day, target-IP) tuples; a target outside that range raises
+    ``ValueError``.
+    """
+    if len(targets) and (targets.min() < 0 or targets.max() > IPV4_MAX):
+        raise ValueError("target address outside [0, 2**32)")
+    return days.astype(np.int64) << IPV4_BITS | targets
+
+
 def key_days(keys: np.ndarray) -> np.ndarray:
     """Study-day index of each packed target key (``day << 32 | ip``)."""
     return keys >> IPV4_BITS
@@ -232,20 +244,15 @@ class Observations:
     def target_keys(self, attack_class: AttackClass | None = None) -> np.ndarray:
         """Distinct targets as sorted int64 keys ``day << 32 | ip``.
 
-        The paper identifies a target by its (day, target-IP) tuple.  An
-        address lies in [0, 2**32), so the packed keys sort exactly like
-        the tuples; a target outside that range raises ``ValueError``.
-        Built once per attack class and returned read-only, the same
-        array on every call.
+        The paper identifies a target by its (day, target-IP) tuple
+        (:func:`pack_keys`; a target outside [0, 2**32) raises
+        ``ValueError``).  Built once per attack class and returned
+        read-only, the same array on every call.
         """
         keys = self._keys.get(attack_class)
         if keys is None:
             mask = self.class_mask(attack_class)
-            targets = self.target[mask]
-            if len(targets) and (targets.min() < 0 or targets.max() > IPV4_MAX):
-                raise ValueError("target address outside [0, 2**32)")
-            days = self.day[mask].astype(np.int64)
-            keys = unique_keys(days << IPV4_BITS | targets)
+            keys = unique_keys(pack_keys(self.day[mask], self.target[mask]))
             keys.flags.writeable = False
             self._keys[attack_class] = keys
         return keys

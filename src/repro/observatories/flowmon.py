@@ -109,22 +109,11 @@ AKAMAI_RA_EXPOSURE = [
 ]
 
 
-def _interpolate(points: list[tuple[float, float]], week: float) -> float:
-    if week <= points[0][0]:
-        return points[0][1]
-    if week >= points[-1][0]:
-        return points[-1][1]
-    for (w0, v0), (w1, v1) in zip(points, points[1:]):
-        if w0 <= week <= w1:
-            return v0 + (week - w0) / (w1 - w0) * (v1 - v0)
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
 def _interpolate_many(
     points: list[tuple[float, float]], weeks: np.ndarray
 ) -> np.ndarray:
-    """Vectorised :func:`_interpolate` (``np.interp`` clamps at endpoints
-    exactly like the scalar version)."""
+    """Piecewise-linear curve through ``(week, value)`` points at each of
+    ``weeks``, held at the end values outside the first and last week."""
     xs = np.asarray([w for w, _ in points], dtype=np.float64)
     ys = np.asarray([v for _, v in points], dtype=np.float64)
     return np.interp(weeks, xs, ys)

@@ -65,7 +65,6 @@ from repro.service.jobs import (
 from repro.service.runners import (
     EXECUTION_MODES,
     ProcessJob,
-    ServiceSettings,
     make_runner,
     parse_submission,
     study_config_from_payload,
@@ -96,7 +95,6 @@ __all__ = [
     "Route",
     "ServiceConfig",
     "ServiceHandle",
-    "ServiceSettings",
     "WorkerConfig",
     "WorkerSummary",
     "etag_matches",

@@ -208,14 +208,12 @@ class App:
         self,
         manager: JobManager,
         *,
-        execution: str = "thread",
+        execution: str,
         coordinator: Any | None = None,
-        routes: tuple[Route, ...] = ROUTES,
     ) -> None:
         self.manager = manager
         self.execution = execution
         self.coordinator = coordinator
-        self.routes = routes
         self._openapi_bytes: bytes | None = None
 
     def handle(self, request: Request) -> Response:
@@ -238,7 +236,7 @@ class App:
 
     def _route(self, request: Request, parts: list[str]) -> Response:
         allowed: list[str] = []
-        for route in self.routes:
+        for route in ROUTES:
             params = _match(route.pattern, parts)
             if params is None:
                 continue
@@ -280,7 +278,7 @@ class App:
             # The document is a pure function of the route table and the
             # schema registries, so one canonical encode serves forever.
             self._openapi_bytes = artifact_json_bytes(
-                openapi_document(self.routes)
+                openapi_document(ROUTES)
             )
         return Response(status=200, body=self._openapi_bytes)
 

@@ -28,7 +28,7 @@ from repro import obs
 from repro.service.app import App
 from repro.service.http import BadRequest, Response, read_request, write_response
 from repro.service.jobs import JobManager
-from repro.service.runners import EXECUTION_MODES, ServiceSettings, make_runner
+from repro.service.runners import EXECUTION_MODES, make_runner
 from repro.util.parallel import effective_jobs, shutdown_pool, warm_pool
 
 Log = Callable[[str], None]
@@ -40,7 +40,7 @@ def _silent(_: str) -> None:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Everything ``ddoscovery serve`` can tune."""
+    """Everything ``ddoscovery serve`` can tune; every job body reads it."""
 
     host: str = "127.0.0.1"
     port: int = 8350
@@ -62,6 +62,7 @@ class ServiceConfig:
     #: shard count per simulation (0 = all cores).
     jobs: int | None = 1
     cache: bool | None = None
+    #: study cache root, and the root of every sweep and what-if ledger.
     cache_dir: str | Path | None = None
     #: "standalone" serves jobs locally; "coordinator" additionally
     #: activates the ``/v1/dist/*`` tier and leases the cells of
@@ -73,9 +74,6 @@ class ServiceConfig:
     lease_ttl_s: float = 60.0
     #: evict workers silent longer than this (their leases re-queue).
     heartbeat_timeout_s: float = 15.0
-    #: where sweep and what-if ledgers live, in either role (``None``:
-    #: ``cache_dir``; the CLI sets it to ``--cache-dir``).
-    sweep_dir: str | Path | None = None
 
 
 @dataclass
@@ -110,14 +108,6 @@ async def serve(
             f"unknown service role {config.role!r}; "
             "choose from ('standalone', 'coordinator')"
         )
-    settings = ServiceSettings(
-        jobs=config.jobs,
-        cache=config.cache,
-        cache_dir=config.cache_dir,
-        execution=config.execution,
-        pool_workers=max(1, config.workers),
-        sweep_dir=config.sweep_dir,
-    )
     coordinator = None
     if config.role == "coordinator":
         from repro.service.dist import DistCoordinator
@@ -126,12 +116,8 @@ async def serve(
             lease_ttl_s=config.lease_ttl_s,
             heartbeat_timeout_s=config.heartbeat_timeout_s,
         )
-    if coordinator is not None:
-        runner = make_runner(settings, coordinator)
-    else:
-        runner = make_runner(settings)
     manager = JobManager(
-        runner,
+        make_runner(config, coordinator),
         workers=config.workers,
         queue_size=config.queue_size,
         default_timeout_s=config.job_timeout_s,

@@ -158,8 +158,6 @@ class WorkerConfig:
     jobs: int | None = 1
     cache: bool | None = None
     cache_dir: str | Path | None = None
-    #: fall back when the coordinator does not advise an interval.
-    poll_interval_s: float = 0.2
     #: stop after this many completed cells (smoke/test harnesses).
     max_cells: int | None = None
     #: stop after this long with no lease granted (smoke harnesses);
@@ -225,12 +223,7 @@ def run_worker(
             "capabilities": list(DIST_CAPABILITIES),
         },
     )
-    heartbeat_interval = float(
-        admission.get("heartbeat_interval_s", 5.0)
-    )
-    poll_interval = float(
-        admission.get("poll_interval_s", config.poll_interval_s)
-    )
+    heartbeat_interval = float(admission["heartbeat_interval_s"])
     log(
         f"{worker_id}: registered with {client.host}:{client.port} "
         f"(protocol {admission.get('protocol')}, "
@@ -305,9 +298,7 @@ def run_worker(
                 ):
                     log(f"{worker_id}: idle {config.idle_exit_s:g}s; exiting")
                     break
-                _stop_aware_sleep(
-                    float(lease.get("retry_after_s", poll_interval)), stop
-                )
+                _stop_aware_sleep(float(lease["retry_after_s"]), stop)
                 continue
             idle_since = None
             _execute_lease(

@@ -243,12 +243,7 @@ class JobManager:
     # -- admission ---------------------------------------------------------------
 
     def submit(
-        self,
-        kind: str,
-        key: str,
-        payload: dict[str, Any],
-        *,
-        timeout_s: float | None = None,
+        self, kind: str, key: str, payload: dict[str, Any]
     ) -> tuple[Job, bool]:
         """Admit (or coalesce) one job; returns ``(job, coalesced)``.
 
@@ -273,7 +268,7 @@ class JobManager:
             kind,
             key,
             payload,
-            timeout_s=timeout_s if timeout_s is not None else self.default_timeout_s,
+            timeout_s=self.default_timeout_s,
         )
         self._jobs[job.id] = job
         self._by_key[key] = job.id

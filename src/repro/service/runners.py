@@ -9,14 +9,16 @@ payloads that *mean* the same work coalesce even when they spell it
 differently (``{"preset": "seed0-small"}`` vs the equivalent explicit
 ``{"seed": 0, "weeks": 69}``... wherever the fingerprints agree).
 
-:func:`make_runner` closes over the daemon's execution settings and
-dispatches on ``job.kind``.  Bodies call
+:func:`make_runner` closes over the daemon's
+:class:`~repro.service.daemon.ServiceConfig` and dispatches on
+``job.kind``; every body reads its shard count, cache settings and
+ledger root (the cache dir) from that one frozen config.  Bodies call
 :meth:`~repro.service.jobs.Job.raise_if_cancelled` between pipeline
 stages, and the sweep body additionally threads the cancel flag into
 ``run_sweep(should_stop=...)`` so a cancelled sweep stops at the next
 cell boundary with its ledger intact.
 
-Two execution modes (``ServiceSettings.execution``):
+Two execution modes (``ServiceConfig.execution``):
 
 * ``"thread"`` — the body runs directly on the manager's worker thread
   (the original PR 5 behaviour; also what stub runners in tests use).
@@ -48,10 +50,13 @@ import tempfile
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.service.jobs import Job, JobCancelled, JobResult
 from repro.util.atomic import atomic_write
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.service.daemon import ServiceConfig
 
 KINDS = ("study", "sweep", "conformance", "whatif")
 
@@ -60,23 +65,6 @@ EXECUTION_MODES = ("thread", "process")
 #: How often the thread-side wrapper of a process job wakes to relay a
 #: cancellation request into the worker's flag file.
 _CANCEL_POLL_S = 0.05
-
-
-@dataclass(frozen=True)
-class ServiceSettings:
-    """Execution knobs every job body shares."""
-
-    #: shard count per simulation (``repro.util.parallel.effective_jobs``
-    #: semantics: 0 = all cores).
-    jobs: int | None = 1
-    cache: bool | None = None
-    cache_dir: str | Path | None = None
-    #: where job bodies run: "thread" (in-daemon) or "process" (warm pool).
-    execution: str = "thread"
-    #: warm-pool size process mode maintains (and restores after a crash).
-    pool_workers: int = 1
-    #: ledger root for sweep and what-if jobs (``None``: ``cache_dir``).
-    sweep_dir: str | Path | None = None
 
 
 # -- payload parsing -----------------------------------------------------------
@@ -230,28 +218,28 @@ def parse_submission(body: Any) -> tuple[str, str, dict[str, Any]]:
 # -- job bodies ----------------------------------------------------------------
 
 
-def _study_for(job: Job, settings: ServiceSettings) -> "Any":
+def _study_for(job: Job, config: ServiceConfig) -> "Any":
     from repro.core.study import Study
 
-    config = study_config_from_payload(job.payload["config"])
+    study_config = study_config_from_payload(job.payload["config"])
     job.raise_if_cancelled()
     study = Study(
-        config,
-        jobs=settings.jobs,
-        cache=settings.cache,
-        cache_dir=settings.cache_dir,
+        study_config,
+        jobs=config.jobs,
+        cache=config.cache,
+        cache_dir=config.cache_dir,
     )
     study.observations  # the expensive stage (sharded, cached)
     job.raise_if_cancelled()
     return study
 
 
-def run_study_job(job: Job, settings: ServiceSettings) -> JobResult:
+def run_study_job(job: Job, config: ServiceConfig) -> JobResult:
     """Simulate once, then extract each requested artifact."""
     from repro.core.artifacts import artifact_json_bytes, study_envelope
     from repro.core.cache import config_fingerprint
 
-    study = _study_for(job, settings)
+    study = _study_for(job, config)
     artifacts: dict[str, bytes] = {}
     for name in job.payload["artifacts"]:
         job.raise_if_cancelled()
@@ -284,7 +272,7 @@ def _executor(job: Job, coordinator, spec_kind: str):
     return partial(coordinator.execute, task)
 
 
-def run_sweep_job(job: Job, settings: ServiceSettings, coordinator=None) -> JobResult:
+def run_sweep_job(job: Job, config: ServiceConfig, coordinator=None) -> JobResult:
     """Run (or resume) a preset sweep; cancellation stops at a cell edge.
 
     Every settled cell publishes progress (cells done, executed vs
@@ -296,8 +284,7 @@ def run_sweep_job(job: Job, settings: ServiceSettings, coordinator=None) -> JobR
     from repro.sweep.presets import preset as sweep_preset
     from repro.sweep.scheduler import run_sweep
 
-    root = settings.sweep_dir if settings.sweep_dir is not None else settings.cache_dir
-    ledger = SweepLedger(sweep_preset(job.payload["preset"]), root=root)
+    ledger = SweepLedger(sweep_preset(job.payload["preset"]), root=config.cache_dir)
     progress = {
         "n_cells": len(ledger.cells),
         "cells_done": 0,
@@ -305,17 +292,17 @@ def run_sweep_job(job: Job, settings: ServiceSettings, coordinator=None) -> JobR
         "ledger_hits": 0,
     }
 
-    def on_cell(cell, status: str) -> None:
+    def on_cell(cell, status: str, record) -> None:
         progress["cells_done"] += 1
         progress["executed" if status == "executed" else "ledger_hits"] += 1
         job.set_progress(progress)
 
     outcome = run_sweep(
         ledger,
-        jobs=settings.jobs,
+        jobs=config.jobs,
         resume=job.payload["resume"],
-        cache=settings.cache,
-        cache_dir=settings.cache_dir,
+        cache=config.cache,
+        cache_dir=config.cache_dir,
         should_stop=lambda: job.cancel_requested,
         on_cell=on_cell,
         executor=_executor(job, coordinator, "sweep-preset"),
@@ -345,7 +332,7 @@ def run_sweep_job(job: Job, settings: ServiceSettings, coordinator=None) -> JobR
     )
 
 
-def run_whatif_job(job: Job, settings: ServiceSettings, coordinator=None) -> JobResult:
+def run_whatif_job(job: Job, config: ServiceConfig, coordinator=None) -> JobResult:
     """Run (or resume) a counterfactual pairing with incremental status.
 
     The long-running job kind: every settled cell publishes a progress
@@ -362,11 +349,10 @@ def run_whatif_job(job: Job, settings: ServiceSettings, coordinator=None) -> Job
     pairing = whatif_preset(job.payload["preset"], job.payload["strength"])
     outcome = run_whatif(
         pairing,
-        jobs=settings.jobs,
+        jobs=config.jobs,
         resume=job.payload["resume"],
-        cache=settings.cache,
-        cache_dir=settings.cache_dir,
-        sweep_dir=settings.sweep_dir,
+        cache=config.cache,
+        cache_dir=config.cache_dir,
         should_stop=lambda: job.cancel_requested,
         on_progress=job.set_progress,
         executor=_executor(job, coordinator, "whatif-preset"),
@@ -393,14 +379,14 @@ def run_whatif_job(job: Job, settings: ServiceSettings, coordinator=None) -> Job
     )
 
 
-def run_conformance_job(job: Job, settings: ServiceSettings) -> JobResult:
+def run_conformance_job(job: Job, config: ServiceConfig) -> JobResult:
     """Evaluate paper conformance (and goldens, for pinned configs)."""
     from repro.core.artifacts import artifact_json_bytes
     from repro.core.cache import config_fingerprint
     from repro.core.conformance import evaluate_conformance
     from repro.core.golden import pinned_configs, verify_study
 
-    study = _study_for(job, settings)
+    study = _study_for(job, config)
     report = evaluate_conformance(study)
     job.raise_if_cancelled()
     golden: dict[str, Any] | None = None
@@ -496,7 +482,7 @@ def _execute_job_body(
     job_id: str,
     kind: str,
     payload: dict[str, Any],
-    settings: ServiceSettings,
+    config: ServiceConfig,
     cancel_path: str | None,
     progress_path: str | None = None,
 ) -> tuple[JobResult, dict, dict]:
@@ -518,11 +504,11 @@ def _execute_job_body(
     )
     with obs.collecting() as registry, obs.tracing() as tracer:
         with obs.span(f"service.body[{kind}]"):
-            result = _BODIES[kind](proxy, settings)
+            result = _BODIES[kind](proxy, config)
     return result, registry.snapshot(), tracer.tree()
 
 
-def _run_job_in_pool(job: Job, settings: ServiceSettings) -> JobResult:
+def _run_job_in_pool(job: Job, config: ServiceConfig) -> JobResult:
     """Dispatch one job body onto the persistent warm pool and await it.
 
     Runs on the manager's worker thread; the body itself runs in a pool
@@ -539,6 +525,7 @@ def _run_job_in_pool(job: Job, settings: ServiceSettings) -> JobResult:
     from repro import obs
     from repro.util import parallel
 
+    workers = max(1, config.workers)
     cancel_dir = tempfile.mkdtemp(prefix="repro-job-cancel-")
     cancel_path = os.path.join(cancel_dir, job.id)
     progress_path = os.path.join(cancel_dir, job.id + ".progress")
@@ -560,10 +547,10 @@ def _run_job_in_pool(job: Job, settings: ServiceSettings) -> JobResult:
                 job.id,
                 job.kind,
                 job.payload,
-                settings,
+                config,
                 cancel_path,
                 progress_path,
-                workers=settings.pool_workers,
+                workers=workers,
             )
             while True:
                 try:
@@ -577,7 +564,7 @@ def _run_job_in_pool(job: Job, settings: ServiceSettings) -> JobResult:
                     relay_progress()
         except BrokenProcessPool:
             parallel.shutdown_pool()
-            parallel.warm_pool(settings.pool_workers)
+            parallel.warm_pool(workers)
             obs.counter("service.jobs.worker_crashes").inc()
             raise RuntimeError(
                 "job worker process died unexpectedly (pool re-warmed)"
@@ -592,7 +579,7 @@ def _run_job_in_pool(job: Job, settings: ServiceSettings) -> JobResult:
     return result
 
 
-def make_runner(settings: ServiceSettings, coordinator=None):
+def make_runner(config: ServiceConfig, coordinator=None):
     """The :class:`~repro.service.jobs.JobManager` runner for a daemon.
 
     With a ``coordinator`` (a ``--role coordinator`` daemon), sweep and
@@ -601,17 +588,12 @@ def make_runner(settings: ServiceSettings, coordinator=None):
     on the manager's worker thread — even in ``"process"`` execution
     mode, where every other kind still ships to the warm pool.
     """
-    if settings.execution not in EXECUTION_MODES:
-        raise ValueError(
-            f"execution must be one of {list(EXECUTION_MODES)}, "
-            f"got {settings.execution!r}"
-        )
 
     def run(job: Job) -> JobResult:
         if coordinator is not None and job.kind in _LEASED_KINDS:
-            return _BODIES[job.kind](job, settings, coordinator)
-        if settings.execution == "process":
-            return _run_job_in_pool(job, settings)
-        return _BODIES[job.kind](job, settings)
+            return _BODIES[job.kind](job, config, coordinator)
+        if config.execution == "process":
+            return _run_job_in_pool(job, config)
+        return _BODIES[job.kind](job, config)
 
     return run

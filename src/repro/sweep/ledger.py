@@ -184,9 +184,14 @@ class SweepLedger:
         config_fingerprint: str,
         elapsed_s: float,
         result: dict[str, Any],
-    ) -> None:
-        """Record one completed cell (durably: flush + fsync)."""
-        self._append(
+    ) -> dict[str, Any]:
+        """Record one completed cell (durably: flush + fsync).
+
+        Returns the record as :meth:`read` parses it back: the written
+        line is the canonical form (sorted keys), which can order the
+        result's mappings differently from ``result``.
+        """
+        line = self._append(
             {
                 "kind": "cell",
                 "index": int(index),
@@ -197,8 +202,9 @@ class SweepLedger:
                 "result": result,
             }
         )
+        return json.loads(line)
 
-    def _append(self, record: dict[str, Any]) -> None:
+    def _append(self, record: dict[str, Any]) -> str:
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         if not self._tail_repaired:
             self._truncate_torn_tail()
@@ -207,6 +213,7 @@ class SweepLedger:
             handle.write(line + "\n")
             handle.flush()
             os.fsync(handle.fileno())
+        return line
 
     def _truncate_torn_tail(self) -> None:
         """Cut the file back to the end of its last complete line."""

@@ -141,7 +141,7 @@ def run_sweep(
     cache: bool | None = None,
     cache_dir: str | Path | None = None,
     should_stop: Callable[[], bool] | None = None,
-    on_cell: Callable[[SweepCell, str], None] | None = None,
+    on_cell: Callable[[SweepCell, str, dict[str, Any]], None] | None = None,
     executor: CellExecutor | None = None,
     log: Log = _silent,
 ) -> SweepOutcome:
@@ -168,11 +168,14 @@ def run_sweep(
     cells are never lost, and a later ``resume=True`` run continues
     exactly where this one stopped.
 
-    ``on_cell`` is called after every settled cell with the cell and
-    how it settled (``"executed"`` or ``"ledger-hit"``) — the seam
-    long-running callers (the counterfactual engine, the service's
-    incremental job status) use to publish progress.  Hook failures
-    propagate: a caller's progress callback is part of the run.
+    ``on_cell`` is called after every settled cell with the cell, how
+    it settled (``"executed"`` or ``"ledger-hit"``) and its ledger
+    record in the form :meth:`~repro.sweep.ledger.SweepLedger.read`
+    returns it (a hit's record as read, an executed cell's as written)
+    — the seam long-running callers (the counterfactual engine, the
+    service's incremental job status) use to publish progress without
+    re-reading the ledger.  Hook failures propagate: a caller's progress
+    callback is part of the run.
     """
     cells = ledger.cells
     outcome = SweepOutcome(sweep_id=ledger.sweep_id, ledger=ledger)
@@ -207,7 +210,7 @@ def run_sweep(
                 obs.counter("sweep.cells.ledger_hits").inc()
                 log(f"cell {cell.index} [{cell.describe()}]: ledger hit")
                 if on_cell is not None:
-                    on_cell(cell, "ledger-hit")
+                    on_cell(cell, "ledger-hit", state.cells[cell.index])
                 continue
             yield cell
 
@@ -222,7 +225,7 @@ def run_sweep(
     with obs.span("sweep.run"):
         obs.gauge("sweep.cells").set(len(cells))
         for cell, result, elapsed in executor(unsettled(), stop):
-            ledger.append_cell(
+            record = ledger.append_cell(
                 index=cell.index,
                 cell_id=cell.cell_id,
                 labels=cell.label_map,
@@ -237,7 +240,7 @@ def run_sweep(
                 f"simulated in {elapsed:.1f}s"
             )
             if on_cell is not None:
-                on_cell(cell, "executed")
+                on_cell(cell, "executed", record)
     outcome.report = load_report(ledger)
     return outcome
 

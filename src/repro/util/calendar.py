@@ -105,23 +105,6 @@ class StudyCalendar:
         """All weeks in order."""
         return [self.week(i) for i in range(self.n_weeks)]
 
-    # -- timestamps --------------------------------------------------------
-
-    def timestamp(self, date: _dt.date, seconds_into_day: float = 0.0) -> float:
-        """Seconds since the study epoch for a moment on ``date``."""
-        return self.day_index(date) * SECONDS_PER_DAY + seconds_into_day
-
-    def day_of_timestamp(self, timestamp: float) -> int:
-        """Day index containing a study-epoch timestamp."""
-        day = int(timestamp // SECONDS_PER_DAY)
-        if not 0 <= day < self.n_days:
-            raise ValueError(f"timestamp {timestamp} outside study window")
-        return day
-
-    def week_of_timestamp(self, timestamp: float) -> int:
-        """Week index containing a study-epoch timestamp."""
-        return self.week_of_day(self.day_of_timestamp(timestamp))
-
     # -- quarters ----------------------------------------------------------
 
     @cached_property

@@ -191,8 +191,12 @@ class TestCampaignModel:
     def test_active_index_consistent(self):
         model = self.make()
         for day in (0, 500, 1500):
-            for campaign in model.active(day):
-                assert campaign.active_on(day)
+            running = [
+                campaign
+                for campaign in model.campaigns
+                if 0 <= day - campaign.start_day < campaign.duration_days
+            ]
+            assert model.active(day) == running
 
     def test_bias_covers_all_observatories(self):
         model = self.make()

@@ -5,7 +5,6 @@ import datetime as dt
 import pytest
 
 from repro.util.calendar import (
-    SECONDS_PER_DAY,
     STUDY_CALENDAR,
     StudyCalendar,
     TAKEDOWN_DATES,
@@ -52,23 +51,6 @@ class TestConversions:
 
     def test_week_of_date(self):
         assert STUDY_CALENDAR.week_of_date(dt.date(2019, 1, 8)) == 1
-
-    def test_timestamp_round_trip(self):
-        date = dt.date(2021, 3, 3)
-        ts = STUDY_CALENDAR.timestamp(date, seconds_into_day=3600.0)
-        assert STUDY_CALENDAR.day_of_timestamp(ts) == STUDY_CALENDAR.day_index(date)
-
-    def test_timestamp_out_of_window_raises(self):
-        with pytest.raises(ValueError):
-            STUDY_CALENDAR.day_of_timestamp(-1.0)
-        with pytest.raises(ValueError):
-            STUDY_CALENDAR.day_of_timestamp(
-                STUDY_CALENDAR.n_days * SECONDS_PER_DAY + 1.0
-            )
-
-    def test_week_of_timestamp(self):
-        ts = 8 * SECONDS_PER_DAY + 100.0
-        assert STUDY_CALENDAR.week_of_timestamp(ts) == 1
 
 
 class TestWeeks:

@@ -35,6 +35,7 @@ from repro.counterfactual import (
     validate_intervention,
     whatif_preset,
 )
+from repro.counterfactual.engine import _divergence_summary
 from repro.net.plan import PlanConfig
 from repro.obs import load_manifest, validate_manifest
 from repro.observatories.tuning import ObservatoryTuning
@@ -261,7 +262,7 @@ class TestEngine:
         events = []
         outcome = run_whatif(
             WhatifPairing(intervention=TINY, base=_base()),
-            sweep_dir=tmp_path,
+            cache_dir=tmp_path,
             on_progress=events.append,
         )
         assert not outcome.stopped
@@ -302,7 +303,7 @@ class TestEngine:
     def test_zero_delta_run_never_detects(self, tmp_path):
         outcome = run_whatif(
             WhatifPairing(intervention=TINY, base=_base(), strength=0.0),
-            sweep_dir=tmp_path,
+            cache_dir=tmp_path,
         )
         report = outcome.report
         assert report.complete
@@ -320,11 +321,12 @@ class TestEngine:
     ):
         """A warm re-run reads the ledger once to settle its hits and once
         for the report, and expands the spec once; the detection report
-        reduces the sweep report instead of reading the ledger again."""
+        reduces the sweep report and the progress hook the records the
+        first read settled, so neither reads the ledger again."""
         import repro.sweep.spec as spec_module
 
         pairing = WhatifPairing(intervention=TINY, base=_base(), seeds=(0, 1))
-        run_whatif(pairing, sweep_dir=tmp_path)
+        run_whatif(pairing, cache_dir=tmp_path)
 
         reads, fingerprints = [], []
         read, fingerprint = SweepLedger.read, spec_module.config_fingerprint
@@ -339,9 +341,11 @@ class TestEngine:
 
         monkeypatch.setattr(SweepLedger, "read", counted_read)
         monkeypatch.setattr(spec_module, "config_fingerprint", counted_fingerprint)
-        warm = run_whatif(pairing, sweep_dir=tmp_path)
+        events = []
+        warm = run_whatif(pairing, cache_dir=tmp_path, on_progress=events.append)
         assert warm.sweep.ledger_hits == [0, 1, 2, 3]
         assert warm.report.complete
+        assert [event["cells_done"] for event in events] == [1, 2, 3, 4]
         assert len(reads) == 2
         # expand() fingerprints each of the four cells once.
         assert len(fingerprints) == 4
@@ -350,7 +354,7 @@ class TestEngine:
         calls = iter([False, True])
         pairing = WhatifPairing(intervention=TINY, base=_base())
         stopped = run_whatif(
-            pairing, sweep_dir=tmp_path, should_stop=lambda: next(calls)
+            pairing, cache_dir=tmp_path, should_stop=lambda: next(calls)
         )
         assert stopped.stopped
         assert stopped.sweep.executed == [0]
@@ -359,12 +363,21 @@ class TestEngine:
         with pytest.raises(ValueError, match="no seed has both legs"):
             build_detection_report(pairing, load_report(stopped.sweep.ledger))
 
-        resumed = run_whatif(pairing, sweep_dir=tmp_path)
+        # Seed 0's baseline is a ledger hit and its counterfactual leg
+        # runs: the progress digest pairs the record as read with the
+        # record as written, and matches a full read of the ledger.
+        events = []
+        resumed = run_whatif(pairing, cache_dir=tmp_path, on_progress=events.append)
         assert not resumed.stopped
         assert resumed.sweep.ledger_hits == [0]
         assert resumed.sweep.executed == [1]
         assert resumed.report is not None
         assert resumed.report.complete
+        assert [event["cells_done"] for event in events] == [1, 2]
+        assert events[-1]["divergence"] is not None
+        assert events[-1]["divergence"] == _divergence_summary(
+            load_report(resumed.sweep.ledger).cells
+        )
 
         # `whatif report` works from the ledger alone, byte-identically.
         from repro.core.artifacts import artifact_json_bytes

@@ -165,7 +165,7 @@ def test_sigkilled_worker_never_changes_the_bytes(tmp_path):
     run_daemon(
         scenario,
         role="coordinator",
-        sweep_dir=dist_dir,
+        cache_dir=dist_dir,
         cache=False,
         # short TTL so the orphaned lease re-dispatches quickly; the
         # heartbeat timeout stays long enough that live workers (which

@@ -99,7 +99,7 @@ class TestCoordinatorHandshake:
             )
             assert status == 200
 
-        run_daemon(scenario, role="coordinator", sweep_dir=tmp_path)
+        run_daemon(scenario, role="coordinator", cache_dir=tmp_path)
 
     def test_protocol_mismatch_is_rejected_at_registration(self, tmp_path):
         async def scenario(handle):
@@ -120,7 +120,7 @@ class TestCoordinatorHandshake:
             )
             assert overview["workers"] == []
 
-        run_daemon(scenario, role="coordinator", sweep_dir=tmp_path)
+        run_daemon(scenario, role="coordinator", cache_dir=tmp_path)
 
     def test_malformed_dist_body_is_a_schema_error(self, tmp_path):
         async def scenario(handle):
@@ -130,7 +130,7 @@ class TestCoordinatorHandshake:
             assert status == 400
             assert document["error"]["code"] == "invalid-message"
 
-        run_daemon(scenario, role="coordinator", sweep_dir=tmp_path)
+        run_daemon(scenario, role="coordinator", cache_dir=tmp_path)
 
 
 class TestDistributedSweep:
@@ -210,7 +210,7 @@ class TestDistributedSweep:
         run_daemon(
             scenario,
             role="coordinator",
-            sweep_dir=tmp_path / "dist",
+            cache_dir=tmp_path / "dist",
             cache=False,
         )
         assert scenario.raw == expected

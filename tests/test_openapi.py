@@ -22,7 +22,7 @@ from repro.service.openapi import openapi_document
 
 
 def make_app() -> App:
-    return App(JobManager(lambda job: JobResult()))
+    return App(JobManager(lambda job: JobResult()), execution="process")
 
 
 def collect_refs(node) -> set[str]:

@@ -93,7 +93,7 @@ def run_daemon(test_body, *, runner=None, **config_kwargs):
     async def main():
         original = daemon_module.make_runner
         if runner is not None:
-            daemon_module.make_runner = lambda settings: runner
+            daemon_module.make_runner = lambda *_: runner
         holder: dict = {}
         try:
             server = asyncio.create_task(
@@ -558,7 +558,7 @@ class TestSweepJobs:
                 port, "GET", f"/v1/jobs/{document['id']}/artifacts/report"
             )
 
-        run_daemon(scenario, sweep_dir=str(tmp_path / "daemon"))
+        run_daemon(scenario, cache_dir=str(tmp_path / "daemon"))
         assert scenario.raw == expected
 
 
@@ -775,7 +775,6 @@ class TestWhatifJobs:
             coordinator,
             role="coordinator",
             cache_dir=str(tmp_path / "coordinator"),
-            sweep_dir=str(tmp_path / "coordinator"),
         )
         assert coordinator.result == standalone.result
         progress, _ = coordinator.result

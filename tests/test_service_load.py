@@ -230,7 +230,7 @@ class TestProcessExecution:
 
         real_study_body = runners_module._BODIES["study"]
 
-        def sabotaged_study_body(job, settings):
+        def sabotaged_study_body(job, config):
             if job.payload["config"].get("seed") == 666:
                 os.kill(os.getpid(), signal.SIGKILL)  # worker dies mid-job
             return JobResult(artifacts={"table1": b'{"ok": true}\n'})
@@ -280,7 +280,7 @@ class TestProcessExecution:
     def test_cancellation_crosses_the_process_boundary(self, monkeypatch):
         import repro.service.runners as runners_module
 
-        def spinning_study_body(job, settings):
+        def spinning_study_body(job, config):
             while True:
                 job.raise_if_cancelled()
                 time.sleep(0.01)

@@ -171,21 +171,27 @@ class TestStopAndResume:
         assert stopped.ledger_hits == []
 
     def test_on_cell_reports_how_each_cell_settled(self, tmp_path):
-        events: list[tuple[int, str]] = []
-        run_sweep(
-            SweepLedger(SPEC2, root=tmp_path),
-            jobs=1,
-            on_cell=lambda cell, status: events.append((cell.index, status)),
-        )
-        assert events == [(0, "executed"), (1, "executed")]
+        """``on_cell`` gets each cell, how it settled and its ledger
+        record as ``SweepLedger.read`` returns it; ``json.dumps`` keeps
+        key order, so the comparison also pins the record's form."""
+        import json
+
+        events: list[tuple[int, str, str]] = []
+
+        def on_cell(cell, status, record):
+            events.append((cell.index, status, json.dumps(record)))
+
+        run_sweep(SweepLedger(SPEC2, root=tmp_path), jobs=1, on_cell=on_cell)
+        read = SweepLedger(SPEC2, root=tmp_path).read().cells
+        records = [json.dumps(read[index]) for index in (0, 1)]
+        assert events == [(0, "executed", records[0]), (1, "executed", records[1])]
 
         events.clear()
-        run_sweep(
-            SweepLedger(SPEC2, root=tmp_path),
-            jobs=1,
-            on_cell=lambda cell, status: events.append((cell.index, status)),
-        )
-        assert events == [(0, "ledger-hit"), (1, "ledger-hit")]
+        run_sweep(SweepLedger(SPEC2, root=tmp_path), jobs=1, on_cell=on_cell)
+        assert events == [
+            (0, "ledger-hit", records[0]),
+            (1, "ledger-hit", records[1]),
+        ]
 
 
 class TestStaleRecord:
