@@ -9,7 +9,6 @@ by a bounded fraction at each takedown and recovers geometrically.
 
 from __future__ import annotations
 
-import datetime as _dt
 import math
 from dataclasses import dataclass
 
@@ -129,11 +128,6 @@ class BooterMarket:
     def takedown_days(self) -> list[int]:
         """Study-day indices of the modelled takedowns."""
         return [takedown.day for takedown in self.takedowns]
-
-
-def takedown_dates() -> tuple[_dt.date, ...]:
-    """The takedown dates the paper marks in Figure 3."""
-    return TAKEDOWN_DATES
 
 
 class BooterService:

@@ -20,7 +20,7 @@ produced spikes visible only at the honeypots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

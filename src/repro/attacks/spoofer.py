@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.attacks.spoofing import SavModel
 from repro.net.asn import ASKind
 from repro.net.plan import InternetPlan

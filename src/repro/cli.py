@@ -82,14 +82,13 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import datetime as dt
 import sys
 from pathlib import Path
 
 from repro import obs
 from repro.core import report as report_module
 from repro.core.study import Study, StudyConfig
-from repro.util.calendar import STUDY_CALENDAR, StudyCalendar, calendar_for_weeks
+from repro.util.calendar import StudyCalendar, calendar_for_weeks
 
 
 # -- shared flag groups (argparse parent parsers) ------------------------------

@@ -88,17 +88,6 @@ def sweeps_root(root: str | Path | None = None) -> Path:
     return base / "sweeps"
 
 
-def transport_root(root: str | Path | None = None) -> Path:
-    """Where in-flight shard transport files live: ``<cache root>/transport``.
-
-    Each parallel run makes its own temporary directory underneath and
-    removes it when the run finishes (success or crash), so anything left
-    here is disposable by construction.
-    """
-    base = Path(root).expanduser() if root is not None else default_cache_dir()
-    return base / "transport"
-
-
 # -- config fingerprinting -----------------------------------------------------
 
 

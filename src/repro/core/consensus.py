@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.timeseries import WeeklySeries, ewma, normalize
+from repro.core.timeseries import WeeklySeries, normalize
 
 
 @dataclass
@@ -46,10 +46,6 @@ class ConsensusView:
     def mean_dispersion(self) -> float:
         """Scalar disagreement index over the whole window."""
         return float(self.dispersion.mean())
-
-    def smoothed_median(self, span: int = 12) -> np.ndarray:
-        """EWMA of the consensus median (trend view)."""
-        return ewma(self.median, span)
 
 
 def consensus(series: dict[str, WeeklySeries]) -> ConsensusView:

@@ -1,36 +1,18 @@
-"""Data interchange: observatory records as CSV and flat column mappings.
+"""Flat column mappings of observatory records.
 
-The analysis toolkit is simulation-agnostic — these helpers let a real
-attack feed (daily attack records) flow into the same pipeline, and let
-simulation output leave it.
-
-Formats:
-
-* **records CSV** — one attack record per line:
-  ``day,target,attack_class,vector,spoofed,bps,duration``.  ``day`` is a
-  0-based study-day index, ``target`` a dotted-quad IPv4 address,
-  ``vector`` a catalogue name (see :mod:`repro.attacks.vectors`);
-  ``duration`` (seconds) may be empty for feeds that do not report it.
-* **flat column mappings** — ``{key: array}`` mappings packing many
-  observatories' records for binary storage; :func:`pack_result` adds the
-  weekly ground truth, the one simulation-result layout that the columnar
-  file format of :mod:`repro.core.shardio` stores, for the on-disk study
-  cache (:mod:`repro.core.cache`) and the shard transport alike.
+A ``{key: array}`` mapping packs many observatories' records for binary
+storage; :func:`pack_result` adds the weekly ground truth, the one
+simulation-result layout that the columnar file format of
+:mod:`repro.core.shardio` stores, for the on-disk study cache
+(:mod:`repro.core.cache`) and the shard transport alike.
 """
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
-
 import numpy as np
 
 from repro.attacks.events import AttackClass
-from repro.attacks.vectors import VECTORS, vector_id
-from repro.net.addr import format_ip, parse_ip
 from repro.observatories.base import OBSERVATION_COLUMNS, Observations
-
-_RECORD_FIELDS = ("day", "target", "attack_class", "vector", "spoofed", "bps", "duration")
 
 #: Separator in flat column keys: ``obs::<observatory>::<column>``.
 _KEY_SEP = "::"
@@ -106,69 +88,3 @@ def unpack_result(
         for attack_class in AttackClass
     }
     return sinks, ground_truth
-
-
-def observations_to_csv(observations: Observations, path: str | Path) -> Path:
-    """Write attack records to a CSV file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_RECORD_FIELDS)
-        for i in range(len(observations)):
-            duration = float(observations.duration[i])
-            writer.writerow(
-                [
-                    int(observations.day[i]),
-                    format_ip(int(observations.target[i])),
-                    AttackClass(int(observations.attack_class[i])).label,
-                    VECTORS[int(observations.vector_id[i])].name,
-                    int(observations.spoofed[i]),
-                    f"{float(observations.bps[i]):.0f}",
-                    "" if np.isnan(duration) else f"{duration:.1f}",
-                ]
-            )
-    return path
-
-
-def observations_from_csv(path: str | Path, name: str | None = None) -> Observations:
-    """Read attack records from a CSV file (format of
-    :func:`observations_to_csv`)."""
-    path = Path(path)
-    days: list[int] = []
-    targets: list[int] = []
-    classes: list[int] = []
-    vectors: list[int] = []
-    spoofed: list[bool] = []
-    bps: list[float] = []
-    durations: list[float] = []
-    with path.open("r", newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        # "duration" is optional for feeds that do not report it.
-        missing = set(_RECORD_FIELDS) - {"duration"} - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"records CSV missing columns: {sorted(missing)}")
-        for row in reader:
-            days.append(int(row["day"]))
-            targets.append(parse_ip(row["target"]))
-            classes.append(_class_from_label(row["attack_class"]))
-            vectors.append(vector_id(row["vector"]))
-            spoofed.append(bool(int(row["spoofed"])))
-            bps.append(float(row["bps"]))
-            raw_duration = row.get("duration", "")
-            durations.append(float(raw_duration) if raw_duration else float("nan"))
-
-    # Records must be day-sorted; a stable sort keeps the file order within
-    # each day.
-    order = np.argsort(np.asarray(days, dtype=np.int32), kind="stable")
-    columns = (days, targets, classes, vectors, spoofed, bps, durations)
-    return Observations(
-        name or path.stem, *(np.asarray(column)[order] for column in columns)
-    )
-
-
-def _class_from_label(label: str) -> int:
-    for attack_class in AttackClass:
-        if attack_class.label == label:
-            return int(attack_class)
-    raise ValueError(f"unknown attack class label: {label!r}")

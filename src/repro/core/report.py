@@ -8,8 +8,6 @@ these.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.render import (
     format_matrix,
     format_percent,
@@ -337,8 +335,3 @@ RENDERERS = {
 def render_all(study: Study) -> dict[str, str]:
     """Render every text artefact."""
     return {key: render(study) for key, render in RENDERERS.items()}
-
-
-def summary_matrix(study: Study) -> np.ndarray:
-    """The Figure-4 matrix (convenience for numeric consumers)."""
-    return study.artifact_result("fig4_heatmap").matrix

@@ -118,16 +118,6 @@ class TrendFigure:
     series: dict[str, WeeklySeries]
     takedown_weeks: list[int]
 
-    def trend_slopes(self) -> dict[str, dict[int, float]]:
-        """Per-observatory regression slopes (per year) for 2019-2022 starts."""
-        return {
-            label: {
-                year: line.slope_per_year
-                for year, line in weekly.trend_lines_by_year().items()
-            }
-            for label, weekly in self.series.items()
-        }
-
 
 @dataclass
 class HeatmapFigure:
@@ -655,16 +645,16 @@ class Study:
 
     # -- conformance ----------------------------------------------------------------
 
-    def conformance(self, checks=None):
+    def conformance(self):
         """Evaluate the paper-conformance registry against this study.
 
         Returns a :class:`~repro.core.conformance.ConformanceReport`;
         checks that need a longer window than this study's calendar are
-        skipped, not failed.  ``checks`` restricts evaluation to a subset.
+        skipped, not failed.
         """
         from repro.core.conformance import evaluate_conformance
 
-        return evaluate_conformance(self, checks)
+        return evaluate_conformance(self)
 
     def fingerprints(self) -> dict[str, str]:
         """sha256 fingerprints of the study's key derived arrays.

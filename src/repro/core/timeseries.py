@@ -82,10 +82,6 @@ class TrendLine:
     slope_per_week: float
     intercept: float
 
-    def value_at(self, week: int) -> float:
-        """Fitted value at a week index."""
-        return self.intercept + self.slope_per_week * week
-
     @property
     def slope_per_year(self) -> float:
         """Slope in normalised units per year (what figure legends show)."""

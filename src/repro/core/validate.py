@@ -52,7 +52,6 @@ def validate_observations(
     calendar: StudyCalendar,
     *,
     expected_classes: tuple[AttackClass, ...] | None = None,
-    duplicate_warning_share: float = 0.5,
 ) -> ValidationReport:
     """Check an observation feed for structural problems.
 
@@ -152,7 +151,7 @@ def validate_observations(
         if targets_in_range
         else 0.0
     )
-    if duplicate_share > duplicate_warning_share:
+    if duplicate_share > 0.5:
         report.warnings.append(
             f"{duplicate_share * 100:.0f}% same-day duplicate records"
         )

@@ -26,7 +26,6 @@ at reduced rates).
 
 from __future__ import annotations
 
-import datetime as _dt
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -37,31 +36,10 @@ from repro.counterfactual.spec import (
     set_op,
     shift_op,
 )
+from repro.scenarios.presets import small_base
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.study import StudyConfig
-
-
-def _weeks(n: int):
-    from repro.util.calendar import StudyCalendar
-
-    start = _dt.date(2019, 1, 1)
-    return StudyCalendar(start, start + _dt.timedelta(days=n * 7))
-
-
-def _small_base(weeks: int, scenario=None) -> "StudyConfig":
-    """Smoke-scale base config (the scenario-preset convention)."""
-    from repro.core.study import StudyConfig
-    from repro.net.plan import PlanConfig
-
-    return StudyConfig(
-        seed=0,
-        calendar=_weeks(weeks),
-        dp_per_day=20.0,
-        ra_per_day=15.0,
-        plan=PlanConfig(seed=0, tail_as_count=60),
-        scenario=scenario,
-    )
 
 
 @dataclass(frozen=True)
@@ -133,7 +111,7 @@ def _takedown_earlier() -> WhatifPreset:
                 scale_op("scenario.booter.capacity_removed", 1.3),
             ),
         ),
-        base=lambda: _small_base(
+        base=lambda: small_base(
             40,
             ScenarioConfig(booter=BooterTakedownScenario(takedown_week=20)),
         ),
@@ -159,7 +137,7 @@ def _blackholing_aggressive() -> WhatifPreset:
                 scale_op("tuning.ixp_blackhole_probability_scale", 1.5),
             ),
         ),
-        base=lambda: _small_base(32),
+        base=lambda: small_base(32),
         seeds=(0, 1),
     )
 
@@ -178,7 +156,7 @@ def _severity_floor() -> WhatifPreset:
             ),
             ops=(scale_op("tuning.netscout_severity_floor_scale", 3.0),),
         ),
-        base=lambda: _small_base(32),
+        base=lambda: small_base(32),
         seeds=(0, 1),
     )
 

@@ -12,10 +12,11 @@ the monotonicity property of the divergence detector sweeps.
 The zero-delta guarantee — the heart of the common-random-numbers
 pairing — is structural: at ``strength == 0`` (or when every resolved
 value equals the current one) :meth:`InterventionSpec.overrides` returns
-an *empty* mapping, :meth:`InterventionSpec.apply` returns the base
-config **object itself**, its :func:`~repro.core.cache.config_fingerprint`
-is unchanged, and both legs of a pair resolve to the same study-cache
-entry — byte-identical feeds, not merely statistically similar ones.
+an *empty* mapping, so :func:`~repro.sweep.spec.apply_overrides` returns
+the base config **object itself**, its
+:func:`~repro.core.cache.config_fingerprint` is unchanged, and both legs
+of a pair resolve to the same study-cache entry — byte-identical feeds,
+not merely statistically similar ones.
 
 Ops targeting ``tuning.*`` paths are grouped into a single
 :class:`~repro.observatories.tuning.ObservatoryTuning` override (the
@@ -176,15 +177,6 @@ class InterventionSpec:
                 )
             resolved["tuning"] = ObservatoryTuning(**tuning_fields)
         return resolved
-
-    def apply(self, base: "StudyConfig", strength: float = 1.0) -> "StudyConfig":
-        """The counterfactual config (the base object itself if zero-delta)."""
-        from repro.sweep.spec import apply_overrides
-
-        resolved = self.overrides(base, strength)
-        if not resolved:
-            return base
-        return apply_overrides(base, resolved)
 
     # -- serialization -----------------------------------------------------------
 

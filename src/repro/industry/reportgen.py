@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.attacks.events import AttackClass
-from repro.attacks.vectors import VECTORS, VectorKind
+from repro.attacks.vectors import VECTORS
 from repro.net.plan import InternetPlan
 from repro.observatories.base import Observations
 from repro.util.calendar import StudyCalendar

@@ -19,7 +19,6 @@ from repro.industry.corpus import (
     METRIC_FIELDS,
     OMITTED_DOCUMENTS,
     IndustryReport,
-    ReportFormat,
     TrendDirection,
 )
 
@@ -116,16 +115,6 @@ def period_distribution(
         else:
             buckets["annual"] += 1
     return buckets
-
-
-def format_distribution(
-    reports: tuple[IndustryReport, ...] = INCLUDED_REPORTS,
-) -> dict[ReportFormat, int]:
-    """Publication-format counts."""
-    distribution = {fmt: 0 for fmt in ReportFormat}
-    for report in reports:
-        distribution[report.format] += 1
-    return distribution
 
 
 def udp_dominance_share(

@@ -105,14 +105,6 @@ class Prefix:
 
     # -- derivation ---------------------------------------------------------
 
-    def supernet(self, length: int | None = None) -> "Prefix":
-        """The covering prefix at ``length`` (default: one bit shorter)."""
-        if length is None:
-            length = self.length - 1
-        if length < 0 or length > self.length:
-            raise ValueError(f"cannot widen /{self.length} to /{length}")
-        return Prefix(self.network & _mask(length), length)
-
     def subnets(self, length: int) -> Iterator["Prefix"]:
         """All subnets of this prefix at ``length``."""
         if length < self.length or length > IPV4_BITS:
@@ -120,12 +112,6 @@ class Prefix:
         step = 1 << (IPV4_BITS - length)
         for network in range(self.first, self.last + 1, step):
             yield Prefix(network, length)
-
-    def nth(self, offset: int) -> int:
-        """The address at ``offset`` inside the prefix."""
-        if not 0 <= offset < self.size:
-            raise ValueError(f"offset {offset} outside /{self.length}")
-        return self.network + offset
 
     # -- text ---------------------------------------------------------------
 

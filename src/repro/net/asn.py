@@ -73,10 +73,3 @@ class ASRegistry:
 
     def __iter__(self) -> Iterator[ASInfo]:
         return iter(self._by_asn.values())
-
-    def by_kind(self, kind: ASKind) -> list[ASInfo]:
-        """All ASes of one kind, ASN ascending."""
-        return sorted(
-            (info for info in self._by_asn.values() if info.kind is kind),
-            key=lambda info: info.asn,
-        )

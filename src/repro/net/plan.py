@@ -102,10 +102,6 @@ class InternetPlan:
 
     # -- target sampling -------------------------------------------------------
 
-    def sample_targets(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` attack-target addresses (heavy-tailed across ASes)."""
-        return self._sampler.sample(rng, count)
-
     def targets_from_uniforms(
         self, uniforms: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -114,18 +110,14 @@ class InternetPlan:
         Row 0 picks a prefix, row 1 the offset inside it; every sampled
         prefix is announced by exactly the AS it was allocated to — so the
         origin comes for free, without any per-address LPM lookup.  Fed
-        ``rng.random((2, n))``, it returns :meth:`sample_targets`'s
-        addresses for the same stream.
+        ``rng.random((2, n))``, it draws ``n`` targets, heavy-tailed across
+        ASes by their target weights.
         """
         return self._sampler.from_uniforms(uniforms)
 
     def origin_as(self, address: int) -> int | None:
         """Origin ASN of an address (routing LPM)."""
         return self.routing.origin_as(address)
-
-    def as_name(self, asn: int) -> str:
-        """Display name of an AS."""
-        return self.ases.get(asn).name
 
 
 class TargetSampler:
@@ -157,16 +149,6 @@ class TargetSampler:
         self._asns = np.asarray(asns, dtype=np.int64)
         cumulative = np.cumsum(np.asarray(weights, dtype=np.float64))
         self._cumulative = cumulative / cumulative[-1]
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` sampled addresses as an int64 array."""
-        return self.sample_with_asns(rng, count)[0]
-
-    def sample_with_asns(
-        self, rng: np.random.Generator, count: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``count`` sampled addresses plus their owning ASNs (int64 each)."""
-        return self.from_uniforms(rng.random((2, count)))
 
     def from_uniforms(self, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Addresses and owning ASNs for a ``(2, n)`` block of uniforms.

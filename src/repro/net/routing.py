@@ -25,10 +25,6 @@ class RoutingTable:
             raise ValueError(f"invalid origin ASN: {origin_asn}")
         self._table.insert(prefix, origin_asn)
 
-    def withdraw(self, prefix: Prefix) -> None:
-        """Withdraw an announcement; KeyError if not announced."""
-        self._table.remove(prefix)
-
     # -- lookups -------------------------------------------------------------
 
     def origin_as(self, address: int) -> int | None:

@@ -12,7 +12,7 @@ from typing import Generic, Iterator, TypeVar
 
 import numpy as np
 
-from repro.net.addr import IPV4_BITS, Prefix, prefix_of
+from repro.net.addr import IPV4_BITS, Prefix
 
 V = TypeVar("V")
 
@@ -39,19 +39,6 @@ class PrefixTable(Generic[V]):
             self._sorted_networks.pop(prefix.length, None)
         bucket[prefix.network] = value
 
-    def remove(self, prefix: Prefix) -> V:
-        """Remove and return the entry for ``prefix``; KeyError if absent."""
-        bucket = self._by_length.get(prefix.length)
-        if bucket is None or prefix.network not in bucket:
-            raise KeyError(str(prefix))
-        value = bucket.pop(prefix.network)
-        self._size -= 1
-        self._sorted_networks.pop(prefix.length, None)
-        if not bucket:
-            del self._by_length[prefix.length]
-            self._lengths_desc = sorted(self._by_length, reverse=True)
-        return value
-
     # -- exact access ----------------------------------------------------------
 
     def get(self, prefix: Prefix, default: V | None = None) -> V | None:
@@ -75,14 +62,6 @@ class PrefixTable(Generic[V]):
             if network in bucket:
                 return Prefix(network, length), bucket[network]
         return None
-
-    def covering(self, address: int) -> Iterator[tuple[Prefix, V]]:
-        """All entries covering ``address``, most specific first."""
-        for length in self._lengths_desc:
-            network = address & _MASKS[length]
-            bucket = self._by_length[length]
-            if network in bucket:
-                yield Prefix(network, length), bucket[network]
 
     def covers_many(self, addresses: np.ndarray) -> np.ndarray:
         """Boolean mask: whether *any* stored prefix covers each address.
@@ -147,13 +126,6 @@ class PrefixTable(Generic[V]):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PrefixTable({self._size} entries)"
-
-
-def enclosing_prefixes(address: int, min_length: int, max_length: int) -> Iterator[Prefix]:
-    """All prefixes containing ``address`` between the two lengths,
-    most specific first."""
-    for length in range(max_length, min_length - 1, -1):
-        yield prefix_of(address, length)
 
 
 _MASKS = [0] + [

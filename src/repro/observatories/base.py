@@ -98,7 +98,7 @@ class Observations:
     concatenates day-range shards in order, which is how the sharded
     executor in :mod:`repro.util.parallel` combines per-shard results.
     Because nothing can change the records, :meth:`target_keys` derives
-    each class's keys once per instance.
+    the keys once per instance.
     """
 
     observatory: str
@@ -145,7 +145,7 @@ class Observations:
             column = np.array(column, dtype=dtype)
             column.flags.writeable = False
             setattr(self, name, column)
-        self._keys: dict[AttackClass | None, np.ndarray] = {}
+        self._keys: np.ndarray | None = None
 
     @classmethod
     def from_batch(
@@ -197,7 +197,7 @@ class Observations:
                 raise ValueError(f"column {name} length mismatch")
             column.flags.writeable = False
             setattr(observations, name, column)
-        observations._keys = {}
+        observations._keys = None
         return observations
 
     @classmethod
@@ -228,34 +228,26 @@ class Observations:
         return self.attack_class == int(attack_class)
 
     def weekly_counts(
-        self,
-        calendar: StudyCalendar,
-        attack_class: AttackClass | None = None,
-        spoofed: bool | None = None,
+        self, calendar: StudyCalendar, attack_class: AttackClass | None = None
     ) -> np.ndarray:
         """New-attack counts summed per study week (paper Section 5)."""
-        mask = self.class_mask(attack_class)
-        if spoofed is not None:
-            mask &= self.spoofed == spoofed
-        weeks = self.day[mask] // 7
+        weeks = self.day[self.class_mask(attack_class)] // 7
         weeks = weeks[weeks < calendar.n_weeks]
         return np.bincount(weeks, minlength=calendar.n_weeks).astype(np.float64)
 
-    def target_keys(self, attack_class: AttackClass | None = None) -> np.ndarray:
+    def target_keys(self) -> np.ndarray:
         """Distinct targets as sorted int64 keys ``day << 32 | ip``.
 
         The paper identifies a target by its (day, target-IP) tuple
         (:func:`pack_keys`; a target outside [0, 2**32) raises
-        ``ValueError``).  Built once per attack class and returned
-        read-only, the same array on every call.
+        ``ValueError``).  Built once and returned read-only, the same
+        array on every call.
         """
-        keys = self._keys.get(attack_class)
-        if keys is None:
-            mask = self.class_mask(attack_class)
-            keys = unique_keys(pack_keys(self.day[mask], self.target[mask]))
+        if self._keys is None:
+            keys = unique_keys(pack_keys(self.day, self.target))
             keys.flags.writeable = False
-            self._keys[attack_class] = keys
-        return keys
+            self._keys = keys
+        return self._keys
 
 
 class VisibilityNoise:

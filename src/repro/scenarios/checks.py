@@ -76,11 +76,6 @@ def scenario_checks_for(scenario: ScenarioConfig | None) -> tuple[Check, ...]:
     return tuple(checks)
 
 
-def family_checks(family: str) -> tuple[Check, ...]:
-    """One family's suite, in registration order."""
-    return tuple(SCENARIO_REGISTRY[family].values())
-
-
 # -- shared helpers ------------------------------------------------------------
 
 

@@ -213,11 +213,3 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if all(getattr(self, family) is None for family in SCENARIO_FAMILIES):
             raise ValueError("a ScenarioConfig needs at least one family")
-
-    def families(self) -> tuple[str, ...]:
-        """Names of the active families, in display order."""
-        return tuple(
-            family
-            for family in SCENARIO_FAMILIES
-            if getattr(self, family) is not None
-        )

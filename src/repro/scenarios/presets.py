@@ -17,7 +17,6 @@ keeping the cells cheap lets the conformance tier run all four presets.
 
 from __future__ import annotations
 
-import datetime as _dt
 from typing import Callable
 
 from repro.net.plan import PlanConfig
@@ -29,20 +28,17 @@ from repro.scenarios.config import (
     ScenarioConfig,
 )
 from repro.sweep.spec import Axis, AxisPoint, ScenarioSpec, axis
-from repro.util.calendar import StudyCalendar
+from repro.util.calendar import calendar_for_weeks
 
 
-def _weeks(n: int) -> StudyCalendar:
-    start = _dt.date(2019, 1, 1)
-    return StudyCalendar(start, start + _dt.timedelta(days=n * 7))
-
-
-def _scenario_base(weeks: int, scenario: ScenarioConfig):
+def small_base(weeks: int, scenario: ScenarioConfig | None = None):
+    """The smoke-scale base config of the scenario and what-if presets:
+    ``weeks`` from 2019-01-01 at reduced rates on a 60-tail-AS plan."""
     from repro.core.study import StudyConfig
 
     return StudyConfig(
         seed=0,
-        calendar=_weeks(weeks),
+        calendar=calendar_for_weeks(weeks),
         dp_per_day=20.0,
         ra_per_day=15.0,
         plan=PlanConfig(seed=0, tail_as_count=60),
@@ -59,7 +55,7 @@ def _booter_takedown() -> ScenarioSpec:
             "and the rebranding capacity step, over seizure-depth x "
             "rebrand-share."
         ),
-        base=_scenario_base(
+        base=small_base(
             40,
             ScenarioConfig(booter=BooterTakedownScenario(takedown_week=16)),
         ),
@@ -79,7 +75,7 @@ def _cloud_observatory() -> ScenarioSpec:
             "floor and auto-mitigation truncation bias, over the "
             "mitigation threshold."
         ),
-        base=_scenario_base(
+        base=small_base(
             24, ScenarioConfig(cloud=CloudObservatoryScenario())
         ),
         axes=(
@@ -100,7 +96,7 @@ def _amplification_emergence() -> ScenarioSpec:
             "Emerging amplification vector rises, peaks and decays to a "
             "persistent floor in the IXP-side RA mix, per vector."
         ),
-        base=_scenario_base(
+        base=small_base(
             40, ScenarioConfig(emergence=EmergenceScenario())
         ),
         axes=(axis("vector", "scenario.emergence.vector", ("TP240", "SLP")),),
@@ -116,7 +112,7 @@ def _honeypot_convergence() -> ScenarioSpec:
             "ground-truth convergence beyond the pool threshold, "
             "placement-driven protocol affinity."
         ),
-        base=_scenario_base(
+        base=small_base(
             28, ScenarioConfig(honeypot_pool=HoneypotPoolScenario())
         ),
         axes=(

@@ -60,6 +60,10 @@ from repro.service.dist.protocol import (
 from repro.sweep.scheduler import Settled
 from repro.sweep.spec import SweepCell, sweep_id
 
+#: Seconds between the keepalives a worker sends while it holds a lease,
+#: handed to each worker at registration.
+HEARTBEAT_INTERVAL_S = 5.0
+
 
 @dataclass
 class _Worker:
@@ -110,7 +114,6 @@ class DistCoordinator:
         self,
         *,
         lease_ttl_s: float = 60.0,
-        heartbeat_interval_s: float = 5.0,
         heartbeat_timeout_s: float = 15.0,
         poll_interval_s: float = 0.2,
         clock: Callable[[], float] = time.monotonic,
@@ -118,7 +121,6 @@ class DistCoordinator:
         if lease_ttl_s <= 0 or heartbeat_timeout_s <= 0:
             raise ValueError("lease TTL and heartbeat timeout must be > 0")
         self.lease_ttl_s = float(lease_ttl_s)
-        self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.heartbeat_timeout_s = float(heartbeat_timeout_s)
         self.poll_interval_s = float(poll_interval_s)
         self._clock = clock
@@ -154,7 +156,7 @@ class DistCoordinator:
             "worker_id": worker_id,
             "capabilities": list(DIST_CAPABILITIES),
             "lease_ttl_s": self.lease_ttl_s,
-            "heartbeat_interval_s": self.heartbeat_interval_s,
+            "heartbeat_interval_s": HEARTBEAT_INTERVAL_S,
             "poll_interval_s": self.poll_interval_s,
         }
 

@@ -32,7 +32,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.core.cache import canonical, config_fingerprint
@@ -82,37 +82,33 @@ def axis(name: str, field_path: str, values: Iterable[object]) -> Axis:
     )
 
 
-def seed_axis(seeds: Iterable[int], include_plan: bool = True) -> Axis:
+def seed_axis(seeds: Iterable[int]) -> Axis:
     """A seed ensemble axis.
 
-    With ``include_plan`` (the default) each point also re-seeds the
-    Internet plan (``plan.seed``), matching the convention of the
-    seed-robustness benchmark: a new seed means a new world, not just new
-    attack draws on the same plan.  Only valid against a base config with
-    an explicit ``plan``.
+    Each point also re-seeds the Internet plan (``plan.seed``), matching
+    the convention of the seed-robustness benchmark: a new seed means a
+    new world, not just new attack draws on the same plan.  Only valid
+    against a base config with an explicit ``plan``.
     """
-    points = []
-    for seed in seeds:
-        overrides: dict[str, object] = {"seed": int(seed)}
-        if include_plan:
-            overrides["plan.seed"] = int(seed)
-        points.append(AxisPoint.of(seed, overrides))
-    return Axis(name="seed", points=tuple(points))
+    return Axis(
+        name="seed",
+        points=tuple(
+            AxisPoint.of(seed, {"seed": int(seed), "plan.seed": int(seed)})
+            for seed in seeds
+        ),
+    )
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A declarative multi-run experiment over ``StudyConfig`` space.
 
-    ``mode`` is ``"grid"`` (cartesian product of all axes, first axis
-    slowest) or ``"zip"`` (axes advanced in lockstep; all must have the
-    same length).
+    The cells are the cartesian product of all axes, first axis slowest.
     """
 
     name: str
     base: "StudyConfig"
     axes: tuple[Axis, ...] = ()
-    mode: str = "grid"
     description: str = ""
     #: Source-paper anchor the spec reproduces (e.g. ``"Hide&Seek §5"``).
     #: Presentation-only, like ``description``: excluded from
@@ -121,18 +117,9 @@ class ScenarioSpec:
     anchor: str = ""
 
     def __post_init__(self) -> None:
-        if self.mode not in ("grid", "zip"):
-            raise ValueError(f"unknown mode {self.mode!r}; use 'grid' or 'zip'")
         names = [ax.name for ax in self.axes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate axis names: {names}")
-        if self.mode == "zip" and self.axes:
-            lengths = {len(ax.points) for ax in self.axes}
-            if len(lengths) != 1:
-                raise ValueError(
-                    f"zip axes must have equal lengths, got "
-                    f"{ {ax.name: len(ax.points) for ax in self.axes} }"
-                )
 
 
 @dataclass(frozen=True)
@@ -209,16 +196,8 @@ def expand(spec: ScenarioSpec) -> tuple[SweepCell, ...]:
     Cell order — and with it every cell index and id — depends only on
     the spec, never on jobs, resume state, or the environment.
     """
-    if not spec.axes:
-        combos: list[tuple[AxisPoint, ...]] = [()]
-    elif spec.mode == "zip":
-        combos = [tuple(points) for points in zip(*(ax.points for ax in spec.axes))]
-    else:
-        combos = [
-            tuple(points)
-            for points in itertools.product(*(ax.points for ax in spec.axes))
-        ]
     cells = []
+    combos = itertools.product(*(ax.points for ax in spec.axes))
     for index, points in enumerate(combos):
         overrides: dict[str, object] = {}
         for point in points:
@@ -249,7 +228,9 @@ def spec_fingerprint(spec: ScenarioSpec) -> str:
         {
             "schema": SWEEP_SCHEMA_VERSION,
             "name": spec.name,
-            "mode": spec.mode,
+            # Part of every sweep id: dropping it would orphan every
+            # existing ledger.
+            "mode": "grid",
             "base": canonical(spec.base),
             "axes": [
                 {

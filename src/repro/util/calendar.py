@@ -30,11 +30,6 @@ class Week:
     start_date: _dt.date
 
     @property
-    def end_date(self) -> _dt.date:
-        """Last day (inclusive) covered by this week."""
-        return self.start_date + _dt.timedelta(days=DAYS_PER_WEEK - 1)
-
-    @property
     def year(self) -> int:
         """Calendar year of the week's first day."""
         return self.start_date.year
@@ -122,10 +117,6 @@ class StudyCalendar:
     def quarters(self) -> list[str]:
         """Ordered distinct quarter labels covered by the study weeks."""
         return list(self.quarter_weeks)
-
-    def weeks_in_quarter(self, quarter: str) -> list[int]:
-        """Week indices whose first day falls in ``quarter``."""
-        return list(self.quarter_weeks.get(quarter, ()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

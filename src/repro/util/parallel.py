@@ -37,10 +37,10 @@ any ``N``.
 
 Shard results travel home as zero-copy transport files, not pickles:
 each worker writes a columnar ``.shard`` file (:mod:`repro.core.shardio`)
-into a per-run temporary directory and returns only its path; the
-collector memory-maps the files and merges numpy views directly.  The
-run directory is removed in a ``finally`` block, so a crashed worker can
-never leave orphaned shard files behind.
+into a per-run directory in the system temp dir and returns only its
+path; the collector memory-maps the files and merges numpy views
+directly.  The run directory is removed in a ``finally`` block, so a
+crashed worker can never leave orphaned shard files behind.
 """
 
 from __future__ import annotations
@@ -83,18 +83,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (study -> parallel)
 DEFAULT_SHARD_DAYS = 28
 
 
-def plan_shards(
-    n_days: int, shard_days: int = DEFAULT_SHARD_DAYS
-) -> tuple[tuple[int, int], ...]:
+def plan_shards(n_days: int) -> tuple[tuple[int, int], ...]:
     """Contiguous ``[start, stop)`` day ranges covering ``n_days``.
 
     The final shard absorbs the remainder, so no shard is shorter than
-    ``shard_days`` except when the window itself is.
+    :data:`DEFAULT_SHARD_DAYS` except when the window itself is.
     """
     if n_days <= 0:
         raise ValueError("n_days must be positive")
-    if shard_days <= 0:
-        raise ValueError("shard_days must be positive")
+    shard_days = DEFAULT_SHARD_DAYS
     edges = list(range(0, n_days, shard_days))
     shards = [
         (start, min(start + shard_days, n_days)) for start in edges
@@ -289,7 +286,7 @@ def _run_shard_to_file(
 
     Only the file *path* crosses the multiprocessing result queue — the
     observation columns stay on disk until the collector maps them.  If
-    the transport directory cannot be written (read-only cache root, disk
+    the transport directory cannot be written (read-only temp dir, disk
     full), the payload falls back to the pickle path so the run still
     completes; the tag tells the collector which case it got.
     """
@@ -412,11 +409,6 @@ def warm_pool(jobs: int | None = None) -> int:
     return workers
 
 
-def pool_workers() -> int:
-    """The current persistent pool's worker count (0 when no pool exists)."""
-    return _POOL_WORKERS
-
-
 def pool_submit(fn, /, *args, workers: int | None = None):
     """Submit one callable to the persistent warm pool, warming on demand.
 
@@ -507,13 +499,11 @@ def _simulate_parallel(
 ) -> list[ShardPayload]:
     """Fan shards out over the persistent pool with file transport.
 
-    The per-run transport directory lives under the cache root and is
+    The per-run transport directory lives in the system temp dir and is
     removed in ``finally`` — worker crashes (and the half-written ``.tmp``
     files they may leave) can never orphan shard files.  If the directory
     cannot be created at all, workers fall back to shipping pickles.
     """
-    from repro.core.cache import transport_root
-
     # Warm the per-process substrate memo before the pool is created: with
     # the fork start method every worker inherits the built models and
     # pays no per-shard setup cost.  (A pool warmed earlier with a
@@ -523,9 +513,7 @@ def _simulate_parallel(
     assert _POOL is not None
     transport_dir: str | None
     try:
-        root = transport_root()
-        root.mkdir(parents=True, exist_ok=True)
-        transport_dir = tempfile.mkdtemp(prefix="run-", dir=root)
+        transport_dir = tempfile.mkdtemp(prefix="repro-transport-")
     except OSError:
         transport_dir = None
     tasks = [

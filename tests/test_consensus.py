@@ -53,12 +53,6 @@ class TestConsensusView:
         with pytest.raises(ValueError):
             consensus({"a": series_from(np.ones(CALENDAR.n_weeks))})
 
-    def test_smoothed_median_length(self):
-        rng = np.random.default_rng(1)
-        truth = np.linspace(10, 30, CALENDAR.n_weeks)
-        view = consensus(noisy_family(rng, truth))
-        assert len(view.smoothed_median()) == CALENDAR.n_weeks
-
 
 class TestShapeError:
     def test_zero_for_scaled_copies(self):

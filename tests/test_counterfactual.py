@@ -42,7 +42,7 @@ from repro.observatories.tuning import ObservatoryTuning
 from repro.scenarios.config import BooterTakedownScenario, ScenarioConfig
 from repro.sweep.ledger import SweepLedger
 from repro.sweep.scheduler import load_report
-from repro.sweep.spec import expand
+from repro.sweep.spec import apply_overrides, expand
 from repro.util.calendar import StudyCalendar
 
 
@@ -143,8 +143,9 @@ class TestInterventionSpec:
     def test_zero_strength_is_structurally_zero_delta(self):
         base = _base()
         assert TINY.overrides(base, strength=0.0) == {}
-        assert TINY.apply(base, strength=0.0) is base
-        assert config_fingerprint(TINY.apply(base, 0.0)) == config_fingerprint(base)
+        zero = apply_overrides(base, TINY.overrides(base, 0.0))
+        assert zero is base
+        assert config_fingerprint(zero) == config_fingerprint(base)
 
     def test_identity_ops_are_dropped(self):
         base = _base()
@@ -153,7 +154,7 @@ class TestInterventionSpec:
             ops=(scale_op("dp_per_day", 1.0), shift_op("ra_per_day", 0.0)),
         )
         assert spec.overrides(base, strength=1.0) == {}
-        assert spec.apply(base) is base
+        assert apply_overrides(base, spec.overrides(base)) is base
 
     def test_tuning_ops_collapse_into_one_override(self):
         base = _base()
@@ -174,7 +175,7 @@ class TestInterventionSpec:
 
     def test_tuning_ops_reject_pretuned_base(self):
         base = _base()
-        tuned = TINY.apply(base)
+        tuned = apply_overrides(base, TINY.overrides(base))
         assert tuned.tuning is not None
         with pytest.raises(ValueError, match="tuning=None"):
             TINY.overrides(tuned)
@@ -194,7 +195,10 @@ class TestPairing:
         with pytest.raises(ValueError, match="duplicate seeds"):
             WhatifPairing(intervention=TINY, base=_base(), seeds=(0, 0))
         with pytest.raises(ValueError, match="tuning=None"):
-            WhatifPairing(intervention=TINY, base=TINY.apply(_base()))
+            WhatifPairing(
+                intervention=TINY,
+                base=apply_overrides(_base(), TINY.overrides(_base())),
+            )
 
     def test_zero_delta_pairing_shares_one_fingerprint(self):
         pairing = WhatifPairing(intervention=TINY, base=_base(), strength=0.0)
@@ -255,6 +259,12 @@ class TestPairing:
     def test_unknown_preset_names_the_known_ones(self):
         with pytest.raises(KeyError, match="sav-adoption"):
             whatif_preset("nope")
+
+    def test_preset_fingerprint_is_pinned(self):
+        """The fingerprint names the pairing's ledger."""
+        assert whatif_preset("takedown-earlier").fingerprint() == (
+            "4cf44e176bbc94dd4dc56dab5bc8adeb5a55e1c39e88c52d736f4ab0fcd30939"
+        )
 
 
 class TestEngine:

@@ -145,7 +145,7 @@ class TestHighlyVisible:
 class TestTopTargetAses:
     def test_attribution(self, plan):
         rng = RngFactory(0).stream("attr")
-        targets = plan.sample_targets(rng, 3000)
+        targets = plan.targets_from_uniforms(rng.random((2, 3000)))[0]
         tuples = {(int(i) % 100, int(t)) for i, t in enumerate(targets)}
         rows = top_target_ases(pack_targets(tuples), plan, top_n=5)
         assert len(rows) == 5

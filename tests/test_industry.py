@@ -4,11 +4,9 @@ from repro.industry.corpus import (
     ALL_DOCUMENTS,
     INCLUDED_REPORTS,
     OMITTED_DOCUMENTS,
-    ReportFormat,
     TrendDirection,
 )
 from repro.industry.survey import (
-    format_distribution,
     metric_frequencies,
     table3_rows,
     trend_counts,
@@ -94,12 +92,6 @@ class TestMetricTaxonomy:
 class TestConsistency:
     def test_udp_dominance_is_the_one_consistent_claim(self):
         assert udp_dominance_share() == 1.0
-
-    def test_format_distribution_totals(self):
-        distribution = format_distribution()
-        assert sum(distribution.values()) == 24
-        assert distribution[ReportFormat.DOCUMENT] > 0
-        assert distribution[ReportFormat.BLOG] > 0
 
 
 class TestTable3:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import datetime as dt
 import os
+import tempfile
 from collections import OrderedDict
 from concurrent.futures.process import BrokenProcessPool
 
@@ -13,7 +14,6 @@ import pytest
 
 import repro.core.shardio as shardio
 import repro.util.parallel as parallel
-from repro.core.cache import transport_root
 from repro.core.study import Study, StudyConfig
 from repro.net.plan import PlanConfig
 from repro.observatories.base import OBSERVATION_COLUMNS
@@ -58,7 +58,7 @@ def _assert_identical(result_a, result_b) -> None:
 
 class TestPlanShards:
     def test_covers_window_contiguously(self):
-        shards = plan_shards(365, 28)
+        shards = plan_shards(365)
         assert shards[0][0] == 0
         assert shards[-1][1] == 365
         for (_, stop), (start, _) in zip(shards, shards[1:]):
@@ -66,25 +66,26 @@ class TestPlanShards:
 
     def test_short_tail_merged_into_predecessor(self):
         # 100 = 3*28 + 16 > 14, tail kept; 90 = 3*28 + 6 < 14, tail merged.
-        assert plan_shards(100, 28)[-1] == (84, 100)
-        assert plan_shards(90, 28)[-1] == (56, 90)
+        assert plan_shards(100)[-1] == (84, 100)
+        assert plan_shards(90)[-1] == (56, 90)
 
     def test_window_shorter_than_shard(self):
-        assert plan_shards(10, 28) == ((0, 10),)
+        assert plan_shards(10) == ((0, 10),)
 
     def test_exact_multiple(self):
-        assert plan_shards(56, 28) == ((0, 28), (28, 56))
+        assert plan_shards(56) == ((0, 28), (28, 56))
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            plan_shards(0, 28)
-        with pytest.raises(ValueError):
-            plan_shards(100, 0)
+            plan_shards(0)
 
     def test_independent_of_jobs(self):
         # The shard plan is a pure function of the window — this is what
         # makes parallel output identical to serial.
-        assert plan_shards(365) == plan_shards(365, DEFAULT_SHARD_DAYS)
+        assert all(
+            stop - start == DEFAULT_SHARD_DAYS
+            for start, stop in plan_shards(365)[:-1]
+        )
 
 
 class TestResolveJobs:
@@ -214,14 +215,21 @@ class TestShardTransport:
     def test_parallel_run_cleans_transport_dir(
         self, short_config, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        """Transport files live in the system temp dir, never under the
+        cache root, and a finished run leaves none behind."""
+        cache_dir, temp_dir = tmp_path / "cache", tmp_path / "tmp"
+        temp_dir.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
         shutdown_pool()  # fresh workers must inherit the env override
         try:
-            simulate(short_config, jobs=2)
+            _assert_identical(
+                simulate(short_config, jobs=2), simulate(short_config, jobs=1)
+            )
         finally:
             shutdown_pool()
-        root = transport_root()
-        assert not list(root.glob("*")) if root.is_dir() else True
+        assert not cache_dir.exists()
+        assert not list(temp_dir.iterdir())
 
     def test_worker_crash_leaves_no_orphans_and_pool_rewarms(
         self, short_config, tmp_path, monkeypatch
@@ -234,7 +242,7 @@ class TestShardTransport:
         ``BrokenProcessPool``, remove the per-run transport directory
         anyway, and allow the next parallel call to re-warm cleanly.
         """
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
 
         def crash_mid_write(path, *args, **kwargs):
             path.write_bytes(b"partial shard, about to die")
@@ -249,8 +257,7 @@ class TestShardTransport:
         finally:
             shardio.write_shard = original
             shutdown_pool()
-        root = transport_root()
-        leftovers = list(root.glob("**/*")) if root.is_dir() else []
+        leftovers = list(tmp_path.glob("**/*"))
         assert not leftovers, f"orphaned transport files: {leftovers}"
         # The broken pool was discarded; a fresh one warms and works.
         try:

@@ -32,7 +32,7 @@ class TestPlanStructure:
     def test_heavy_hitters_present(self, plan):
         for asn, name, _, _ in HEAVY_HITTERS:
             assert asn in plan.ases
-            assert plan.as_name(asn) == name
+            assert plan.ases.get(asn).name == name
             assert plan.ases.get(asn).prefixes
 
     def test_prolexic_as_attracts_no_targets(self, plan):
@@ -58,12 +58,12 @@ class TestPlanStructure:
 class TestTargetSampling:
     def test_samples_are_routed(self, plan):
         rng = RngFactory(0).stream("sampling")
-        targets = plan.sample_targets(rng, 500)
+        targets = plan.targets_from_uniforms(rng.random((2, 500)))[0]
         assert all(plan.origin_as(int(t)) is not None for t in targets)
 
     def test_heavy_hitter_shares_roughly_match_weights(self, plan):
         rng = RngFactory(0).stream("sampling-shares")
-        targets = plan.sample_targets(rng, 30_000)
+        targets = plan.targets_from_uniforms(rng.random((2, 30_000)))[0]
         counts = Counter(plan.origin_as(int(t)) for t in targets)
         ovh_share = counts[16276] / len(targets)
         # OVH weight is 18.8 out of 100 total.
@@ -71,7 +71,7 @@ class TestTargetSampling:
 
     def test_sample_target_scalar(self, plan):
         rng = RngFactory(0).stream("single")
-        (target,) = plan.sample_targets(rng, 1)
+        (target,) = plan.targets_from_uniforms(rng.random((2, 1)))[0]
         assert plan.origin_as(int(target)) is not None
 
 
@@ -115,7 +115,7 @@ class TestVantageFootprints:
 class TestSamplerInternals:
     def test_sampler_covers_every_targetable_prefix(self, plan):
         rng = RngFactory(1).stream("coverage")
-        targets = plan.sample_targets(rng, 50_000)
+        targets = plan.targets_from_uniforms(rng.random((2, 50_000)))[0]
         asns_hit = {plan.origin_as(int(t)) for t in targets}
         # Most ASes (heavy-tailed) should appear in a big sample.
         targetable = sum(1 for info in plan.ases if info.target_weight > 0)
@@ -123,5 +123,5 @@ class TestSamplerInternals:
 
     def test_sample_batch_dtype(self, plan):
         rng = RngFactory(1).stream("dtype")
-        targets = plan.sample_targets(rng, 10)
+        targets = plan.targets_from_uniforms(rng.random((2, 10)))[0]
         assert targets.dtype == np.int64

@@ -1,18 +1,11 @@
-"""Tests for protocol composition, literature taxonomy, and export."""
+"""Tests for the per-protocol honeypot composition (Section 7.3)."""
 
 import pytest
 
-from repro.core.export import build_markdown_report, write_markdown_report
 from repro.core.protocols import (
     VectorOverlap,
     per_vector_target_overlap,
     render_vector_overlap,
-)
-from repro.industry.taxonomy import (
-    TAXONOMY,
-    all_works,
-    render_taxonomy,
-    works_by_year,
 )
 
 
@@ -48,58 +41,3 @@ class TestVectorOverlap:
         text = render_vector_overlap("Hopscotch", "AmpPot", overlaps)
         assert "CHARGEN" in text
         assert "jaccard" in text
-
-
-class TestTaxonomy:
-    def test_three_top_level_branches(self):
-        names = [child.name for child in TAXONOMY.children]
-        assert names == [
-            "Attack characterization",
-            "Mitigation",
-            "Observatories and methods",
-        ]
-
-    def test_substantial_coverage(self):
-        works = all_works()
-        assert len(works) > 50
-        venues = {work.venue for work in works}
-        assert "IMC" in venues and "NDSS" in venues
-
-    def test_find_category(self):
-        honeypots = TAXONOMY.find("Honeypots")
-        assert honeypots is not None
-        labels = [work.label for work in honeypots.works]
-        assert "Krämer 2015 (RAID)" in labels
-
-    def test_find_missing_returns_none(self):
-        assert TAXONOMY.find("Blockchain") is None
-
-    def test_year_histogram(self):
-        histogram = works_by_year()
-        assert min(histogram) >= 2004
-        assert max(histogram) <= 2023
-        assert sum(histogram.values()) == len(all_works())
-
-    def test_render_tree(self):
-        text = render_taxonomy()
-        assert "DDoS literature" in text
-        assert "AmpPot" in text
-        assert text.count("\n") > 60
-
-
-class TestMarkdownExport:
-    def test_full_document(self, small_study):
-        document = build_markdown_report(small_study)
-        assert document.startswith("# DDoScovery reproduction report")
-        for heading in ("Table 1", "Figure 7", "Figure 14", "Section 7.3"):
-            assert heading in document
-        assert "Appendix C" in document
-
-    def test_taxonomy_optional(self, small_study):
-        document = build_markdown_report(small_study, include_taxonomy=False)
-        assert "Appendix C" not in document
-
-    def test_write_to_disk(self, small_study, tmp_path):
-        path = write_markdown_report(small_study, tmp_path / "sub" / "report.md")
-        assert path.exists()
-        assert path.read_text(encoding="utf-8").startswith("# DDoScovery")

@@ -20,6 +20,11 @@ together with its tests.
 A second :mod:`ast` walk guards the runtime dependencies: a module of
 ``repro`` may import the standard library, ``repro`` and numpy, and
 nothing else, inside functions included.
+
+A third fails on unused imports: every name a module of ``repro``
+imports must be used in that module, in code, in an annotation or in a
+string annotation.  Package ``__init__`` files are exempt, because they
+re-export names.
 """
 
 import ast
@@ -168,3 +173,52 @@ def test_runtime_imports_only_stdlib_and_numpy():
         "modules importing a package outside the runtime dependencies:\n  "
         + "\n  ".join(outside)
     )
+
+
+def _annotation_names(annotation: ast.expr) -> set[str]:
+    """Names an annotation uses, reading string annotations as code."""
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                names |= _annotation_names(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names one file imports and never uses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _annotation_names(node.returns)
+    return [
+        f"{name} (line {line})"
+        for name, line in sorted(imported.items(), key=lambda item: item[1])
+        if name not in used
+    ]
+
+
+def test_every_import_is_used():
+    unused = [
+        f"{name}: {entry}"
+        for name, path in FILES.items()
+        if path.name != "__init__.py"
+        for entry in _unused_imports(path)
+    ]
+    assert not unused, "unused imports:\n  " + "\n  ".join(unused)

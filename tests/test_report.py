@@ -74,7 +74,3 @@ class TestIndividualRenderers:
         text = report.render_section73(small_study)
         assert "Hopscotch" in text and "AmpPot" in text
         assert "CHARGEN" in text
-
-    def test_summary_matrix_shape(self, small_study):
-        matrix = report.summary_matrix(small_study)
-        assert matrix.shape == (10, small_study.calendar.n_weeks)

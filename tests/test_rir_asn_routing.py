@@ -87,14 +87,6 @@ class TestASRegistry:
         info.prefixes.append(parse_prefix("10.1.0.0/24"))
         assert info.address_count == 512
 
-    def test_by_kind(self):
-        registry = ASRegistry()
-        registry.add(ASInfo(asn=2, name="B", kind=ASKind.ISP))
-        registry.add(ASInfo(asn=1, name="A", kind=ASKind.ISP))
-        registry.add(ASInfo(asn=3, name="C", kind=ASKind.HOSTING))
-        isps = registry.by_kind(ASKind.ISP)
-        assert [info.asn for info in isps] == [1, 2]
-
 
 class TestRoutingTable:
     def test_announce_and_origin(self):
@@ -110,14 +102,6 @@ class TestRoutingTable:
         table.announce(parse_prefix("10.0.0.0/8"), 100)
         assert str(table.routed_prefix(parse_ip("10.5.5.5"))) == "10.0.0.0/8"
         assert table.routed_prefix(parse_ip("11.0.0.0")) is None
-
-    def test_withdraw(self):
-        table = RoutingTable()
-        table.announce(parse_prefix("10.0.0.0/8"), 100)
-        table.withdraw(parse_prefix("10.0.0.0/8"))
-        assert table.origin_as(parse_ip("10.0.0.1")) is None
-        with pytest.raises(KeyError):
-            table.withdraw(parse_prefix("10.0.0.0/8"))
 
     def test_invalid_origin_rejected(self):
         table = RoutingTable()

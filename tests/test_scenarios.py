@@ -27,7 +27,7 @@ from repro.scenarios import (
     ScenarioConfig,
     scenario_checks_for,
 )
-from repro.scenarios.checks import SCENARIO_REGISTRY, family_checks
+from repro.scenarios.checks import SCENARIO_REGISTRY
 from repro.sweep.presets import preset
 from repro.sweep.spec import expand
 from repro.util.calendar import StudyCalendar
@@ -37,13 +37,6 @@ class TestScenarioConfig:
     def test_requires_at_least_one_family(self):
         with pytest.raises(ValueError):
             ScenarioConfig()
-
-    def test_families_lists_active_families(self):
-        scenario = ScenarioConfig(
-            cloud=CloudObservatoryScenario(),
-            emergence=EmergenceScenario(),
-        )
-        assert scenario.families() == ("cloud", "emergence")
 
     def test_emergence_rejects_non_reflection_vectors(self):
         with pytest.raises(ValueError):
@@ -111,7 +104,7 @@ class TestRebrandTakedown:
 class TestCheckRegistry:
     def test_every_family_ships_at_least_three_anchored_checks(self):
         for family in SCENARIO_FAMILIES:
-            checks = family_checks(family)
+            checks = SCENARIO_REGISTRY[family].values()
             assert len(checks) >= 3, family
             for check in checks:
                 assert check.anchor, check.check_id
@@ -141,8 +134,8 @@ class TestCheckRegistry:
                 honeypot_pool=HoneypotPoolScenario(),
             )
         )
-        assert len(both) == len(family_checks("booter")) + len(
-            family_checks("honeypot_pool")
+        assert len(both) == len(SCENARIO_REGISTRY["booter"]) + len(
+            SCENARIO_REGISTRY["honeypot_pool"]
         )
 
 

@@ -88,9 +88,8 @@ class TestFigures:
             "Akamai (DP)",
             "IXP (DP)",
         }
-        slopes = figure.trend_slopes()
-        for label in figure.series:
-            assert 2019 in slopes[label]
+        for weekly in figure.series.values():
+            assert 2019 in weekly.trend_lines_by_year()
 
     def test_direct_path_peaks_do_not_coincide(self, small_study):
         # Section 6.1: the platforms' peaks "did not coincide in time".

@@ -70,8 +70,6 @@ class TestAxes:
     def test_seed_axis_reseeds_plan(self):
         ax = seed_axis((1, 2))
         assert dict(ax.points[0].overrides) == {"seed": 1, "plan.seed": 1}
-        ax = seed_axis((1, 2), include_plan=False)
-        assert dict(ax.points[0].overrides) == {"seed": 1}
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="no points"):
@@ -84,7 +82,7 @@ class TestAxes:
 
 
 class TestExpansion:
-    def _spec(self, mode="grid"):
+    def _spec(self):
         return ScenarioSpec(
             name="t",
             base=BASE,
@@ -92,7 +90,6 @@ class TestExpansion:
                 seed_axis((0, 1)),
                 axis("dp", "dp_per_day", (45.0, 90.0)),
             ),
-            mode=mode,
         )
 
     def test_grid_order_first_axis_slowest(self):
@@ -118,23 +115,6 @@ class TestExpansion:
         assert cell.cell_id == f"c002-{cell.config_fingerprint[:10]}"
         assert cell.describe() == "seed=1 dp=45.0"
 
-    def test_zip_mode_locksteps_axes(self):
-        cells = expand(self._spec(mode="zip"))
-        assert len(cells) == 2
-        assert [c.label_map for c in cells] == [
-            {"seed": "0", "dp": "45.0"},
-            {"seed": "1", "dp": "90.0"},
-        ]
-
-    def test_zip_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="equal lengths"):
-            ScenarioSpec(
-                name="t",
-                base=BASE,
-                axes=(seed_axis((0, 1, 2)), axis("dp", "dp_per_day", (45.0,))),
-                mode="zip",
-            )
-
     def test_no_axes_yields_single_base_cell(self):
         cells = expand(ScenarioSpec(name="solo", base=BASE))
         assert len(cells) == 1
@@ -147,10 +127,6 @@ class TestExpansion:
                 name="t", base=BASE, axes=(seed_axis((0,)), seed_axis((1,)))
             )
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            ScenarioSpec(name="t", base=BASE, mode="product")
-
 
 class TestIdentity:
     def test_fingerprint_stable_and_sensitive(self):
@@ -159,6 +135,16 @@ class TestIdentity:
         shifted = ScenarioSpec(name="t", base=BASE, axes=(seed_axis((0, 2)),))
         assert spec_fingerprint(spec) != spec_fingerprint(shifted)
         assert sweep_id(spec) == f"t-{spec_fingerprint(spec)[:12]}"
+
+    def test_preset_fingerprints_are_pinned(self):
+        """A sweep id names its ledger, so a preset's fingerprint must not
+        move when the spec layer is refactored."""
+        assert spec_fingerprint(preset("smoke")) == (
+            "c809a9387715e6058489b1fe54ee00173097480f0b45e94361c3b00e4899a0bf"
+        )
+        assert spec_fingerprint(preset("booter-takedown")) == (
+            "bff7c2097f2ea4b6530bf3f5dd49e6ae3e9c2bff7c7c469f470029cd4ca8895f"
+        )
 
 
 class TestPresets:

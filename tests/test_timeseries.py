@@ -8,7 +8,6 @@ import pytest
 from repro.core.timeseries import (
     BASELINE_WEEKS,
     EWMA_SPAN,
-    TrendLine,
     WeeklySeries,
     ewma,
     normalize,
@@ -109,10 +108,6 @@ class TestWeeklySeries:
         lines = series.trend_lines_by_year(years=(2019, 2020))
         assert lines[2019].start_week == 0
         assert lines[2020].start_week == CALENDAR.week_of_date(dt.date(2020, 1, 1))
-
-    def test_trend_line_value_at(self):
-        line = TrendLine(start_week=0, slope_per_week=0.1, intercept=1.0)
-        assert line.value_at(10) == pytest.approx(2.0)
 
     def test_peak_week(self):
         counts = np.ones(CALENDAR.n_weeks)

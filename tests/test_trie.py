@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.addr import IPV4_MAX, parse_ip, parse_prefix, prefix_of
-from repro.net.trie import PrefixTable, enclosing_prefixes
+from repro.net.addr import IPV4_MAX, parse_ip, parse_prefix
+from repro.net.trie import PrefixTable
 
 
 def table_from(entries: dict[str, str]) -> PrefixTable:
@@ -33,13 +33,6 @@ class TestBasicOperations:
         assert parse_prefix("10.0.0.0/8") in table
         assert parse_prefix("11.0.0.0/8") not in table
 
-    def test_remove(self):
-        table = table_from({"10.0.0.0/8": "a", "10.0.0.0/16": "b"})
-        assert table.remove(parse_prefix("10.0.0.0/16")) == "b"
-        assert len(table) == 1
-        with pytest.raises(KeyError):
-            table.remove(parse_prefix("10.0.0.0/16"))
-
     def test_items_sorted_longest_first(self):
         table = table_from({"10.0.0.0/8": "a", "10.1.0.0/16": "b", "0.0.0.0/0": "c"})
         lengths = [prefix.length for prefix, _ in table.items()]
@@ -64,13 +57,6 @@ class TestLongestPrefixMatch:
     def test_default_route(self):
         table = table_from({"0.0.0.0/0": "default", "10.0.0.0/8": "a"})
         assert table.lookup(parse_ip("200.1.1.1"))[1] == "default"
-
-    def test_covering_yields_most_specific_first(self):
-        table = table_from(
-            {"10.0.0.0/8": "wide", "10.1.0.0/16": "mid", "10.1.2.0/24": "narrow"}
-        )
-        values = [value for _, value in table.covering(parse_ip("10.1.2.3"))]
-        assert values == ["narrow", "mid", "wide"]
 
     @given(st.integers(min_value=0, max_value=IPV4_MAX))
     def test_lpm_matches_brute_force(self, address):
@@ -127,16 +113,3 @@ class TestLongestCoveringAll:
         table = table_from({"10.0.0.0/8": "a"})
         with pytest.raises(ValueError):
             table.longest_covering_all([])
-
-
-class TestEnclosingPrefixes:
-    def test_yields_most_specific_first(self):
-        prefixes = list(enclosing_prefixes(parse_ip("10.1.2.3"), 8, 10))
-        assert [p.length for p in prefixes] == [10, 9, 8]
-        assert all(p.contains(parse_ip("10.1.2.3")) for p in prefixes)
-
-    @given(st.integers(min_value=0, max_value=IPV4_MAX))
-    def test_all_contain_address(self, address):
-        for prefix in enclosing_prefixes(address, 0, 32):
-            assert prefix.contains(address)
-        assert prefix_of(address, 32).network == address
