@@ -37,6 +37,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -124,39 +125,40 @@ def serial_baseline(sweep_dir: Path) -> tuple[float, bytes]:
 def main() -> int:
     n_cells = len(expand(preset(PRESET)))
     scratch = Path(tempfile.mkdtemp(prefix="dist-smoke-"))
-    stall_cells()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO / "scripts")])
-
-    print(f"dist-smoke: serial baseline ({PRESET}, {n_cells} cells) ...")
-    serial_s, expected = serial_baseline(scratch / "serial")
-    print(f"dist-smoke: serial {serial_s:.2f}s")
-
-    coordinator = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "serve",
-            "--port",
-            "0",
-            "--role",
-            "coordinator",
-            "--execution",
-            "thread",
-            "--jobs",
-            "1",
-            "--cache-dir",
-            str(scratch / "dist"),
-        ],
-        stderr=subprocess.PIPE,
-        text=True,
-        env=env,
-        cwd=REPO,
-        start_new_session=True,
-    )
+    coordinator: subprocess.Popen | None = None
     workers: list[subprocess.Popen] = []
     try:
+        stall_cells()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO / "scripts")])
+
+        print(f"dist-smoke: serial baseline ({PRESET}, {n_cells} cells) ...")
+        serial_s, expected = serial_baseline(scratch / "serial")
+        print(f"dist-smoke: serial {serial_s:.2f}s")
+
+        coordinator = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro.cli",
+                "serve",
+                "--port",
+                "0",
+                "--role",
+                "coordinator",
+                "--execution",
+                "thread",
+                "--jobs",
+                "1",
+                "--cache-dir",
+                str(scratch / "dist"),
+            ],
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            cwd=REPO,
+            start_new_session=True,
+        )
         match = None
         for _ in range(20):
             line = coordinator.stderr.readline()
@@ -294,9 +296,11 @@ def main() -> int:
         for worker in workers:
             if worker.poll() is None:
                 worker.kill()
-        if coordinator.poll() is None:
+                worker.wait()
+        if coordinator is not None and coordinator.poll() is None:
             os.killpg(coordinator.pid, signal.SIGKILL)
             coordinator.wait()
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -133,7 +133,7 @@ def _jobs_parent(default: int, extra: str = "") -> argparse.ArgumentParser:
 
 
 def _cache_parent(
-    *, no_cache: bool = True, cache_dir: bool = True, cache_dir_help: str | None = None
+    *, no_cache: bool = True, cache_dir_help: str | None = None
 ) -> argparse.ArgumentParser:
     """``--no-cache`` / ``--cache-dir``: the study-cache flags."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -143,14 +143,13 @@ def _cache_parent(
             action="store_true",
             help="bypass the on-disk simulation cache (read and write)",
         )
-    if cache_dir:
-        parent.add_argument(
-            "--cache-dir",
-            type=Path,
-            default=None,
-            help=cache_dir_help
-            or "cache location (default $REPRO_CACHE_DIR or ~/.cache/repro)",
-        )
+    parent.add_argument(
+        "--cache-dir",
+        type=Path,
+        default=None,
+        help=cache_dir_help
+        or "cache location (default $REPRO_CACHE_DIR or ~/.cache/repro)",
+    )
     return parent
 
 
@@ -598,8 +597,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="concurrent jobs (default 1; >1 trades per-job manifests "
-        "for throughput)",
+        help="concurrent jobs (default 1)",
     )
     serve.add_argument(
         "--queue-size",
@@ -736,7 +734,7 @@ def _command_run(args: argparse.Namespace) -> int:
         study = Study(
             config,
             jobs=args.jobs,
-            cache=False if args.no_cache else None,
+            cache=not args.no_cache,
             cache_dir=args.cache_dir,
         )
         print(
@@ -893,7 +891,7 @@ def _command_conformance(args: argparse.Namespace) -> int:
         study = Study(
             config,
             jobs=args.jobs,
-            cache=False if args.no_cache else None,
+            cache=not args.no_cache,
             cache_dir=args.cache_dir,
         )
         print(
@@ -1042,7 +1040,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
             ledger,
             jobs=args.jobs,
             resume=args.resume,
-            cache=False if args.no_cache else None,
+            cache=not args.no_cache,
             cache_dir=args.cache_dir,
             log=lambda message: print(message, file=sys.stderr),
         )
@@ -1152,7 +1150,7 @@ def _command_whatif(args: argparse.Namespace) -> int:
             pairing,
             jobs=args.jobs,
             resume=args.resume,
-            cache=False if args.no_cache else None,
+            cache=not args.no_cache,
             cache_dir=args.cache_dir,
             log=lambda message: print(message, file=sys.stderr),
         )
@@ -1183,7 +1181,7 @@ def _command_profile(args: argparse.Namespace) -> int:
                 jobs=args.jobs,
                 # Bypass the cache by default: a cache hit would profile
                 # deserialization, not the pipeline.
-                cache=True if args.cached else False,
+                cache=args.cached,
                 cache_dir=args.cache_dir,
             )
             print(
@@ -1253,7 +1251,7 @@ def _command_artifact(args: argparse.Namespace) -> int:
         study = Study(
             config,
             jobs=args.jobs,
-            cache=False if args.no_cache else None,
+            cache=not args.no_cache,
             cache_dir=args.cache_dir,
         )
         try:
@@ -1280,7 +1278,7 @@ def _run_dist_worker(args: argparse.Namespace) -> int:
         coordinator=args.coordinator,
         worker_id=args.worker_id,
         jobs=args.jobs,
-        cache=False if args.no_cache else None,
+        cache=not args.no_cache,
         cache_dir=args.cache_dir,
         max_cells=args.max_cells,
         idle_exit_s=args.idle_exit,
@@ -1365,7 +1363,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         execution=args.execution,
         request_timeout_s=args.request_timeout,
         jobs=args.jobs,
-        cache=False if args.no_cache else None,
+        cache=not args.no_cache,
         cache_dir=args.cache_dir,
         role=args.role,
         lease_ttl_s=args.lease_ttl,

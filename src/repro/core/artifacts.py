@@ -377,15 +377,13 @@ def _spec(
     build: Callable[["Study"], Any],
     payload: Callable[[Any], dict[str, Any]],
     schema: dict[str, Any],
-    *,
-    version: int = 1,
 ) -> tuple[str, ArtifactSpec]:
     return name, ArtifactSpec(
         name=name,
         title=title,
         paper_anchor=anchor,
         description=description,
-        schema_version=version,
+        schema_version=1,
         build=build,
         payload=payload,
         schema=schema,

@@ -42,9 +42,6 @@ from repro.util.calendar import StudyCalendar
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Environment variable disabling the cache entirely (any non-empty value).
-CACHE_DISABLE_ENV = "REPRO_NO_CACHE"
-
 #: Bumped whenever the stored layout or simulation semantics change, so
 #: stale files from older versions miss instead of deserialising garbage.
 #: v2: campaign spawning and weekly supply noise moved to per-(class, week)
@@ -70,11 +67,6 @@ def default_cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
     return base / "repro"
-
-
-def cache_enabled() -> bool:
-    """Whether caching is enabled for this process (env kill-switch)."""
-    return not os.environ.get(CACHE_DISABLE_ENV)
 
 
 def sweeps_root(root: str | Path | None = None) -> Path:

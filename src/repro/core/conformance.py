@@ -36,6 +36,9 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
+from repro.attacks.events import AttackClass
+from repro.observatories.registry import MAIN_SERIES
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (study -> conformance)
     from repro.core.study import Study
 
@@ -258,11 +261,9 @@ class StudyView:
         return validate_study_feeds(self.study)
 
 
-def _series_class(label: str) -> str:
-    """Attack-type group of a main-series label ('DP' or 'RA')."""
-    if label in ("UCSD", "ORION") or label.endswith("(DP)"):
-        return "DP"
-    return "RA"
+def _series_class(label: str) -> AttackClass:
+    """Attack class of a main-series label."""
+    return MAIN_SERIES[label].attack_class
 
 
 # -- registry ------------------------------------------------------------------
@@ -610,7 +611,8 @@ def _akamai_anomaly(view: StudyView) -> Outcome:
         coefficient
         for (a, b), coefficient in pairs.items()
         if ("Akamai (DP)" in (a, b))
-        and _series_class(a if b == "Akamai (DP)" else b) == "RA"
+        and _series_class(a if b == "Akamai (DP)" else b)
+        is AttackClass.REFLECTION_AMPLIFICATION
     ]
     worst = min(coefficients)
     return Outcome(

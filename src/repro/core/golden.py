@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.attacks.events import AttackClass
+from repro.core.artifacts import artifact_json_bytes
 from repro.core.cache import config_fingerprint
 from repro.util.atomic import atomic_write
 
@@ -215,9 +216,8 @@ class GoldenStore:
         atomically: a temp file renamed over the old one."""
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(name)
-        text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
         with atomic_write(path) as handle:
-            handle.write((text + "\n").encode("utf-8"))
+            handle.write(artifact_json_bytes(payload))
         return path
 
 

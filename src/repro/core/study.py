@@ -35,7 +35,7 @@ from repro.attacks.events import AttackClass
 from repro.attacks.generator import GeneratorConfig
 from repro.attacks.landscape import LandscapeModel
 from repro.attacks.spoofing import SavModel
-from repro.core.cache import StudyCache, cache_enabled, config_fingerprint
+from repro.core.cache import StudyCache, config_fingerprint
 from repro.core.correlation import (
     BoxStats,
     CorrelationMatrix,
@@ -62,7 +62,7 @@ from repro.obs import span
 from repro.observatories.base import Observations, SeriesKey
 from repro.observatories.registry import (
     ACADEMIC_OBSERVATORIES,
-    MAIN_SERIES_ORDER,
+    MAIN_SERIES,
     ObservatorySet,
     build_observatories,
 )
@@ -186,9 +186,8 @@ class Study:
 
     ``jobs`` shards the simulation across worker processes (``0`` = one per
     CPU); output is bit-for-bit identical for any worker count.  ``cache``
-    controls the on-disk result cache (:mod:`repro.core.cache`): ``None``
-    defers to the ``REPRO_NO_CACHE`` environment kill-switch, and
-    ``cache_dir`` overrides the cache location (default
+    turns the on-disk result cache (:mod:`repro.core.cache`) on or off,
+    and ``cache_dir`` overrides its location (default
     ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``).
 
     Every artifact result, the main series and the config fingerprint
@@ -203,13 +202,13 @@ class Study:
         config: StudyConfig | None = None,
         *,
         jobs: int | None = 1,
-        cache: bool | None = None,
+        cache: bool = True,
         cache_dir: str | None = None,
     ) -> None:
         self.config = config or StudyConfig()
         self.calendar = self.config.calendar
         self.jobs = jobs
-        self._cache_enabled = cache_enabled() if cache is None else bool(cache)
+        self._use_cache = cache
         self._cache = StudyCache(cache_dir)
         self._rng_factory = RngFactory(self.config.seed)
         self._results: dict[str, object] = {}
@@ -256,7 +255,7 @@ class Study:
         served by :meth:`ground_truth_weekly`.
         """
         fingerprint = self.config_fingerprint
-        if self._cache_enabled:
+        if self._use_cache:
             cached = self._cache.load(fingerprint)
             if cached is not None:
                 sinks, ground_truth = cached
@@ -264,7 +263,7 @@ class Study:
                 return sinks
         sinks, ground_truth = simulate(self.config, jobs=self.jobs)
         self._ground_truth_weekly = ground_truth
-        if self._cache_enabled:
+        if self._use_cache:
             self._cache.store(fingerprint, sinks, ground_truth)
         return sinks
 
@@ -291,27 +290,19 @@ class Study:
     @cached_property
     def _main_series(self) -> dict[str, WeeklySeries]:
         with span("analysis.timeseries"):
-            ordered: dict[str, WeeklySeries] = {}
-            for key in MAIN_SERIES_ORDER:
-                weekly = self.series(key)
-                # Telescopes are single-class platforms; label them plainly.
-                label = (
-                    key.observatory
-                    if key.observatory in ("UCSD", "ORION")
-                    else key.label
+            return {
+                label: WeeklySeries(
+                    label=label, counts=self.series(key).counts, calendar=self.calendar
                 )
-                ordered[label] = WeeklySeries(
-                    label=label, counts=weekly.counts, calendar=self.calendar
-                )
-            return ordered
+                for label, key in MAIN_SERIES.items()
+            }
 
     def _class_series(self, attack_class: AttackClass) -> dict[str, WeeklySeries]:
-        out: dict[str, WeeklySeries] = {}
-        for label, weekly in self.main_series().items():
-            key_class = _label_class(label)
-            if key_class is attack_class:
-                out[label] = weekly
-        return out
+        return {
+            label: weekly
+            for label, weekly in self.main_series().items()
+            if MAIN_SERIES[label].attack_class is attack_class
+        }
 
     def _takedown_weeks(self) -> list[int]:
         weeks: list[int] = []
@@ -565,18 +556,6 @@ class Study:
 
     # -- the artifact registry (the public surface) ---------------------------------
 
-    def artifacts(self) -> dict[str, "object"]:
-        """The declarative artifact registry: name -> spec.
-
-        Each :class:`~repro.core.artifacts.ArtifactSpec` carries the
-        extractor, the versioned JSON schema, and the paper anchor; the
-        names are the stable public identifiers shared by the service,
-        the CLI, and :meth:`artifact`.
-        """
-        from repro.core.artifacts import ARTIFACTS
-
-        return dict(ARTIFACTS)
-
     def artifact_result(self, name: str):
         """The rich in-memory result of one registered artifact.
 
@@ -691,13 +670,6 @@ class Study:
             "all_four_target_share": result("fig7_upset").seen_by_all().share,
             "top_target_as": top_ases[0].name if top_ases else None,
         }
-
-
-def _label_class(label: str) -> AttackClass:
-    """Attack class encoded in a main-series label."""
-    if label in ("UCSD", "ORION") or label.endswith("(DP)"):
-        return AttackClass.DIRECT_PATH
-    return AttackClass.REFLECTION_AMPLIFICATION
 
 
 def run_study(config: StudyConfig | None = None) -> Study:

@@ -138,7 +138,7 @@ def run_whatif(
     *,
     jobs: int | None = 1,
     resume: bool = True,
-    cache: bool | None = None,
+    cache: bool = True,
     cache_dir: str | Path | None = None,
     should_stop: Callable[[], bool] | None = None,
     on_progress: Callable[[dict[str, Any]], None] | None = None,

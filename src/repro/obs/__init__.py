@@ -14,11 +14,16 @@ Three pieces, each usable alone:
     versions, host info, metrics, span tree) emitted by the CLI's
     ``--trace`` flag, plus the ``--metrics`` and ``profile`` renderers.
 
+Metric contexts (:func:`collecting`) and tracers (:func:`tracing`) both
+nest per thread: each thread records into the innermost context it
+opened.  A thread that opened no metrics context records into the main
+thread's innermost one; spans always need a parent on their own thread.
+
 Instrumentation never touches an RNG stream, so it is side-effect-free
-on simulation output; disable it wholesale with ``REPRO_NO_OBS=1`` or
-:func:`set_enabled`.  :func:`absorb` is the parent-side merge primitive
-the sharded executor uses to fold a worker's ``(metrics snapshot, span
-tree)`` payload into the current collection context, in shard order.
+on simulation output; disable it wholesale with :func:`set_enabled`.
+:func:`absorb` is the parent-side merge primitive the sharded executor
+uses to fold a worker's ``(metrics snapshot, span tree)`` payload into
+the current collection context, in shard order.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from repro.obs.manifest import (
     write_manifest,
 )
 from repro.obs.metrics import (
-    OBS_DISABLE_ENV,
     Counter,
     Gauge,
     Histogram,
@@ -53,7 +57,6 @@ from repro.obs.trace import SpanNode, Tracer, span, span_key, tracer, tracing
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
-    "OBS_DISABLE_ENV",
     "Counter",
     "Gauge",
     "Histogram",
@@ -88,9 +91,10 @@ def absorb(snapshot: dict | None, tree: dict | None) -> None:
     """Fold one shard's observability payload into the current context.
 
     Counters add, gauges take the last write, histograms extend, and the
-    span tree grafts under the currently open span.  Callers merge shard
-    payloads in shard order, which makes the aggregate identical for any
-    worker count.  No-op while observability is disabled.
+    span tree grafts under the currently open span, all in the calling
+    thread's contexts.  Callers merge shard payloads in shard order,
+    which makes the aggregate identical for any worker count.  No-op
+    while observability is disabled.
     """
     if not enabled():
         return

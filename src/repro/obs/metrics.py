@@ -16,22 +16,23 @@ any ``--jobs N``:
 * histograms keep their exact observations; merged quantiles sort first,
   and sums use :func:`math.fsum` (exactly rounded, order-independent).
 
+Contexts nest per thread, as spans do: a context is pushed and popped on
+the thread that opens it, and a record lands in the innermost context of
+the thread that makes it.  A thread that opened no context records into
+the main thread's innermost one.
+
 Instrumentation is side-effect-free on results — it never touches an RNG
-stream — and can be disabled entirely with :func:`set_enabled` or the
-``REPRO_NO_OBS`` environment variable, in which case every helper returns
-a shared no-op object.
+stream — and can be disabled entirely with :func:`set_enabled`, in which
+case every helper returns a shared no-op object.
 """
 
 from __future__ import annotations
 
 import math
-import os
+import threading
 from typing import Any, Iterator
 
-#: Environment variable disabling all observability (any non-empty value).
-OBS_DISABLE_ENV = "REPRO_NO_OBS"
-
-_ENABLED: list[bool] = [not os.environ.get(OBS_DISABLE_ENV)]
+_ENABLED: list[bool] = [True]
 
 
 def enabled() -> bool:
@@ -256,53 +257,73 @@ def merge_snapshots(snapshots: "Iterator[dict] | list[dict]") -> dict[str, dict]
     return merged.snapshot()
 
 
-# -- the collection-context stack ---------------------------------------------
+# -- the collection-context stacks --------------------------------------------
 
-_REGISTRY_STACK: list[MetricsRegistry] = [MetricsRegistry()]
+#: The main thread's context stack, rooted at the process-wide registry.
+_MAIN_STACK: list[MetricsRegistry] = [MetricsRegistry()]
+
+
+class _RegistryStack(threading.local):
+    """Per-thread stack of collection contexts.
+
+    Contexts nest per thread, as tracers do
+    (:class:`repro.obs.trace._TracerStack`), so two threads' contexts
+    never capture each other's records or close out of order.  A thread
+    that opened no context records into the main thread's innermost
+    one: counters only add up, so any context can take them.
+    """
+
+    def __init__(self) -> None:
+        main = threading.current_thread() is threading.main_thread()
+        self.stack: list[MetricsRegistry] = _MAIN_STACK if main else []
+
+
+_REGISTRIES = _RegistryStack()
 
 
 def registry() -> MetricsRegistry:
-    """The innermost (currently collecting) registry."""
-    return _REGISTRY_STACK[-1]
+    """The innermost registry of this thread (else of the main thread)."""
+    return (_REGISTRIES.stack or _MAIN_STACK)[-1]
 
 
 def counter(name: str, **labels: Any):
     """The named counter of the current registry (no-op when disabled)."""
     if not _ENABLED[0]:
         return _NOOP
-    return _REGISTRY_STACK[-1].counter(name, **labels)
+    return (_REGISTRIES.stack or _MAIN_STACK)[-1].counter(name, **labels)
 
 
 def gauge(name: str, **labels: Any):
     """The named gauge of the current registry (no-op when disabled)."""
     if not _ENABLED[0]:
         return _NOOP
-    return _REGISTRY_STACK[-1].gauge(name, **labels)
+    return (_REGISTRIES.stack or _MAIN_STACK)[-1].gauge(name, **labels)
 
 
 def histogram(name: str, **labels: Any):
     """The named histogram of the current registry (no-op when disabled)."""
     if not _ENABLED[0]:
         return _NOOP
-    return _REGISTRY_STACK[-1].histogram(name, **labels)
+    return (_REGISTRIES.stack or _MAIN_STACK)[-1].histogram(name, **labels)
 
 
 class collecting:
-    """Context manager scoping metric writes to a fresh registry.
+    """Context manager scoping this thread's metric writes to a fresh registry.
 
-    Everything recorded inside the ``with`` block lands in the yielded
-    registry only; the enclosing context is untouched.  Used per CLI
-    command (isolation between invocations in one process) and per shard
-    (the delta a worker ships back to the parent).
+    Everything the calling thread records inside the ``with`` block lands
+    in the yielded registry only; the enclosing context is untouched.
+    Used per CLI command (isolation between invocations in one process),
+    per service job and per shard (the delta a worker ships back to the
+    parent).
     """
 
     __slots__ = ("_registry",)
 
     def __enter__(self) -> MetricsRegistry:
         self._registry = MetricsRegistry()
-        _REGISTRY_STACK.append(self._registry)
+        _REGISTRIES.stack.append(self._registry)
         return self._registry
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _REGISTRY_STACK.pop()
+        popped = _REGISTRIES.stack.pop()
         assert popped is self._registry, "unbalanced metrics contexts"

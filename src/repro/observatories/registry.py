@@ -88,6 +88,14 @@ MAIN_SERIES_ORDER = (
     SeriesKey("IXP", AttackClass.REFLECTION_AMPLIFICATION),
 )
 
+#: The main series by display label, in :data:`MAIN_SERIES_ORDER`: the
+#: telescopes see direct-path attacks only, so their labels are the bare
+#: observatory names; every other label carries its attack class.
+MAIN_SERIES: dict[str, SeriesKey] = {
+    key.observatory if key.observatory in ("UCSD", "ORION") else key.label: key
+    for key in MAIN_SERIES_ORDER
+}
+
 #: The four academic observatories of the target analysis (Section 7).
 ACADEMIC_OBSERVATORIES = ("ORION", "UCSD", "Hopscotch", "AmpPot")
 

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from repro.attacks.events import AttackClass
-from repro.core.conformance import Check, Outcome, Severity, StudyView
+from repro.core.conformance import Check, Outcome, StudyView
 from repro.scenarios.config import SCENARIO_FAMILIES, ScenarioConfig
 
 #: Scenario-check registries, one per family, in registration order.
@@ -43,7 +43,6 @@ def scenario_check(
     check_id: str,
     anchor: str,
     claim: str,
-    severity: Severity = Severity.ERROR,
     min_weeks: int = 0,
 ):
     """Decorator registering a predicate under one scenario family."""
@@ -57,7 +56,6 @@ def scenario_check(
             anchor=anchor,
             claim=claim,
             predicate=predicate,
-            severity=severity,
             min_weeks=min_weeks,
         )
         return predicate

@@ -61,7 +61,7 @@ class ServiceConfig:
     request_timeout_s: float = 30.0
     #: shard count per simulation (0 = all cores).
     jobs: int | None = 1
-    cache: bool | None = None
+    cache: bool = True
     #: study cache root, and the root of every sweep and what-if ledger.
     cache_dir: str | Path | None = None
     #: "standalone" serves jobs locally; "coordinator" additionally
@@ -95,7 +95,6 @@ async def serve(
     *,
     log: Log = _silent,
     ready: Callable[[ServiceHandle], None] | None = None,
-    install_signal_handlers: bool = True,
 ) -> None:
     """Run the daemon until stopped, then drain and return."""
     if config.execution not in EXECUTION_MODES:
@@ -182,12 +181,11 @@ async def serve(
     handle = ServiceHandle(config=config, manager=manager, port=port)
 
     loop = asyncio.get_running_loop()
-    if install_signal_handlers:
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, handle.request_stop)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-main thread or unsupported platform
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            loop.add_signal_handler(signum, handle.request_stop)
+        except (NotImplementedError, RuntimeError):  # pragma: no cover
+            pass  # non-main thread or unsupported platform
 
     log(f"listening on http://{config.host}:{port}")
     log(
@@ -215,12 +213,11 @@ async def serve(
         await server.wait_closed()
         await manager.drain(timeout=config.drain_timeout_s)
         shutdown_pool()
-        if install_signal_handlers:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.remove_signal_handler(signum)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    pass
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.remove_signal_handler(signum)
+            except (NotImplementedError, RuntimeError):  # pragma: no cover
+                pass
         counts = manager.counts()
         log(f"drained: {counts}")
 

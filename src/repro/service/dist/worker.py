@@ -54,6 +54,13 @@ def _silent(_: str) -> None:
     return None
 
 
+#: Per-RPC socket timeout.
+RPC_TIMEOUT_S = 10.0
+#: Retry backoff: full jitter under ``min(cap, base * 2**attempt)``.
+BACKOFF_BASE_S = 0.1
+BACKOFF_CAP_S = 2.0
+
+
 class CoordinatorClient:
     """Blocking JSON-over-HTTP client with bounded retry + jitter.
 
@@ -67,28 +74,20 @@ class CoordinatorClient:
         self,
         base_url: str,
         *,
-        timeout_s: float = 10.0,
         retries: int = 5,
-        backoff_base_s: float = 0.1,
-        backoff_cap_s: float = 2.0,
         rng: random.Random | None = None,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         split = urlsplit(base_url if "//" in base_url else f"http://{base_url}")
         if split.scheme not in ("", "http"):
             raise ValueError(f"dist transport is plain http, got {base_url!r}")
         self.host = split.hostname or "127.0.0.1"
         self.port = split.port or 80
-        self.timeout_s = timeout_s
         self.retries = max(0, int(retries))
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         self._rng = rng if rng is not None else random.Random()
-        self._sleep = sleep
 
     def backoff_s(self, attempt: int) -> float:
         """Full-jitter exponential backoff for retry ``attempt`` (0-based)."""
-        ceiling = min(self.backoff_cap_s, self.backoff_base_s * (2**attempt))
+        ceiling = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2**attempt))
         return self._rng.uniform(0.0, ceiling)
 
     def request(
@@ -104,7 +103,7 @@ class CoordinatorClient:
                 last_error = error
                 obs.counter("service.dist.rpc.retries").inc()
                 if attempt < self.retries:
-                    self._sleep(self.backoff_s(attempt))
+                    time.sleep(self.backoff_s(attempt))
         raise ConnectionError(
             f"coordinator {self.host}:{self.port} unreachable after "
             f"{self.retries + 1} attempts: {last_error}"
@@ -120,7 +119,7 @@ class CoordinatorClient:
         self, method: str, path: str, payload: dict[str, Any] | None
     ) -> dict[str, Any]:
         connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
+            self.host, self.port, timeout=RPC_TIMEOUT_S
         )
         try:
             body = None if payload is None else json.dumps(payload)
@@ -156,7 +155,7 @@ class WorkerConfig:
     worker_id: str | None = None
     #: shard count per cell simulation (``effective_jobs`` semantics).
     jobs: int | None = 1
-    cache: bool | None = None
+    cache: bool = True
     cache_dir: str | Path | None = None
     #: stop after this many completed cells (smoke/test harnesses).
     max_cells: int | None = None
@@ -192,7 +191,6 @@ def run_worker(
     log: Log = _silent,
     stop: threading.Event | None = None,
     install_signal_handlers: bool = False,
-    client: CoordinatorClient | None = None,
 ) -> WorkerSummary:
     """Run one worker until stopped, drained, or its budget is spent.
 
@@ -202,10 +200,7 @@ def run_worker(
     """
     stop = stop if stop is not None else threading.Event()
     worker_id = config.worker_id or f"worker-{uuid.uuid4().hex[:8]}"
-    if client is None:
-        client = CoordinatorClient(
-            config.coordinator, rng=random.Random(worker_id)
-        )
+    client = CoordinatorClient(config.coordinator, rng=random.Random(worker_id))
     summary = WorkerSummary(worker_id=worker_id)
 
     if install_signal_handlers:

@@ -26,6 +26,8 @@ import asyncio
 import hashlib
 import json
 
+from repro.core.artifacts import artifact_json_bytes
+
 #: Reject request bodies above this size (a StudyConfig payload is <1 KB).
 MAX_BODY_BYTES = 1 << 20
 
@@ -112,18 +114,13 @@ class Response:
 
     status: int = 200
     body: bytes = b""
-    content_type: str = "application/json; charset=utf-8"
     #: extra headers (ETag, Cache-Control, ...) appended to the head.
     headers: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def json(cls, payload: object, status: int = 200) -> "Response":
-        """A pretty-printed JSON response (sorted keys: stable output)."""
-        body = (
-            json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
-            + "\n"
-        ).encode("utf-8")
-        return cls(status=status, body=body)
+        """A JSON response in the canonical artifact encoding (stable bytes)."""
+        return cls(status=status, body=artifact_json_bytes(payload))
 
     @classmethod
     def error(cls, status: int, message: str, **details: object) -> "Response":
@@ -209,7 +206,7 @@ async def write_response(
     lines = [f"HTTP/1.1 {response.status} {reason}"]
     has_body = response.status != 304
     if has_body:
-        lines.append(f"Content-Type: {response.content_type}")
+        lines.append("Content-Type: application/json; charset=utf-8")
         lines.append(f"Content-Length: {len(response.body)}")
     for name, value in response.headers.items():
         lines.append(f"{name}: {value}")

@@ -28,12 +28,13 @@ Contracts the service tests pin down:
   finish, which together with atomic cache writes and append-only
   sweep ledgers keeps on-disk state consistent across SIGTERM.
 
-Observability: with one worker (the default) every job body runs inside
-its own metrics/tracing context — absorbed into the daemon's registry
-afterwards, exactly like sweep cells — and yields a per-job run manifest
-carrying job provenance.  With more workers, bodies write into the
-daemon context directly (concurrent per-job trees would interleave), so
-``/v1/metrics`` stays accurate in aggregate either way.
+Observability: every job body runs inside its own metrics and tracing
+context, opened on the executor thread that runs it.  Contexts nest per
+thread, so concurrent jobs never share one, and what the event loop
+records (HTTP, queue and lease counters) stays in the daemon's context
+while jobs run.  When a body returns, its context is absorbed into the
+daemon's, exactly like a sweep cell's, and the job keeps a run manifest
+carrying its provenance.
 """
 
 from __future__ import annotations
@@ -329,34 +330,31 @@ class JobManager:
         job.started_s = time.time()
         # The execution counter is what proves coalescing under load: a
         # thundering herd of identical submissions shares one job, so
-        # this increments exactly once per herd.  Recorded before the
-        # per-job isolation context so it is visible in the daemon's
-        # registry while the job is still running.
+        # this increments exactly once per herd.
         obs.counter("service.jobs.executed", kind=job.kind).inc()
-        # Per-job observability contexts are only well-nested when one
-        # job runs at a time; with more workers, bodies record straight
-        # into the daemon context (aggregate metrics stay correct).
-        if self.workers > 1 or not obs.enabled():
-            await self._run(job, self.runner)
-            return
+        opened: list[obs.MetricsRegistry] = []
         finished: list[obs.Tracer] = []
 
-        def traced(job: Job) -> JobResult:
-            # Spans nest per thread, so the job's tracer and span open on
-            # the executor thread that runs the body: its spans, and the
-            # tree a pool worker ships home, land under the job's span.
-            try:
-                with obs.tracing() as tracer, obs.span(f"service.job[{job.kind}]"):
-                    return self.runner(job)
-            finally:
-                # Handed over once the body has returned: a timed-out
-                # body may still be writing to its tracer.
-                finished.append(tracer)
+        def observed(job: Job) -> JobResult:
+            # Contexts nest per thread, so the job's registry, tracer and
+            # span open on the executor thread that runs the body: its
+            # records, and the payload a pool worker ships home, land in
+            # them.
+            with obs.collecting() as registry, obs.tracing() as tracer:
+                opened.append(registry)
+                try:
+                    with obs.span(f"service.job[{job.kind}]"):
+                        return self.runner(job)
+                finally:
+                    # Handed over once the body has returned: a timed-out
+                    # body may still be writing to its tracer.
+                    finished.append(tracer)
 
         try:
-            with obs.collecting() as registry:
-                await self._run(job, traced)
+            await self._run(job, observed)
         finally:
+            # A job that timed out before its body started has no context.
+            registry = opened[0] if opened else obs.MetricsRegistry()
             tracer = finished[0] if finished else None
             obs.absorb(registry.snapshot(), tracer.tree() if tracer else None)
             job.manifest = obs.build_manifest(

@@ -88,7 +88,7 @@ def run_cell(
     cell: SweepCell,
     *,
     jobs: int | None = 1,
-    cache: bool | None = None,
+    cache: bool = True,
     cache_dir: str | Path | None = None,
 ) -> CellResult:
     """Execute one cell: simulate, extract."""
@@ -103,7 +103,7 @@ def _execute_inline(
     *,
     ledger: SweepLedger,
     jobs: int | None,
-    cache: bool | None,
+    cache: bool,
     cache_dir: str | Path | None,
 ) -> Iterator[Settled]:
     """The default executor: run each cell here, one after another.
@@ -138,7 +138,7 @@ def run_sweep(
     *,
     jobs: int | None = 1,
     resume: bool = True,
-    cache: bool | None = None,
+    cache: bool = True,
     cache_dir: str | Path | None = None,
     should_stop: Callable[[], bool] | None = None,
     on_cell: Callable[[SweepCell, str, dict[str, Any]], None] | None = None,

@@ -409,7 +409,7 @@ def warm_pool(jobs: int | None = None) -> int:
     return workers
 
 
-def pool_submit(fn, /, *args, workers: int | None = None):
+def pool_submit(fn, /, *args, workers: int):
     """Submit one callable to the persistent warm pool, warming on demand.
 
     This is the service job layer's entry point: ``ddoscovery serve`` in
@@ -422,7 +422,7 @@ def pool_submit(fn, /, *args, workers: int | None = None):
     died — callers recover by ``shutdown_pool()`` + resubmitting, which
     re-warms a fresh pool.
     """
-    warm_pool(workers if workers is not None else max(_POOL_WORKERS, 1))
+    warm_pool(workers)
     assert _POOL is not None
     return _POOL.submit(fn, *args)
 

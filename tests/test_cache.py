@@ -12,11 +12,9 @@ import numpy as np
 import pytest
 
 from repro.attacks.events import AttackClass
-from repro.core import cache as cache_module
 from repro.core.cache import (
     CACHE_DIR_ENV,
     StudyCache,
-    cache_enabled,
     config_fingerprint,
     default_cache_dir,
 )
@@ -283,12 +281,6 @@ class TestEnvironment:
         monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
         assert default_cache_dir() == tmp_path / "xdg" / "repro"
-
-    def test_no_cache_env_kill_switch(self, monkeypatch):
-        monkeypatch.delenv(cache_module.CACHE_DISABLE_ENV, raising=False)
-        assert cache_enabled()
-        monkeypatch.setenv(cache_module.CACHE_DISABLE_ENV, "1")
-        assert not cache_enabled()
 
 
 class TestActivityStats:

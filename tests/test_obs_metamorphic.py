@@ -6,14 +6,16 @@ Two contracts, both load-bearing for the observability layer:
   merge means ``--jobs 1``, ``--jobs 2``, and ``--jobs 4`` report
   identical counters, gauges, and histogram observations (timings on the
   span tree vary; its *shape and call counts* do not);
-* **observation invisibility** — tracing on vs. off (and even the
-  ``REPRO_NO_OBS`` kill switch) never changes a byte of simulation
+* **observation invisibility** — tracing on vs. off (and even
+  ``obs.set_enabled(False)``) never changes a byte of simulation
   output, because instrumentation reads no RNG stream.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import sys
+import threading
 
 import pytest
 
@@ -134,3 +136,59 @@ class TestObservationInvisibility:
                 assert tracer.root.children == {}
         finally:
             obs.set_enabled(True)
+
+
+class TestPerThreadContexts:
+    """Metric contexts nest per thread, as tracers do."""
+
+    def test_concurrent_simulations_keep_their_own_contexts(self):
+        configs = [tiny_config(seed=seed) for seed in (31, 32, 33)]
+        serial = [observed_run(config, jobs=1) for config in configs]
+        barrier = threading.Barrier(len(configs))
+        outcomes: list = [None] * len(configs)
+
+        def run(index: int) -> None:
+            barrier.wait(timeout=60)
+            try:
+                outcomes[index] = observed_run(configs[index], jobs=1)
+            except Exception as error:  # reported by the asserts below
+                outcomes[index] = error
+
+        threads = [
+            threading.Thread(target=run, args=(index,))
+            for index in range(len(configs))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for (result, snapshot, _), outcome in zip(serial, outcomes):
+            assert isinstance(outcome, tuple), repr(outcome)
+            _assert_identical(result, outcome[0])
+            assert outcome[1] == snapshot
+
+    def test_a_thread_without_a_context_records_into_the_main_threads(self):
+        scoped: list = []
+
+        def bare() -> None:
+            obs.counter("thread.bare").inc()
+
+        def own() -> None:
+            with obs.collecting() as registry:
+                obs.counter("thread.own").inc()
+            scoped.append(registry)
+
+        with obs.collecting() as main:
+            for target in (bare, own):
+                thread = threading.Thread(target=target)
+                thread.start()
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        assert main.snapshot()["counters"] == {"thread.bare": 1}
+        assert scoped[0].snapshot()["counters"] == {"thread.own": 1}

@@ -304,7 +304,7 @@ class TestOverheadGuard:
         return span_cost, metric_cost
 
     def test_instrumentation_costs_under_five_percent(self):
-        from repro.obs.metrics import _REGISTRY_STACK, MetricsRegistry
+        from repro.obs.metrics import _REGISTRIES, MetricsRegistry
         from repro.util.parallel import build_models, simulate
         from tests.test_obs_metamorphic import tiny_config
 
@@ -328,12 +328,12 @@ class TestOverheadGuard:
 
         # One real instrumented run, counting every op it performs.
         counting = CountingRegistry()
-        _REGISTRY_STACK.append(counting)
+        _REGISTRIES.stack.append(counting)
         try:
             with obs.tracing() as tracer:
                 simulate(config, jobs=1)
         finally:
-            popped = _REGISTRY_STACK.pop()
+            popped = _REGISTRIES.stack.pop()
             assert popped is counting
         n_spans = sum(node.count for _, node in tracer.root.walk())
         n_writes = CountingRegistry.writes

@@ -363,7 +363,8 @@ class TestServiceLifecycle:
 
         run_daemon(scenario, runner=lambda job: JobResult())
 
-    def test_job_manifest_holds_the_body_spans(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_job_manifest_holds_the_body_spans(self, workers):
         from repro import obs
 
         def runner(job):
@@ -379,12 +380,52 @@ class TestServiceLifecycle:
             await poll_until(port, document["id"], "done")
             scenario.job = handle.manager.get(document["id"])
 
-        run_daemon(scenario, runner=runner, workers=1)
+        run_daemon(scenario, runner=runner, workers=workers)
         manifest = scenario.job.manifest
         assert "stub.calls" in manifest["metrics"]["counters"]
         assert span_children(manifest["spans"], "service.job[study]") == [
             "stub.work"
         ]
+
+    def test_running_job_leaves_the_daemon_metrics_alone(self):
+        """``/v1/metrics`` reads the daemon's context while a job runs,
+        and the job's manifest holds only what its body recorded."""
+        from repro import obs
+
+        release = threading.Event()
+
+        def runner(job):
+            obs.counter("stub.calls").inc()
+            release.wait(timeout=30)
+            return JobResult()
+
+        async def scenario(handle):
+            port = handle.port
+            for _ in range(3):
+                await request_json(port, "GET", "/v1/health")
+            _, document = await request_json(
+                port, "POST", "/v1/jobs", payload_for_seed(0)
+            )
+            try:
+                await poll_until(port, document["id"], "running")
+                _, metrics = await request_json(port, "GET", "/v1/metrics")
+            finally:
+                release.set()
+            counters = metrics["counters"]
+            assert counters["service.jobs.submitted"] == 1
+            assert counters["service.http.requests{method=POST}"] == 1
+            # the three health checks, the polls and this request
+            assert counters["service.http.requests{method=GET}"] >= 5
+            assert "stub.calls" not in counters
+            await poll_until(port, document["id"], "done")
+            scenario.job = handle.manager.get(document["id"])
+
+        # A fresh daemon context, as the ``serve`` command opens one.
+        with obs.collecting():
+            run_daemon(scenario, runner=runner, workers=1)
+        counters = scenario.job.manifest["metrics"]["counters"]
+        assert counters["stub.calls"] == 1
+        assert not [key for key in counters if key.startswith("service.http.")]
 
     def test_health_metrics_and_registry(self):
         async def scenario(handle):
