@@ -11,8 +11,8 @@ Subcommands:
 ``ddoscovery sensitivity``
     Print telescope detection floors for a given prefix length.
 ``ddoscovery cache``
-    Inspect or clear the on-disk simulation cache (``info`` includes
-    lifetime hit/miss counters and the hit rate).
+    Inspect or clear the on-disk simulation cache (``info`` lists the
+    root, the entries and their total size).
 ``ddoscovery conformance``
     Evaluate the paper-conformance check registry and the golden
     fingerprints; ``--update-goldens`` refreshes the pins after an
@@ -166,8 +166,11 @@ def _execution_parent(
     ``--no-cache``, ``--cache-dir`` — from this one parent (pinned by
     the flag-parity test in ``tests/test_cli_parents.py``), so an
     operator can move between batch, daemon, and distributed execution
-    without relearning flags.  The cell-running commands pre-warm the
-    shard pool whenever ``--jobs`` resolves to more than one worker.
+    without relearning flags.  ``sweep run`` and ``whatif run`` fork no
+    shard pool up front: the first cell that simulates warms it, after
+    building its models, so the forked workers inherit them, and a run
+    of ledger hits forks nothing.  ``dist worker`` and ``serve`` fork
+    theirs at start-up, before they start any thread.
     """
     return argparse.ArgumentParser(
         add_help=False,
@@ -570,19 +573,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "workers ('ddoscovery dist worker')",
     )
     serve.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="coordinator: cell lease lifetime; an unrenewed lease "
-        "re-queues its cell (default 60)",
-    )
-    serve.add_argument(
         "--heartbeat-timeout",
         type=float,
         default=15.0,
         metavar="SECONDS",
-        help="coordinator: evict workers silent this long (default 15)",
+        help="coordinator: evict workers silent this long and re-queue "
+        "their leases; workers heartbeat every third of it (default 15)",
     )
     serve.add_argument(
         "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
@@ -841,22 +837,9 @@ def _command_cache(args: argparse.Namespace) -> int:
               f"from {cache.root}")
         return 0
     entries = cache.entries()
-    stats = cache.stats()
-    hit_rate = cache.hit_rate()
     print(f"cache root: {cache.root}")
     print(f"entries   : {len(entries)}")
     print(f"total size: {cache.total_bytes() / 1e6:.1f} MB")
-    print(f"hits      : {stats['hits']}")
-    print(f"misses    : {stats['misses']}")
-    print(
-        "hit rate  : "
-        + ("n/a (no lookups yet)" if hit_rate is None else f"{hit_rate * 100:.1f}%")
-    )
-    print(f"stores    : {stats['stores']}")
-    print(
-        f"traffic   : {stats['bytes_read'] / 1e6:.1f} MB read, "
-        f"{stats['bytes_written'] / 1e6:.1f} MB written"
-    )
     for path in entries:
         print(f"  {path.name}  ({path.stat().st_size / 1e6:.1f} MB)")
     return 0
@@ -1030,12 +1013,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
     workers = effective_jobs(args.jobs, None)
 
     def body() -> int:
-        if workers > 1:
-            # Pre-warm the persistent shard pool so the first cell does
-            # not pay process startup; cells reuse the warm workers.
-            from repro.util.parallel import warm_pool
-
-            warm_pool(workers)
         outcome = run_sweep(
             ledger,
             jobs=args.jobs,
@@ -1142,10 +1119,6 @@ def _command_whatif(args: argparse.Namespace) -> int:
     provenance: dict = {}
 
     def body() -> int:
-        if workers > 1:
-            from repro.util.parallel import warm_pool
-
-            warm_pool(workers)
         outcome = run_whatif(
             pairing,
             jobs=args.jobs,
@@ -1366,7 +1339,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         cache=not args.no_cache,
         cache_dir=args.cache_dir,
         role=args.role,
-        lease_ttl_s=args.lease_ttl,
         heartbeat_timeout_s=args.heartbeat_timeout,
     )
 

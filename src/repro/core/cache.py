@@ -36,7 +36,6 @@ from repro.attacks.events import AttackClass
 from repro.core.shardio import read_result, write_result
 from repro.obs import counter, span
 from repro.observatories.base import Observations
-from repro.util.atomic import atomic_write
 from repro.util.calendar import StudyCalendar
 
 #: Environment variable overriding the cache directory.
@@ -50,12 +49,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: target/vector draws consume different RNG variates than the per-event
 #: loops they replaced).
 CACHE_SCHEMA_VERSION = 3
-
-#: Persistent cache-activity counters, kept next to the entries so
-#: ``ddoscovery cache info`` can report hit rates across processes.
-STATS_FILE = "stats.json"
-
-_STATS_KEYS = ("hits", "misses", "stores", "bytes_read", "bytes_written")
 
 
 def default_cache_dir() -> Path:
@@ -182,7 +175,6 @@ class StudyCache:
             written = path.stat().st_size
             counter("cache.stores").inc()
             counter("cache.bytes_written").inc(written)
-            self._record(stores=1, bytes_written=written)
         return path
 
     def load(
@@ -209,54 +201,12 @@ class StudyCache:
             read = path.stat().st_size
             counter("cache.hits").inc()
             counter("cache.bytes_read").inc(read)
-            self._record(hits=1, bytes_read=read)
         return sinks, ground_truth
 
     def _miss(self) -> None:
         """Record one cache miss (helper so every miss path counts it)."""
         counter("cache.misses").inc()
-        self._record(misses=1)
         return None
-
-    # -- persistent activity stats ----------------------------------------------
-
-    @property
-    def stats_path(self) -> Path:
-        """The on-disk activity counters next to the entries."""
-        return self.root / STATS_FILE
-
-    def stats(self) -> dict[str, int]:
-        """Lifetime hit/miss/store counters (zeros when never recorded)."""
-        try:
-            raw = json.loads(self.stats_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            raw = {}
-        return {key: int(raw.get(key, 0)) for key in _STATS_KEYS}
-
-    def hit_rate(self) -> float | None:
-        """Lifetime hit rate, or ``None`` before any lookup happened."""
-        stats = self.stats()
-        lookups = stats["hits"] + stats["misses"]
-        if lookups == 0:
-            return None
-        return stats["hits"] / lookups
-
-    def _record(self, **deltas: int) -> None:
-        """Best-effort bump of the persistent counters (atomic rewrite).
-
-        Concurrent writers can lose each other's increments — the stats
-        are operational telemetry, never correctness-bearing — and any
-        I/O failure is swallowed just like a cache write failure.
-        """
-        try:
-            updated = self.stats()
-            for key, delta in deltas.items():
-                updated[key] = updated.get(key, 0) + int(delta)
-            self.root.mkdir(parents=True, exist_ok=True)
-            with atomic_write(self.stats_path) as handle:
-                handle.write(json.dumps(updated, sort_keys=True).encode("utf-8"))
-        except OSError:
-            pass
 
     # -- maintenance ------------------------------------------------------------
 
@@ -267,13 +217,12 @@ class StudyCache:
         return sorted(self.root.glob("study-*.shard"))
 
     def clear(self) -> int:
-        """Delete every cache entry (and the activity stats); returns the
-        number of entries removed.
+        """Delete every cache entry; returns the number of entries removed.
 
         Also removes, without counting them as entries, the ``*.tmp``
         files a writer killed between its temp file and the rename leaves
-        behind and the ``study-*.npz`` entries of earlier versions, which
-        nothing reads any more.
+        behind, and what earlier versions wrote that nothing reads any
+        more: ``study-*.npz`` entries and the ``stats.json`` counters.
         """
         removed = 0
         for path in self.entries():
@@ -282,16 +231,12 @@ class StudyCache:
                 removed += 1
             except OSError:
                 continue
-        leftovers = (
-            [*self.root.glob("*.tmp"), *self.root.glob("study-*.npz")]
-            if self.root.is_dir()
-            else []
-        )
-        for path in [*leftovers, self.stats_path]:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        for pattern in ("*.tmp", "study-*.npz", "stats.json"):
+            for path in list(self.root.glob(pattern)):
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
         return removed
 
     def total_bytes(self) -> int:

@@ -24,7 +24,6 @@ round-trip test in ``tests/test_openapi.py``).
 ``POST /v1/dist/workers/{id}/heartbeat``  worker liveness
 ``POST /v1/dist/workers/{id}/deregister`` graceful worker exit
 ``POST /v1/dist/leases``                  acquire the next cell lease
-``POST /v1/dist/leases/{id}/renew``       extend a lease mid-cell
 ``POST /v1/dist/leases/{id}/complete``    content-addressed result upload
 ``POST /v1/dist/leases/{id}/fail``        refuse a cell (re-queued)
 ``GET  /v1/dist/status``                  coordinator overview
@@ -156,13 +155,6 @@ ROUTES: tuple[Route, ...] = (
         "Acquire the next pending cell lease (or an idle answer)",
         request_schema="dist.lease_request",
         response_schema="dist.lease_response",
-    ),
-    Route(
-        "POST",
-        "/v1/dist/leases/{lease_id}/renew",
-        "_dist_renew",
-        "Extend a lease's deadline mid-cell",
-        request_schema="dist.renew_request",
     ),
     Route(
         "POST",
@@ -399,13 +391,6 @@ class App:
         coordinator = self._dist()
         payload = validate_message("lease_request", request.json())
         return Response.json(coordinator.acquire(payload["worker_id"]))
-
-    def _dist_renew(self, request: Request, lease_id: str) -> Response:
-        coordinator = self._dist()
-        payload = validate_message("renew_request", request.json())
-        return Response.json(
-            coordinator.renew(lease_id, payload["worker_id"])
-        )
 
     def _dist_complete(self, request: Request, lease_id: str) -> Response:
         coordinator = self._dist()

@@ -70,9 +70,8 @@ class ServiceConfig:
     #: processes (``ddoscovery dist worker`` runs
     #: :func:`repro.service.dist.run_worker`), never a daemon role.
     role: str = "standalone"
-    #: dist lease lifetime; an expired lease re-queues its cell.
-    lease_ttl_s: float = 60.0
-    #: evict workers silent longer than this (their leases re-queue).
+    #: evict dist workers silent longer than this; an evicted worker's
+    #: leases re-queue.  Workers heartbeat every third of it.
     heartbeat_timeout_s: float = 15.0
 
 
@@ -111,10 +110,7 @@ async def serve(
     if config.role == "coordinator":
         from repro.service.dist import DistCoordinator
 
-        coordinator = DistCoordinator(
-            lease_ttl_s=config.lease_ttl_s,
-            heartbeat_timeout_s=config.heartbeat_timeout_s,
-        )
+        coordinator = DistCoordinator(heartbeat_timeout_s=config.heartbeat_timeout_s)
     manager = JobManager(
         make_runner(config, coordinator),
         workers=config.workers,
@@ -194,8 +190,8 @@ async def serve(
     )
     if coordinator is not None:
         log(
-            f"dist coordinator active: lease ttl {config.lease_ttl_s:g}s, "
-            f"heartbeat timeout {config.heartbeat_timeout_s:g}s"
+            "dist coordinator active: heartbeat timeout "
+            f"{config.heartbeat_timeout_s:g}s"
         )
     obs.gauge("service.port").set(port)
     if ready is not None:

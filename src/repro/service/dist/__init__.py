@@ -10,8 +10,9 @@ protocol:
 * registration + heartbeat with an explicit protocol/capability
   handshake (:data:`~repro.service.dist.protocol.DIST_PROTOCOL_VERSION`;
   mismatches are rejected at registration with a structured error),
-* lease acquire / renew / complete with per-lease timeouts — an expired
-  lease returns its cell to the queue for re-dispatch,
+* lease acquire / complete / fail under one liveness rule — a lease
+  lives as long as its worker stays registered, and evicting a silent
+  worker returns its cells to the queue for re-dispatch,
 * content-addressed result upload: each completed cell ships the sha256
   of its canonical JSON encoding and the coordinator re-encodes and
   verifies before handing it back.

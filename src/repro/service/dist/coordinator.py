@@ -20,24 +20,27 @@ register again.
 
 Failure model (pinned by ``tests/test_dist_coordinator.py``):
 
-* **lease expiry** — a lease not renewed within its TTL returns its
-  cell to the front of the queue; the next acquire re-dispatches it
-  (``service.dist.leases.expired`` / ``.retried``).
-* **heartbeat loss** — a worker silent past the heartbeat timeout is
-  evicted and all its leases expire immediately
-  (``service.dist.workers.evicted``).
-* **stale completion** — a result arriving under an expired, evicted
-  or withdrawn lease is rejected with a structured ``stale-lease``
-  error; the re-dispatched lease recomputes the (deterministic) cell.
+* **one liveness rule** — a lease lives as long as its worker stays
+  registered.  A worker silent past the heartbeat timeout is evicted,
+  and eviction or deregistration returns each of its cells to the front
+  of the queue; the next acquire re-dispatches it
+  (``service.dist.workers.evicted``, ``service.dist.leases.expired`` /
+  ``.retried``).  Workers are advised to heartbeat every third of the
+  timeout, so one that keeps that interval is never evicted, however
+  long its cell takes.
+* **stale completion** — a result arriving under an evicted, withdrawn
+  or already re-dispatched lease is rejected with a structured
+  ``stale-lease`` error; the re-dispatched lease recomputes the
+  (deterministic) cell.
 * **hash mismatch** — an upload whose canonical-bytes sha256 does not
   match its payload is rejected (``result-hash-mismatch``) and the cell
   re-queued.
 
 Everything is guarded by one lock: handlers run on the daemon's event
 loop thread while ``run_sweep`` waits on a manager worker thread.
-Expiry and eviction are *lazy* — :meth:`tick` runs at the top of every
-dist request and every wait for an upload, so no background timer
-thread exists to leak or race during drain.
+Eviction is *lazy* — :meth:`tick` runs at the top of every dist request
+and every wait for an upload, so no background timer thread exists to
+leak or race during drain.
 """
 
 from __future__ import annotations
@@ -60,10 +63,6 @@ from repro.service.dist.protocol import (
 from repro.sweep.scheduler import Settled
 from repro.sweep.spec import SweepCell, sweep_id
 
-#: Seconds between the keepalives a worker sends while it holds a lease,
-#: handed to each worker at registration.
-HEARTBEAT_INTERVAL_S = 5.0
-
 
 @dataclass
 class _Worker:
@@ -84,7 +83,6 @@ class _Lease:
     task_id: str
     cell_index: int
     worker_id: str
-    deadline: float
     attempt: int
 
 
@@ -113,14 +111,12 @@ class DistCoordinator:
     def __init__(
         self,
         *,
-        lease_ttl_s: float = 60.0,
         heartbeat_timeout_s: float = 15.0,
         poll_interval_s: float = 0.2,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if lease_ttl_s <= 0 or heartbeat_timeout_s <= 0:
-            raise ValueError("lease TTL and heartbeat timeout must be > 0")
-        self.lease_ttl_s = float(lease_ttl_s)
+        if heartbeat_timeout_s <= 0:
+            raise ValueError("heartbeat timeout must be > 0")
         self.heartbeat_timeout_s = float(heartbeat_timeout_s)
         self.poll_interval_s = float(poll_interval_s)
         self._clock = clock
@@ -155,9 +151,9 @@ class DistCoordinator:
             "protocol": DIST_PROTOCOL_VERSION,
             "worker_id": worker_id,
             "capabilities": list(DIST_CAPABILITIES),
-            "lease_ttl_s": self.lease_ttl_s,
-            "heartbeat_interval_s": HEARTBEAT_INTERVAL_S,
-            "poll_interval_s": self.poll_interval_s,
+            # A third of the timeout: a worker that keeps this interval
+            # can lose a heartbeat and still stay registered.
+            "heartbeat_interval_s": self.heartbeat_timeout_s / 3,
         }
 
     def deregister(self, worker_id: str) -> dict[str, Any]:
@@ -166,7 +162,7 @@ class DistCoordinator:
             worker = self._workers.pop(worker_id, None)
             if worker is None:
                 raise self._unknown_worker(worker_id)
-            self._expire_worker_leases(worker_id, reason="deregistered")
+            self._expire_worker_leases(worker_id)
             return {"worker_id": worker_id, "completed": worker.completed}
 
     def heartbeat(self, worker_id: str) -> dict[str, Any]:
@@ -193,7 +189,6 @@ class DistCoordinator:
             idle = {
                 "lease_id": None,
                 "task_id": None,
-                "ttl_s": self.lease_ttl_s,
                 "retry_after_s": self.poll_interval_s,
                 "draining": self.draining,
                 "cell": None,
@@ -212,7 +207,6 @@ class DistCoordinator:
                     task_id=task.task_id,
                     cell_index=index,
                     worker_id=worker_id,
-                    deadline=self._clock() + self.lease_ttl_s,
                     attempt=attempt,
                 )
                 self._leases[lease.lease_id] = lease
@@ -233,17 +227,6 @@ class DistCoordinator:
                     "task": dict(task.descriptor),
                 }
             return idle
-
-    def renew(self, lease_id: str, worker_id: str) -> dict[str, Any]:
-        """Extend one lease's deadline (long cells renew mid-flight)."""
-        with self._lock:
-            self.tick()
-            lease = self._current_lease(lease_id, worker_id)
-            lease.deadline = self._clock() + self.lease_ttl_s
-            worker = self._workers.get(worker_id)
-            if worker is not None:
-                worker.last_seen = self._clock()
-            return {"lease_id": lease_id, "ttl_s": self.lease_ttl_s}
 
     def complete(
         self, lease_id: str, worker_id: str, payload: dict[str, Any]
@@ -370,17 +353,14 @@ class DistCoordinator:
     # -- liveness ----------------------------------------------------------------
 
     def tick(self) -> None:
-        """Lazy expiry scan: evict silent workers, re-queue dead leases."""
+        """Lazy eviction scan: drop silent workers, re-queue their leases."""
         with self._lock:
             now = self._clock()
             for worker_id, worker in list(self._workers.items()):
                 if now - worker.last_seen > self.heartbeat_timeout_s:
                     del self._workers[worker_id]
-                    self._expire_worker_leases(worker_id, reason="evicted")
+                    self._expire_worker_leases(worker_id)
                     obs.counter("service.dist.workers.evicted").inc()
-            for lease in list(self._leases.values()):
-                if now > lease.deadline:
-                    self._expire_lease(lease)
 
     def drain(self) -> None:
         """Stop granting leases; in-flight completions still merge."""
@@ -435,7 +415,7 @@ class DistCoordinator:
                 409,
                 "stale-lease",
                 f"lease {lease_id} is not current for worker {worker_id!r} "
-                "(expired, evicted, or completed elsewhere)",
+                "(evicted, withdrawn, or completed elsewhere)",
             )
         return lease
 
@@ -452,10 +432,6 @@ class DistCoordinator:
         if task is not None and lease.cell_index in task.owed:
             task.pending.insert(0, lease.cell_index)
 
-    def _expire_lease(self, lease: _Lease) -> None:
-        self._requeue(lease)
-        obs.counter("service.dist.leases.expired").inc()
-
     def _refuse(self, task: _Task) -> None:
         """Lease no more of ``task``'s cells; uploads for them are stale."""
         with self._lock:
@@ -471,7 +447,9 @@ class DistCoordinator:
             del self._tasks[task.task_id]
             self._changed.notify_all()
 
-    def _expire_worker_leases(self, worker_id: str, *, reason: str) -> None:
+    def _expire_worker_leases(self, worker_id: str) -> None:
+        """An evicted or deregistered worker's leases die with it."""
         for lease in list(self._leases.values()):
             if lease.worker_id == worker_id:
-                self._expire_lease(lease)
+                self._requeue(lease)
+                obs.counter("service.dist.leases.expired").inc()

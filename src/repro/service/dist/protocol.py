@@ -29,7 +29,9 @@ import hashlib
 from typing import Any
 
 #: Bump on any wire-incompatible change; registration rejects mismatches.
-DIST_PROTOCOL_VERSION = 1
+#: v2: a lease lives as long as its worker stays registered, so one
+#: route and the answers' lease-lifetime fields are gone.
+DIST_PROTOCOL_VERSION = 2
 
 #: Task kinds this protocol version can decompose and execute.
 DIST_CAPABILITIES = ("sweep-preset", "whatif-preset")
@@ -101,18 +103,9 @@ DIST_SCHEMAS: dict[str, dict[str, Any]] = {
             "protocol": {"type": "integer"},
             "worker_id": {"type": "string"},
             "capabilities": {"type": "array", "items": {"type": "string"}},
-            "lease_ttl_s": {"type": "number"},
             "heartbeat_interval_s": {"type": "number"},
-            "poll_interval_s": {"type": "number"},
         },
-        [
-            "protocol",
-            "worker_id",
-            "capabilities",
-            "lease_ttl_s",
-            "heartbeat_interval_s",
-            "poll_interval_s",
-        ],
+        ["protocol", "worker_id", "capabilities", "heartbeat_interval_s"],
     ),
     "heartbeat_response": _obj(
         {"worker_id": {"type": "string"}, "draining": {"type": "boolean"}},
@@ -126,17 +119,12 @@ DIST_SCHEMAS: dict[str, dict[str, Any]] = {
         {
             "lease_id": {"type": ["string", "null"]},
             "task_id": {"type": ["string", "null"]},
-            "ttl_s": {"type": "number"},
             "retry_after_s": {"type": "number"},
             "draining": {"type": "boolean"},
             "cell": {**_CELL_SCHEMA, "type": ["object", "null"]},
             "task": {**_TASK_SCHEMA, "type": ["object", "null"]},
         },
         ["lease_id", "retry_after_s", "draining"],
-    ),
-    "renew_request": _obj(
-        {"worker_id": {"type": "string"}},
-        ["worker_id"],
     ),
     "complete_request": _obj(
         {

@@ -12,13 +12,13 @@ Robustness:
 * every RPC goes through :class:`CoordinatorClient`, which retries
   transport failures with **exponential backoff + full jitter**
   (deterministically seeded per worker, so tests can pin the schedule);
-* a background thread heartbeats on the coordinator-advised interval
-  and renews the active lease mid-cell, so only a *dead* worker's lease
-  ever expires;
+* a background thread heartbeats on the coordinator-advised interval, a
+  third of its eviction timeout; a lease lives as long as its worker
+  stays registered, so only a *dead* worker's cell is ever re-leased;
 * SIGTERM sets the stop event: the in-flight cell finishes and
   uploads, the worker deregisters, and the loop returns — a SIGKILL
-  skips all of that and the coordinator's lease expiry re-dispatches
-  the orphaned cell;
+  skips all of that, the coordinator evicts the silent worker, and its
+  cell is re-dispatched;
 * a ``stale-lease`` answer to an upload (we were evicted mid-cell and
   the cell re-dispatched) is counted and dropped — cell results are
   deterministic, so whichever copy merged first is byte-identical.
@@ -222,14 +222,10 @@ def run_worker(
     log(
         f"{worker_id}: registered with {client.host}:{client.port} "
         f"(protocol {admission.get('protocol')}, "
-        f"lease ttl {admission.get('lease_ttl_s')}s)"
+        f"heartbeat every {heartbeat_interval:g}s)"
     )
 
-    # One background thread keeps us alive: heartbeat every advised
-    # interval, and renew whichever lease the main loop is executing.
-    current_lease: dict[str, str | None] = {"lease_id": None}
-    lease_lock = threading.Lock()
-
+    # One background thread keeps us, and with us our lease, alive.
     def keepalive() -> None:
         while not stop.wait(heartbeat_interval):
             try:
@@ -237,13 +233,6 @@ def run_worker(
                     f"/v1/dist/workers/{worker_id}/heartbeat", {}
                 )
                 summary.heartbeats += 1
-                with lease_lock:
-                    lease_id = current_lease["lease_id"]
-                if lease_id is not None:
-                    client.post(
-                        f"/v1/dist/leases/{lease_id}/renew",
-                        {"worker_id": worker_id},
-                    )
             except (ProtocolError, ConnectionError):
                 # The main loop will hit the same condition and decide;
                 # a keepalive must never take the worker down.
@@ -296,12 +285,7 @@ def run_worker(
                 _stop_aware_sleep(float(lease["retry_after_s"]), stop)
                 continue
             idle_since = None
-            _execute_lease(
-                client, config, worker_id, lease, summary,
-                current_lease=current_lease,
-                lease_lock=lease_lock,
-                log=log,
-            )
+            _execute_lease(client, config, worker_id, lease, summary, log=log)
     finally:
         stop.set()
         try:
@@ -325,8 +309,6 @@ def _execute_lease(
     lease: dict[str, Any],
     summary: WorkerSummary,
     *,
-    current_lease: dict[str, str | None],
-    lease_lock: threading.Lock,
     log: Log,
 ) -> None:
     """Run one leased cell end-to-end and upload (or fail) it."""
@@ -337,71 +319,65 @@ def _execute_lease(
 
     lease_id = lease["lease_id"]
     cell_ref = lease["cell"]
-    with lease_lock:
-        current_lease["lease_id"] = lease_id
     try:
-        try:
-            spec = resolve_spec(lease["task"])
-            cells = {cell.index: cell for cell in expand(spec)}
-            cell = cells.get(cell_ref["index"])
-            if (
-                cell is None
-                or cell.config_fingerprint != cell_ref["config_fingerprint"]
-            ):
-                raise ProtocolError(
-                    409,
-                    "spec-mismatch",
-                    f"cell {cell_ref['index']} does not match this "
-                    "worker's expansion of the preset",
-                )
-        except ProtocolError as error:
-            summary.failed += 1
-            log(f"{worker_id}: lease {lease_id} refused: {error.message}")
-            client.post(
-                f"/v1/dist/leases/{lease_id}/fail",
-                {"worker_id": worker_id, "message": error.message},
+        spec = resolve_spec(lease["task"])
+        cells = {cell.index: cell for cell in expand(spec)}
+        cell = cells.get(cell_ref["index"])
+        if (
+            cell is None
+            or cell.config_fingerprint != cell_ref["config_fingerprint"]
+        ):
+            raise ProtocolError(
+                409,
+                "spec-mismatch",
+                f"cell {cell_ref['index']} does not match this "
+                "worker's expansion of the preset",
+            )
+    except ProtocolError as error:
+        summary.failed += 1
+        log(f"{worker_id}: lease {lease_id} refused: {error.message}")
+        client.post(
+            f"/v1/dist/leases/{lease_id}/fail",
+            {"worker_id": worker_id, "message": error.message},
+        )
+        return
+    started = time.perf_counter()
+    with obs.span("service.dist.cell"):
+        result = run_cell(
+            cell,
+            jobs=config.jobs,
+            cache=config.cache,
+            cache_dir=config.cache_dir,
+        )
+    elapsed = time.perf_counter() - started
+    document = result.to_dict()
+    try:
+        client.post(
+            f"/v1/dist/leases/{lease_id}/complete",
+            {
+                "worker_id": worker_id,
+                "result": document,
+                "result_sha256": result_sha256(document),
+                "elapsed_s": elapsed,
+            },
+        )
+    except ProtocolError as error:
+        if error.code == "stale-lease":
+            # We were evicted mid-cell and the cell was re-dispatched
+            # (or its job ended); results are deterministic, so dropping
+            # this copy cannot change any byte of the report.
+            summary.stale += 1
+            obs.counter("service.dist.cells.stale").inc()
+            log(
+                f"{worker_id}: cell {cell.index} finished under a "
+                "stale lease; dropped"
             )
             return
-        started = time.perf_counter()
-        with obs.span("service.dist.cell"):
-            result = run_cell(
-                cell,
-                jobs=config.jobs,
-                cache=config.cache,
-                cache_dir=config.cache_dir,
-            )
-        elapsed = time.perf_counter() - started
-        document = result.to_dict()
-        try:
-            client.post(
-                f"/v1/dist/leases/{lease_id}/complete",
-                {
-                    "worker_id": worker_id,
-                    "result": document,
-                    "result_sha256": result_sha256(document),
-                    "elapsed_s": elapsed,
-                },
-            )
-        except ProtocolError as error:
-            if error.code == "stale-lease":
-                # We were evicted (or expired) mid-cell and the cell was
-                # re-dispatched; results are deterministic, so dropping
-                # this copy cannot change any byte of the report.
-                summary.stale += 1
-                obs.counter("service.dist.cells.stale").inc()
-                log(
-                    f"{worker_id}: cell {cell.index} finished under a "
-                    "stale lease; dropped"
-                )
-                return
-            raise
-        summary.completed += 1
-        summary.cells.append(cell.index)
-        obs.counter("service.dist.cells.executed").inc()
-        log(
-            f"{worker_id}: cell {cell.index} [{cell.describe()}] "
-            f"completed in {elapsed:.1f}s"
-        )
-    finally:
-        with lease_lock:
-            current_lease["lease_id"] = None
+        raise
+    summary.completed += 1
+    summary.cells.append(cell.index)
+    obs.counter("service.dist.cells.executed").inc()
+    log(
+        f"{worker_id}: cell {cell.index} [{cell.describe()}] "
+        f"completed in {elapsed:.1f}s"
+    )

@@ -12,10 +12,15 @@ Contracts the service tests pin down:
   :class:`QueueFull` (the app answers 503) instead of buffering without
   limit.
 * **Coalescing** — a submission whose key (kind + config fingerprint +
-  artifact selection) matches a queued, running, or completed job
+  artifact selection) matches a queued, running, or kept completed job
   returns that job instead of enqueueing a duplicate; the
   content-addressed study cache already dedupes across *differing*
   selections of the same config.
+* **Bounded retention** — the manager keeps every queued and running
+  job but only the newest :data:`KEPT_FINISHED_JOBS` finished ones:
+  when another job finishes, the oldest finished job is forgotten, so
+  its id answers 404 and resubmitting its payload runs a new job (a
+  study-cache hit).
 * **Cooperative cancellation** — queued jobs cancel immediately;
   running jobs observe :meth:`Job.raise_if_cancelled` between pipeline
   stages and abort at the next checkpoint.
@@ -43,6 +48,7 @@ import asyncio
 import itertools
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -56,6 +62,10 @@ DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
 TIMEOUT = "timeout"
+
+#: Finished jobs (with their payloads, artifact bytes and manifests) a
+#: manager keeps; beyond this the oldest finished job is dropped.
+KEPT_FINISHED_JOBS = 64
 
 
 class JobCancelled(Exception):
@@ -194,6 +204,8 @@ class JobManager:
         self.draining = False
         self._jobs: dict[str, Job] = {}
         self._by_key: dict[str, str] = {}
+        #: ids of the kept finished jobs, oldest first.
+        self._finished: deque[str] = deque()
         self._ids = itertools.count(1)
         self._queue: asyncio.Queue[Job | None] = asyncio.Queue(
             maxsize=queue_size + workers  # sentinels always fit
@@ -226,7 +238,7 @@ class JobManager:
         bounded wait; the manager never hard-kills a body mid-write.
         """
         self.draining = True
-        for job in self._jobs.values():
+        for job in self.jobs():
             if job.status == QUEUED:
                 self._finish(job, CANCELLED, error="cancelled by drain")
         for _ in self._tasks:
@@ -391,3 +403,9 @@ class JobManager:
         self._admitted = max(0, self._admitted - 1)
         obs.counter(f"service.jobs.{status}").inc()
         obs.gauge("service.queue.depth").set(self._admitted)
+        self._finished.append(job.id)
+        if len(self._finished) > KEPT_FINISHED_JOBS:
+            oldest = self._jobs.pop(self._finished.popleft())
+            # A resubmission after a failure may own the key by now.
+            if self._by_key.get(oldest.key) == oldest.id:
+                del self._by_key[oldest.key]

@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.attacks.events import AttackClass
 from repro.core.cache import (
     CACHE_DIR_ENV,
@@ -204,13 +205,13 @@ class TestEntryIntegrity:
         fingerprint = config_fingerprint(tiny_config)
         path = cache.store(fingerprint, *tiny_result)
         _replace_with_flipped(path, locate(path.read_bytes(), tiny_result[0]))
-        assert cache.load(fingerprint) is None
-
-        study = Study(tiny_config, cache=True, cache_dir=tmp_path)
-        sinks = study.observations
+        with obs.collecting() as registry:
+            assert cache.load(fingerprint) is None
+            study = Study(tiny_config, cache=True, cache_dir=tmp_path)
+            sinks = study.observations
         truth = {c: study.ground_truth_weekly(c) for c in AttackClass}
         assert _packed_bytes((sinks, truth)) == _packed_bytes(tiny_result)
-        assert cache.stats()["misses"] == 2
+        assert registry.counter("cache.misses").value == 2
         reloaded = cache.load(fingerprint)
         assert reloaded is not None
         assert _packed_bytes(reloaded) == _packed_bytes(tiny_result)
@@ -284,65 +285,60 @@ class TestEnvironment:
 
 
 class TestActivityStats:
-    """The persistent hit/miss counters behind ``ddoscovery cache info``."""
+    """The ``cache.*`` counters: every lookup and store records into the
+    caller's metrics context, and a load writes nothing to disk."""
+
+    @staticmethod
+    def _counts(registry) -> dict[str, int]:
+        names = ("hits", "misses", "stores", "bytes_read", "bytes_written")
+        return {name: registry.counter(f"cache.{name}").value for name in names}
 
     def test_fresh_cache_reports_zeros(self, tmp_path):
-        cache = StudyCache(tmp_path)
-        assert cache.stats() == {
+        cache = StudyCache(tmp_path / "cache")
+        with obs.collecting() as registry:
+            assert cache.load("0" * 64) is None
+        assert self._counts(registry) == {
             "hits": 0,
-            "misses": 0,
+            "misses": 1,
             "stores": 0,
             "bytes_read": 0,
             "bytes_written": 0,
         }
-        assert cache.hit_rate() is None
+        assert cache.entries() == [] and cache.total_bytes() == 0
+        assert not cache.root.exists()  # a miss creates nothing
 
     def test_cold_then_warm_run_records_miss_then_hit(
         self, tiny_config, tmp_path
     ):
-        """Regression for `cache info` hit rates: a cold study records one
-        miss and one store, the warm rerun one hit — 50% lifetime rate."""
+        """A cold study records one miss and one store, the warm rerun one
+        hit, and the hit leaves every file in the cache untouched."""
         cache_dir = tmp_path / "cache"
-        Study(tiny_config, cache=True, cache_dir=cache_dir).observations
-        cache = StudyCache(cache_dir)
-        cold = cache.stats()
+        with obs.collecting() as registry:
+            Study(tiny_config, cache=True, cache_dir=cache_dir).observations
+        cold = self._counts(registry)
         assert (cold["hits"], cold["misses"], cold["stores"]) == (0, 1, 1)
         assert cold["bytes_written"] > 0
         assert cold["bytes_read"] == 0
-        assert cache.hit_rate() == 0.0
 
-        Study(tiny_config, cache=True, cache_dir=cache_dir).observations
-        warm = cache.stats()
-        assert (warm["hits"], warm["misses"], warm["stores"]) == (1, 1, 1)
-        assert warm["bytes_read"] == warm["bytes_written"]
-        assert cache.hit_rate() == 0.5
+        def files() -> dict[str, int]:
+            return {path.name: path.stat().st_mtime_ns for path in cache_dir.iterdir()}
 
-    def test_stats_survive_across_cache_instances(
-        self, tiny_config, tiny_result, tmp_path
-    ):
-        """Counters live on disk, so separate processes (here: separate
-        StudyCache objects) accumulate into the same lifetime totals."""
-        fingerprint = config_fingerprint(tiny_config)
-        StudyCache(tmp_path).store(fingerprint, *tiny_result)
-        assert StudyCache(tmp_path).load(fingerprint) is not None
-        assert StudyCache(tmp_path).load("0" * 64) is None
-        stats = StudyCache(tmp_path).stats()
-        assert (stats["hits"], stats["misses"], stats["stores"]) == (1, 1, 1)
-
-    def test_corrupt_stats_file_reads_as_zeros(self, tmp_path):
-        cache = StudyCache(tmp_path)
-        tmp_path.mkdir(exist_ok=True)
-        cache.stats_path.write_text("not json", encoding="utf-8")
-        assert cache.stats()["hits"] == 0
-        assert cache.hit_rate() is None
+        before = files()
+        with obs.collecting() as registry:
+            Study(tiny_config, cache=True, cache_dir=cache_dir).observations
+        warm = self._counts(registry)
+        assert (warm["hits"], warm["misses"], warm["stores"]) == (1, 0, 0)
+        assert warm["bytes_read"] == cold["bytes_written"]
+        assert files() == before
+        assert list(before) == [StudyCache(cache_dir).entries()[0].name]
 
     def test_clear_resets_stats(self, tiny_config, tiny_result, tmp_path):
+        """``clear`` also deletes the ``stats.json`` earlier versions kept."""
         cache = StudyCache(tmp_path)
         cache.store(config_fingerprint(tiny_config), *tiny_result)
-        assert cache.stats()["stores"] == 1
-        cache.clear()
-        assert not cache.stats_path.exists()
-        assert cache.hit_rate() is None
+        (tmp_path / "stats.json").write_text('{"hits": 3}', encoding="utf-8")
+        assert cache.clear() == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestStudyCacheIntegration:

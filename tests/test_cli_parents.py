@@ -4,8 +4,8 @@
 on :func:`repro.cli._execution_parent`, so the operator learns one set
 of execution flags once.  These tests pin that contract: the five shared
 flags exist on every command, with identical option strings, and
-``--execution`` stays on ``serve`` alone — the cell-running commands
-pre-warm their shard pool from ``--jobs``.
+``--execution`` stays on ``serve`` alone — ``--jobs`` alone sizes the
+shard pool of the cell-running commands.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def test_execution_choices_are_uniform(command, action):
 
 def test_execution_defaults_fit_each_command():
     # serve keeps the warm process pool; the cell-running commands have
-    # no --execution at all (--jobs alone decides whether they pre-warm).
+    # no --execution at all (--jobs alone sizes their shard pool).
     # serve is a daemon in either role: a worker starts only as
     # 'dist worker', so serve takes no coordinator address.
     serve = _command_parser("serve", None)
@@ -95,6 +95,10 @@ def test_execution_defaults_fit_each_command():
         "coordinator",
     )
     assert "--coordinator" not in serve._option_string_actions
+    # A lease lives as long as its worker stays registered: the heartbeat
+    # timeout is the coordinator's one liveness setting.
+    assert "--lease-ttl" not in serve._option_string_actions
+    assert "--heartbeat-timeout" in serve._option_string_actions
     # The shard width is fixed: it changes the simulated bytes, and the
     # cache key does not include it.
     run = _command_parser("run", None)

@@ -4,8 +4,9 @@ Everything here drives :class:`repro.service.dist.DistCoordinator`
 directly with a fake monotonic clock: workers through ``register`` /
 ``acquire`` / ``complete``, and the waiting ``run_sweep`` through the
 executor entry point :meth:`~repro.service.dist.DistCoordinator.execute`,
-which queues its cells before it returns.  Lease expiry, heartbeat
-eviction, stale completions, and hash-mismatch re-queues are pinned
+which queues its cells before it returns.  The one liveness rule (a
+lease lives as long as its worker stays registered, and eviction
+re-queues it), stale completions, and hash-mismatch re-queues are pinned
 deterministically — no ports, and threads only where an execution
 waits on the coordinator or workers race it.  The wire-level behaviour
 of the same code paths is covered by ``tests/test_dist_service.py`` and
@@ -64,7 +65,6 @@ def smoke_descriptor() -> dict:
 
 
 def make_coordinator(clock, **kwargs) -> DistCoordinator:
-    kwargs.setdefault("lease_ttl_s", 10.0)
     kwargs.setdefault("heartbeat_timeout_s", 30.0)
     # waits between uploads use real time; keep them short
     kwargs.setdefault("poll_interval_s", 0.01)
@@ -115,11 +115,31 @@ class TestHandshake:
         assert "register_request" in document["schemas"]
 
     def test_register_returns_lease_and_heartbeat_config(self, coordinator):
-        response = register(coordinator, "w1")
+        response = validate_message("register_response", register(coordinator, "w1"))
         assert response["protocol"] == DIST_PROTOCOL_VERSION
         assert response["worker_id"] == "w1"
-        assert response["lease_ttl_s"] == 10.0
-        assert response["heartbeat_interval_s"] > 0
+        # Leases have no lifetime of their own: the heartbeat interval is
+        # the one liveness setting a worker is told.
+        assert sorted(response) == [
+            "capabilities",
+            "heartbeat_interval_s",
+            "protocol",
+            "worker_id",
+        ]
+        assert response["heartbeat_interval_s"] == 10.0
+
+    def test_advised_heartbeat_interval_is_a_third_of_the_timeout(self, clock):
+        for timeout in (4.0, 15.0):
+            coordinator = make_coordinator(clock, heartbeat_timeout_s=timeout)
+            assert register(coordinator)["heartbeat_interval_s"] == timeout / 3
+
+    def test_version_one_worker_is_refused(self, coordinator):
+        assert DIST_PROTOCOL_VERSION == 2
+        with pytest.raises(ProtocolError) as caught:
+            coordinator.register(
+                {"protocol": 1, "worker_id": "w1", "capabilities": []}
+            )
+        assert caught.value.code == "protocol-mismatch"
 
     def test_protocol_mismatch_is_structured_409(self, coordinator):
         with pytest.raises(ProtocolError) as caught:
@@ -212,7 +232,7 @@ class TestLeaseLifecycle:
 
     def test_acquire_without_work_is_idle_not_error(self, coordinator):
         register(coordinator, "w1")
-        lease = coordinator.acquire("w1")
+        lease = validate_message("lease_response", coordinator.acquire("w1"))
         assert lease["lease_id"] is None
         assert lease["retry_after_s"] > 0
 
@@ -306,8 +326,11 @@ class TestFailureModel:
         register(coordinator, "w2")
         start(coordinator)
         first = coordinator.acquire("w1")
-        clock.advance(11.0)  # past the 10 s TTL, within heartbeat timeout
-        coordinator.heartbeat("w1")
+        clock.advance(29.0)  # w1 silent, but within the 30 s timeout
+        coordinator.heartbeat("w2")
+        other = coordinator.acquire("w2")
+        assert other["cell"]["index"] != first["cell"]["index"]
+        clock.advance(2.0)  # past it: evicting w1 expires its lease
         retry = coordinator.acquire("w2")
         assert retry["cell"]["index"] == first["cell"]["index"]
         assert retry["lease_id"] != first["lease_id"]
@@ -320,8 +343,9 @@ class TestFailureModel:
         run = start(coordinator)
         dead = coordinator.acquire("w1")
         index = dead["cell"]["index"]
-        clock.advance(11.0)
-        coordinator.heartbeat("w1")
+        clock.advance(20.0)
+        coordinator.heartbeat("w2")
+        clock.advance(11.0)  # w1 is 31 s silent: evicted, its lease expired
         live = coordinator.acquire("w2")
         coordinator.complete(live["lease_id"], "w2", completion("w2", index))
         with pytest.raises(ProtocolError) as caught:
@@ -332,16 +356,24 @@ class TestFailureModel:
         assert cell.index == index and result == {"cell": index, "ok": True}
         assert coordinator.status()["tasks"][0]["n_done"] == 1
 
-    def test_renew_keeps_a_long_cell_alive(self, coordinator, clock):
-        register(coordinator, "w1")
-        start(coordinator)
+    def test_heartbeats_alone_keep_a_long_cell_leased(self, coordinator, clock):
+        """A live worker keeps its lease however long its cell takes."""
+        interval = register(coordinator, "w1")["heartbeat_interval_s"]
+        register(coordinator, "w2")
+        run = start(coordinator)
         lease = coordinator.acquire("w1")
-        for _ in range(3):
-            clock.advance(8.0)  # would expire without the renew
-            coordinator.renew(lease["lease_id"], "w1")
-        coordinator.complete(
-            lease["lease_id"], "w1", completion("w1", lease["cell"]["index"])
-        )
+        index = lease["cell"]["index"]
+        beats = 0
+        while beats * interval <= 10 * coordinator.heartbeat_timeout_s:
+            clock.advance(interval)
+            beats += 1
+            coordinator.heartbeat("w1")
+            coordinator.heartbeat("w2")
+            granted = coordinator.acquire("w2")  # takes every other cell
+            assert granted["lease_id"] is None or granted["cell"]["index"] != index
+        coordinator.complete(lease["lease_id"], "w1", completion("w1", index))
+        cell, result, _ = next(run)
+        assert cell.index == index and result == {"cell": index, "ok": True}
 
     def test_silent_worker_is_evicted_and_leases_requeued(
         self, coordinator, clock

@@ -1,12 +1,12 @@
-"""Lease-expiry determinism: SIGKILL a worker mid-cell, bytes still match.
+"""Eviction determinism: SIGKILL a worker mid-cell, bytes still match.
 
 The distributed tier's headline invariant is that worker failures are
 invisible in the output.  This test makes the failure real: a worker
 *subprocess* acquires a lease, stalls inside the cell body (its script
 wraps ``repro.sweep.scheduler.run_cell`` in a 60 s sleep), and is
 SIGKILLed — no drain, no deregister, no goodbye.  The coordinator must
-expire the orphaned lease, re-dispatch the cell to the surviving
-workers, record every cell exactly once in the ledger, and serve a
+evict the silent worker, which expires its orphaned lease, re-dispatch
+the cell to the surviving workers, record every cell exactly once in the ledger, and serve a
 ``report`` artifact byte-identical to a serial run of the same preset.
 
 The second test SIGKILLs the coordinator itself.  The ledger is its only
@@ -145,8 +145,8 @@ def test_sigkilled_worker_never_changes_the_bytes(tmp_path):
             _, overview = await request_json(port, "GET", "/v1/dist/status")
             by_id = {w["worker_id"]: w for w in overview["workers"]}
             # the victim contributed nothing; the rescuers did it all
-            # (it stays in the roster until the heartbeat timeout — only
-            # its *lease* had to die for the cell to re-dispatch)
+            # (it leaves the roster at the heartbeat timeout, and the
+            # same eviction re-dispatched its cell)
             assert by_id.get("victim", {"completed": 0})["completed"] == 0
             assert sum(w["completed"] for w in overview["workers"]) == 4
             status, raw = await request(
@@ -167,11 +167,10 @@ def test_sigkilled_worker_never_changes_the_bytes(tmp_path):
         role="coordinator",
         cache_dir=dist_dir,
         cache=False,
-        # short TTL so the orphaned lease re-dispatches quickly; the
-        # heartbeat timeout stays long enough that live workers (which
-        # also refresh liveness on acquire/complete) are never evicted.
-        lease_ttl_s=2.0,
-        heartbeat_timeout_s=30.0,
+        # a short timeout, so the silent victim is evicted and its cell
+        # re-dispatched quickly; live workers heartbeat every third of it
+        # (and refresh liveness on acquire/complete), so stay registered.
+        heartbeat_timeout_s=3.0,
     )
 
     assert scenario.raw == expected

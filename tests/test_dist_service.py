@@ -87,7 +87,9 @@ class TestCoordinatorHandshake:
             )
             assert status == 200
             assert document["worker_id"] == "w1"
-            assert document["lease_ttl_s"] == 60.0
+            # the default 15 s timeout advises today's 5 s heartbeat
+            assert document["heartbeat_interval_s"] == 5.0
+            assert "lease_ttl_s" not in document
             status, beat = await request_json(
                 port, "POST", "/v1/dist/workers/w1/heartbeat", {}
             )

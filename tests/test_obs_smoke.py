@@ -189,7 +189,7 @@ class TestProfile:
 
 
 class TestCacheInfo:
-    def test_reports_hit_rate(self, capsys, tmp_path):
+    def test_reports_root_entries_and_size(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"
         base = [
             "run",
@@ -201,18 +201,22 @@ class TestCacheInfo:
             str(cache_dir),
         ]
         assert main(base) == 0  # cold: one miss, one store
-        assert main(base) == 0  # warm: one hit
+        assert main(base) == 0  # warm: one hit, which writes nothing
         capsys.readouterr()
         assert main(["cache", "info", "--cache-dir", str(cache_dir)]) == 0
         output = capsys.readouterr().out
-        assert "hits      : 1" in output
-        assert "misses    : 1" in output
-        assert "hit rate  : 50.0%" in output
-        assert StudyCache(cache_dir).hit_rate() == 0.5
+        (entry,) = StudyCache(cache_dir).entries()
+        assert f"cache root: {cache_dir}" in output
+        assert "entries   : 1" in output
+        assert "total size:" in output
+        assert entry.name in output
+        assert [path.name for path in cache_dir.iterdir()] == [entry.name]
 
     def test_fresh_cache_has_no_rate(self, capsys, tmp_path):
         assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
-        assert "n/a (no lookups yet)" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "entries   : 0" in output
+        assert "hit rate" not in output
 
 
 class TestWriteManifest:

@@ -28,6 +28,7 @@ from repro.service import (
     study_config_from_payload,
 )
 from repro.service.daemon import serve
+from repro.service.jobs import KEPT_FINISHED_JOBS
 
 
 async def request_full(port, method, path, body=None, headers=()):
@@ -443,6 +444,69 @@ class TestServiceLifecycle:
             assert [a["name"] for a in registry["artifacts"]] == artifact_names()
 
         run_daemon(scenario)
+
+
+class TestRetention:
+    def test_only_the_newest_finished_jobs_are_kept(self):
+        """Past ``KEPT_FINISHED_JOBS`` finished jobs the oldest is dropped:
+        its id answers 404 and its payload runs again, while running jobs
+        and a key a newer job owns survive the drop."""
+        release = threading.Event()
+        executions: list[int] = []
+
+        def runner(job):
+            seed = job.payload["config"]["seed"]
+            executions.append(seed)
+            if seed == 999:
+                release.wait(30)
+            if seed == 0 and executions.count(0) == 1:
+                raise RuntimeError("first attempt fails")
+            return JobResult()
+
+        async def finished(port, seed):
+            status, document = await request_json(
+                port, "POST", "/v1/jobs", payload_for_seed(seed)
+            )
+            assert status == 202, document
+            return await poll_until(port, document["id"], "done", "failed")
+
+        async def scenario(handle):
+            port = handle.port
+            _, held = await request_json(
+                port, "POST", "/v1/jobs", payload_for_seed(999)
+            )
+            await poll_until(port, held["id"], "running")
+            failed = await finished(port, 0)
+            assert failed["status"] == "failed"
+            redo = await finished(port, 0)  # a failure does not keep its key
+            assert redo["status"] == "done"
+            for seed in range(1, KEPT_FINISHED_JOBS):
+                await finished(port, seed)
+            # 65 finished jobs: the failed one, the oldest, is gone ...
+            status, _ = await request_json(port, "GET", f"/v1/jobs/{failed['id']}")
+            assert status == 404
+            # ... but not the key its resubmission owns, nor a running job
+            status, again = await request_json(
+                port, "POST", "/v1/jobs", payload_for_seed(0)
+            )
+            assert status == 200 and again["id"] == redo["id"]
+            _, document = await request_json(port, "GET", f"/v1/jobs/{held['id']}")
+            assert document["status"] == "running"
+
+            await finished(port, KEPT_FINISHED_JOBS)  # drops the redo
+            status, _ = await request_json(port, "GET", f"/v1/jobs/{redo['id']}")
+            assert status == 404
+            rerun = await finished(port, 0)
+            assert rerun["id"] != redo["id"] and rerun["status"] == "done"
+            assert executions.count(0) == 3
+
+            _, health = await request_json(port, "GET", "/v1/health")
+            assert health["jobs"] == {"running": 1, "done": KEPT_FINISHED_JOBS}
+            _, listing = await request_json(port, "GET", "/v1/jobs")
+            assert len(listing["jobs"]) == KEPT_FINISHED_JOBS + 1
+            release.set()
+
+        run_daemon(scenario, runner=runner, workers=2)
 
 
 class TestDrain:
