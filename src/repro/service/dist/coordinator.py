@@ -27,7 +27,11 @@ Failure model (pinned by ``tests/test_dist_coordinator.py``):
   (``service.dist.workers.evicted``, ``service.dist.leases.expired`` /
   ``.retried``).  Workers are advised to heartbeat every third of the
   timeout, so one that keeps that interval is never evicted, however
-  long its cell takes.
+  long its cell takes.  A worker holds at most one lease and asks for
+  the next only once it is done with it, so a lease its worker id still
+  holds when that id registers again (a restarted process) or acquires
+  again (a retried request whose answer was lost) is orphaned, and is
+  re-queued the same way.
 * **stale completion** — a result arriving under an evicted, withdrawn
   or already re-dispatched lease is rejected with a structured
   ``stale-lease`` error; the re-dispatched lease recomputes the
@@ -141,6 +145,10 @@ class DistCoordinator:
                 raise ProtocolError(
                     503, "draining", "coordinator is draining; not admitting"
                 )
+            # A worker registers only between cells, so a registration
+            # under a known id is a new incarnation (a restart, or a
+            # retried request): whatever the id still holds is orphaned.
+            self._expire_worker_leases(worker_id)
             self._workers[worker_id] = _Worker(
                 worker_id=worker_id,
                 capabilities=tuple(payload["capabilities"]),
@@ -186,6 +194,10 @@ class DistCoordinator:
             if worker is None:
                 raise self._unknown_worker(worker_id)
             worker.last_seen = self._clock()
+            # A worker runs one cell at a time and asks for the next only
+            # after it uploads or fails the last, so a lease it still
+            # holds never reached it (a retried request): re-queue it.
+            self._expire_worker_leases(worker_id)
             idle = {
                 "lease_id": None,
                 "task_id": None,
@@ -448,7 +460,7 @@ class DistCoordinator:
             self._changed.notify_all()
 
     def _expire_worker_leases(self, worker_id: str) -> None:
-        """An evicted or deregistered worker's leases die with it."""
+        """Re-queue every lease ``worker_id`` holds (see the module doc)."""
         for lease in list(self._leases.values()):
             if lease.worker_id == worker_id:
                 self._requeue(lease)

@@ -6,11 +6,12 @@ directly with a fake monotonic clock: workers through ``register`` /
 executor entry point :meth:`~repro.service.dist.DistCoordinator.execute`,
 which queues its cells before it returns.  The one liveness rule (a
 lease lives as long as its worker stays registered, and eviction
-re-queues it), stale completions, and hash-mismatch re-queues are pinned
-deterministically — no ports, and threads only where an execution
-waits on the coordinator or workers race it.  The wire-level behaviour
-of the same code paths is covered by ``tests/test_dist_service.py`` and
-the SIGKILL tests in ``tests/test_dist_determinism.py``.
+re-queues it), orphaned leases, stale completions, and hash-mismatch
+re-queues are pinned deterministically — no ports, and threads only
+where an execution waits on the coordinator or workers race it.  The
+wire-level behaviour of the same code paths is covered by
+``tests/test_dist_service.py`` and the SIGKILL tests in
+``tests/test_dist_determinism.py``.
 """
 
 from __future__ import annotations
@@ -133,27 +134,21 @@ class TestHandshake:
             coordinator = make_coordinator(clock, heartbeat_timeout_s=timeout)
             assert register(coordinator)["heartbeat_interval_s"] == timeout / 3
 
-    def test_version_one_worker_is_refused(self, coordinator):
-        assert DIST_PROTOCOL_VERSION == 2
-        with pytest.raises(ProtocolError) as caught:
-            coordinator.register(
-                {"protocol": 1, "worker_id": "w1", "capabilities": []}
-            )
-        assert caught.value.code == "protocol-mismatch"
-
     def test_protocol_mismatch_is_structured_409(self, coordinator):
-        with pytest.raises(ProtocolError) as caught:
-            coordinator.register(
-                {"protocol": 999, "worker_id": "w1", "capabilities": []}
-            )
-        error = caught.value
-        assert error.status == 409
-        assert error.code == "protocol-mismatch"
-        assert error.document() == {
-            "code": "protocol-mismatch",
-            "expected": DIST_PROTOCOL_VERSION,
-            "got": 999,
-        }
+        assert DIST_PROTOCOL_VERSION == 2
+        for got in (1, 999):  # the version before, and one never issued
+            with pytest.raises(ProtocolError) as caught:
+                coordinator.register(
+                    {"protocol": got, "worker_id": "w1", "capabilities": []}
+                )
+            error = caught.value
+            assert error.status == 409
+            assert error.code == "protocol-mismatch"
+            assert error.document() == {
+                "code": "protocol-mismatch",
+                "expected": 2,
+                "got": got,
+            }
 
     def test_unknown_capability_rejected(self):
         with pytest.raises(ProtocolError) as caught:
@@ -330,6 +325,9 @@ class TestFailureModel:
         coordinator.heartbeat("w2")
         other = coordinator.acquire("w2")
         assert other["cell"]["index"] != first["cell"]["index"]
+        coordinator.complete(
+            other["lease_id"], "w2", completion("w2", other["cell"]["index"])
+        )
         clock.advance(2.0)  # past it: evicting w1 expires its lease
         retry = coordinator.acquire("w2")
         assert retry["cell"]["index"] == first["cell"]["index"]
@@ -370,8 +368,50 @@ class TestFailureModel:
             coordinator.heartbeat("w1")
             coordinator.heartbeat("w2")
             granted = coordinator.acquire("w2")  # takes every other cell
-            assert granted["lease_id"] is None or granted["cell"]["index"] != index
+            if granted["lease_id"] is not None:
+                other = granted["cell"]["index"]
+                assert other != index
+                coordinator.complete(
+                    granted["lease_id"], "w2", completion("w2", other)
+                )
         coordinator.complete(lease["lease_id"], "w1", completion("w1", index))
+        settled = {cell.index: result for cell, result, _ in run}
+        assert sorted(settled) == [0, 1, 2, 3]
+        assert settled[index] == {"cell": index, "ok": True}
+
+    def test_reregistration_requeues_the_earlier_incarnations_lease(
+        self, coordinator, clock
+    ):
+        """A worker killed mid-cell and restarted under its stable id
+        before the timeout: its old lease must not outlive the process."""
+        register(coordinator, "w1")
+        register(coordinator, "w2")
+        run = start(coordinator)
+        lost = coordinator.acquire("w1")
+        index = lost["cell"]["index"]
+        clock.advance(1.0)  # far inside the 30 s timeout: no eviction
+        register(coordinator, "w1")
+        retry = coordinator.acquire("w2")
+        assert retry["cell"]["index"] == index
+        coordinator.complete(retry["lease_id"], "w2", completion("w2", index))
+        with pytest.raises(ProtocolError) as caught:
+            coordinator.complete(lost["lease_id"], "w1", completion("w1", index))
+        assert caught.value.code == "stale-lease"
+        cell, result, _ = next(run)
+        assert cell.index == index and result == {"cell": index, "ok": True}
+
+    def test_repeated_acquire_requeues_the_unanswered_lease(self, coordinator):
+        """A lease answer lost on the wire, and the request retried: the
+        first lease must not stay leased under a live worker."""
+        register(coordinator, "w1")
+        run = start(coordinator)
+        lost = coordinator.acquire("w1")
+        index = lost["cell"]["index"]
+        retry = coordinator.acquire("w1")
+        assert retry["cell"]["index"] == index
+        assert retry["lease_id"] != lost["lease_id"]
+        assert coordinator.status()["leases"] == 1
+        coordinator.complete(retry["lease_id"], "w1", completion("w1", index))
         cell, result, _ = next(run)
         assert cell.index == index and result == {"cell": index, "ok": True}
 
