@@ -22,7 +22,9 @@ bit-identical bytes from every entry point — the property the
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
@@ -700,8 +702,96 @@ def artifact_json_bytes(document: dict[str, Any]) -> bytes:
 
     Sorted keys, two-space indent, trailing newline, UTF-8 — shared by
     the CLI, the service, and the export layer so identical
-    configurations produce bit-identical files everywhere.
+    configurations produce bit-identical files everywhere.  The bytes
+    are exactly ``json.dumps(document, indent=2, sort_keys=True,
+    ensure_ascii=False) + "\n"``, but CPython runs that through its
+    pure-Python encoder, because its C encoder takes no ``indent``;
+    :func:`_encode` writes the same text with the C encoder doing each
+    flat list of numbers.  (A circular document raises
+    ``RecursionError`` here, where json raises ``ValueError``.)
     """
-    return (
-        json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    ).encode("utf-8")
+    chunks: list[str] = []
+    _encode(document, "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks).encode("utf-8")
+
+
+#: json's C encoder, which it uses only without ``indent``: it renders
+#: a flat list of numbers compactly, and since the text of a number
+#: holds no comma, one ``str.replace`` then indents it.
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+_FLAT_ITEM_TYPES = frozenset((int, float))
+
+
+def _encode(value: Any, newline: str, chunks: list[str]) -> None:
+    """Append json's ``indent=2, sort_keys=True`` text of ``value``;
+    ``newline`` is a newline plus the indent of the line ``value`` is on."""
+    if isinstance(value, str):
+        chunks.append(encode_basestring(value))
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            text = key if isinstance(key, str) else _scalar_text(key)
+            if text is None:
+                raise TypeError(
+                    "keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}"
+                )
+            chunks.append(separator + encode_basestring(text) + ": ")
+            separator = "," + inner
+            _encode(item, inner, chunks)
+        chunks.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        if _FLAT_ITEM_TYPES.issuperset(map(type, value)):
+            chunks.append(
+                "["
+                + inner
+                + _encode_compact(value)[1:-1].replace(",", "," + inner)
+                + newline
+                + "]"
+            )
+            return
+        separator = "[" + inner
+        for item in value:
+            chunks.append(separator)
+            separator = "," + inner
+            _encode(item, inner, chunks)
+        chunks.append(newline + "]")
+    else:
+        text = _scalar_text(value)
+        if text is None:
+            raise TypeError(
+                f"Object of type {value.__class__.__name__} is not JSON serializable"
+            )
+        chunks.append(text)
+
+
+def _scalar_text(value: Any) -> str | None:
+    """json's text of ``None``, a bool, an int or a float; ``None`` for
+    any other type.  Subclasses of int and float are written as their
+    base type writes them (an ``IntEnum`` as its number)."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None

@@ -9,12 +9,16 @@ pairwise kernel of :mod:`repro.core.stats`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
 from repro.core.stats import p_values, pairwise
 from repro.util.calendar import StudyCalendar
+
+K = TypeVar("K")
 
 
 @dataclass
@@ -59,20 +63,33 @@ class BoxStats:
     n: int
 
 
-def box_stats(values: list[float]) -> BoxStats:
-    """Summary statistics of a non-empty sample."""
-    if not values:
-        raise ValueError("empty sample")
-    array = np.asarray(values, dtype=np.float64)
-    return BoxStats(
-        minimum=float(array.min()),
-        q1=float(np.percentile(array, 25)),
-        median=float(np.median(array)),
-        q3=float(np.percentile(array, 75)),
-        maximum=float(array.max()),
-        mean=float(array.mean()),
-        n=len(array),
-    )
+def box_stats(samples: dict[K, Sequence[float]]) -> dict[K, BoxStats]:
+    """Summary statistics of every sample, keyed and ordered as ``samples``.
+
+    Samples of one length are stacked, so each statistic is taken once
+    per length along ``axis=1``; a single sample is a group of one.  An
+    empty sample raises ``ValueError``.
+    """
+    by_size: dict[int, list[K]] = {}
+    for key, values in samples.items():
+        if not len(values):
+            raise ValueError(f"empty sample {key!r}")
+        by_size.setdefault(len(values), []).append(key)
+    boxes: dict[K, BoxStats] = {}
+    for size, keys in by_size.items():
+        stacked = np.array([samples[key] for key in keys], dtype=np.float64)
+        q1, q3 = np.percentile(stacked, (25, 75), axis=1).tolist()
+        rows = zip(
+            stacked.min(axis=1).tolist(),
+            q1,
+            np.median(stacked, axis=1).tolist(),
+            q3,
+            stacked.max(axis=1).tolist(),
+            stacked.mean(axis=1).tolist(),
+        )
+        for key, row in zip(keys, rows):
+            boxes[key] = BoxStats(*row, n=size)
+    return {key: boxes[key] for key in samples}
 
 
 def quarterly_correlations(

@@ -17,8 +17,6 @@ from itertools import combinations
 
 import numpy as np
 
-from repro.observatories.base import unique_keys
-
 
 @dataclass(frozen=True, eq=False)
 class Membership:
@@ -43,13 +41,31 @@ class Membership:
 
 
 def membership(named_keys: dict[str, np.ndarray]) -> Membership:
-    """Union of named sorted, unique key sets, with per-key membership."""
+    """Union of named sorted, unique key sets, with per-key membership.
+
+    One stable argsort of the concatenated sets merges their sorted runs
+    (faster than the default sort on a few long runs); each run of equal
+    keys in that order is one union key, and its mask ORs the bits of the
+    sets it came from.
+    """
     names = list(named_keys)
-    keys = unique_keys(np.concatenate(list(named_keys.values())))
-    mask = np.zeros(len(keys), dtype=np.min_scalar_type((1 << len(names)) - 1))
-    for bit, values in enumerate(named_keys.values()):
-        mask[np.searchsorted(keys, values)] |= 1 << bit
-    return Membership(names=names, keys=keys, mask=mask)
+    sets = list(named_keys.values())
+    dtype = np.min_scalar_type((1 << len(names)) - 1)
+    concatenated = np.concatenate(sets)
+    if not len(concatenated):
+        return Membership(names=names, keys=concatenated, mask=np.zeros(0, dtype))
+    order = np.argsort(concatenated, kind="stable")
+    ordered = concatenated[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    bits = np.repeat(
+        (1 << np.arange(len(sets))).astype(dtype),
+        [len(values) for values in sets],
+    )
+    return Membership(
+        names=names,
+        keys=ordered[starts],
+        mask=np.bitwise_or.reduceat(bits[order], starts),
+    )
 
 
 @dataclass(frozen=True)

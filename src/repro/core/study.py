@@ -454,11 +454,13 @@ class Study:
                 self.calendar,
             )
             return QuarterlyCorrelationFigure(
-                pairs={
-                    pair: box_stats(coefficients)
-                    for pair, coefficients in per_pair.items()
-                    if coefficients
-                }
+                pairs=box_stats(
+                    {
+                        pair: coefficients
+                        for pair, coefficients in per_pair.items()
+                        if coefficients
+                    }
+                )
             )
 
     # -- tables ---------------------------------------------------------------------

@@ -19,6 +19,12 @@ from repro.net.addr import IPV4_MAX
 from repro.observatories.base import Observations
 from repro.util.calendar import StudyCalendar
 
+_KNOWN_CLASSES = frozenset(int(attack_class) for attack_class in AttackClass)
+#: Per catalogue vector id: is it a reflection vector?
+_REFLECTION_VECTORS = np.array(
+    [vector.kind is VectorKind.REFLECTION for vector in VECTORS], dtype=bool
+)
+
 
 @dataclass
 class ValidationReport:
@@ -83,9 +89,13 @@ def validate_observations(
             f"[{int(targets.min())}, {int(targets.max())}]"
         )
 
+    # The classes present, from one count of the int8 column shifted to
+    # start at zero; both class checks read it.
     classes = observations.attack_class
-    known_classes = {int(attack_class) for attack_class in AttackClass}
-    bad_classes = set(np.unique(classes).tolist()) - known_classes
+    lowest = int(classes.min())
+    present = np.bincount(np.subtract(classes, lowest, dtype=np.intp))
+    present_classes = set((np.flatnonzero(present) + lowest).tolist())
+    bad_classes = present_classes - _KNOWN_CLASSES
     if bad_classes:
         report.errors.append(f"unknown attack classes: {sorted(bad_classes)}")
 
@@ -101,13 +111,7 @@ def validate_observations(
     # range error does not silently swallow it; if nothing is checkable,
     # say so instead of silently branching.
     if in_catalogue.any():
-        kinds = np.asarray(
-            [
-                1 if VECTORS[v].kind is VectorKind.REFLECTION else 0
-                for v in range(len(VECTORS))
-            ]
-        )
-        is_ra_vector = kinds[vectors[in_catalogue]] == 1
+        is_ra_vector = _REFLECTION_VECTORS[vectors[in_catalogue]]
         is_ra_class = (
             classes[in_catalogue]
             == int(AttackClass.REFLECTION_AMPLIFICATION)
@@ -137,7 +141,7 @@ def validate_observations(
 
     if expected_classes is not None:
         allowed = {int(attack_class) for attack_class in expected_classes}
-        unexpected = set(np.unique(classes).tolist()) - allowed
+        unexpected = present_classes - allowed
         if unexpected:
             report.warnings.append(
                 f"classes outside the platform's remit: {sorted(unexpected)}"

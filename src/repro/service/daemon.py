@@ -19,6 +19,7 @@ the handle.
 from __future__ import annotations
 
 import asyncio
+import shutil
 import signal
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +29,7 @@ from repro import obs
 from repro.service.app import App
 from repro.service.http import BadRequest, Response, read_request, write_response
 from repro.service.jobs import JobManager
-from repro.service.runners import EXECUTION_MODES, make_runner
+from repro.service.runners import EXECUTION_MODES, make_flag_dir, make_runner
 from repro.util.parallel import effective_jobs, shutdown_pool, warm_pool
 
 Log = Callable[[str], None]
@@ -111,8 +112,9 @@ async def serve(
         from repro.service.dist import DistCoordinator
 
         coordinator = DistCoordinator(heartbeat_timeout_s=config.heartbeat_timeout_s)
+    flag_dir = make_flag_dir()
     manager = JobManager(
-        make_runner(config, coordinator),
+        make_runner(config, flag_dir, coordinator),
         workers=config.workers,
         queue_size=config.queue_size,
         default_timeout_s=config.job_timeout_s,
@@ -209,6 +211,7 @@ async def serve(
         await server.wait_closed()
         await manager.drain(timeout=config.drain_timeout_s)
         shutdown_pool()
+        shutil.rmtree(flag_dir, ignore_errors=True)
         for signum in (signal.SIGTERM, signal.SIGINT):
             try:
                 loop.remove_signal_handler(signum)

@@ -42,6 +42,7 @@ twin.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -508,7 +509,33 @@ def _execute_job_body(
     return result, registry.snapshot(), tracer.tree()
 
 
-def _run_job_in_pool(job: Job, config: ServiceConfig) -> JobResult:
+#: Prefix of a daemon's job flag directory in the system temp dir,
+#: ``repro-serve-<pid>-*``: it holds the cancel flag and progress file
+#: of each process-mode job while the job runs.
+FLAG_DIR_PREFIX = "repro-serve-"
+
+
+def make_flag_dir() -> str:
+    """A new job flag directory for this daemon, named for its pid.
+
+    The daemon removes it when it drains.  One killed first (SIGKILL, an
+    OOM kill, a failed bind) leaves it behind, so this first removes the
+    flag directories whose pid no longer runs.
+    """
+    for path in Path(tempfile.gettempdir()).glob(f"{FLAG_DIR_PREFIX}*-*"):
+        pid = path.name[len(FLAG_DIR_PREFIX) :].partition("-")[0]
+        if not pid.isdecimal():
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            shutil.rmtree(path, ignore_errors=True)
+        except (PermissionError, OverflowError):
+            pass  # another user's live process, or no pid at all
+    return tempfile.mkdtemp(prefix=f"{FLAG_DIR_PREFIX}{os.getpid()}-")
+
+
+def _run_job_in_pool(job: Job, config: ServiceConfig, flag_dir: str) -> JobResult:
     """Dispatch one job body onto the persistent warm pool and await it.
 
     Runs on the manager's worker thread; the body itself runs in a pool
@@ -517,7 +544,8 @@ def _run_job_in_pool(job: Job, config: ServiceConfig) -> JobResult:
     worker killed mid-job surfaces as ``BrokenProcessPool``: the broken
     pool is discarded, a fresh one is warmed immediately, and the job
     fails with a clear error instead of hanging — the next submission
-    finds healthy workers.
+    finds healthy workers.  The job's flag files live in the daemon's
+    ``flag_dir`` and are removed when it ends.
     """
     from concurrent.futures import TimeoutError as FutureTimeout
     from concurrent.futures.process import BrokenProcessPool
@@ -526,9 +554,8 @@ def _run_job_in_pool(job: Job, config: ServiceConfig) -> JobResult:
     from repro.util import parallel
 
     workers = max(1, config.workers)
-    cancel_dir = tempfile.mkdtemp(prefix="repro-job-cancel-")
-    cancel_path = os.path.join(cancel_dir, job.id)
-    progress_path = os.path.join(cancel_dir, job.id + ".progress")
+    cancel_path = os.path.join(flag_dir, job.id)
+    progress_path = cancel_path + ".progress"
 
     def relay_progress() -> None:
         # Relay the body's incremental status (whatif jobs); os.replace
@@ -574,13 +601,16 @@ def _run_job_in_pool(job: Job, config: ServiceConfig) -> JobResult:
         # can finish before the poll loop's first iteration, and the
         # final payload must land on the completed job either way.
         relay_progress()
-        shutil.rmtree(cancel_dir, ignore_errors=True)
+        for path in (cancel_path, progress_path):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
     obs.absorb(snapshot, tree)
     return result
 
 
-def make_runner(config: ServiceConfig, coordinator=None):
-    """The :class:`~repro.service.jobs.JobManager` runner for a daemon.
+def make_runner(config: ServiceConfig, flag_dir: str, coordinator=None):
+    """The :class:`~repro.service.jobs.JobManager` runner for a daemon
+    whose job flag directory is ``flag_dir`` (:func:`make_flag_dir`).
 
     With a ``coordinator`` (a ``--role coordinator`` daemon), sweep and
     what-if bodies pass it to ``run_sweep`` as their cell executor.  Its
@@ -593,7 +623,7 @@ def make_runner(config: ServiceConfig, coordinator=None):
         if coordinator is not None and job.kind in _LEASED_KINDS:
             return _BODIES[job.kind](job, config, coordinator)
         if config.execution == "process":
-            return _run_job_in_pool(job, config)
+            return _run_job_in_pool(job, config, flag_dir)
         return _BODIES[job.kind](job, config)
 
     return run

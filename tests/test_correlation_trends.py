@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 from repro.core.correlation import (
+    BoxStats,
     box_stats,
     correlation_matrix,
     quarterly_correlations,
@@ -198,9 +199,23 @@ class TestQuarterlyCorrelations:
         assert values[("a", "flat")] == pytest.approx(expected, abs=1e-12)
 
 
+def per_sample_box(values):
+    """The reference: each statistic of one sample by its own numpy call."""
+    array = np.asarray(values, dtype=np.float64)
+    return BoxStats(
+        minimum=float(array.min()),
+        q1=float(np.percentile(array, 25)),
+        median=float(np.median(array)),
+        q3=float(np.percentile(array, 75)),
+        maximum=float(array.max()),
+        mean=float(array.mean()),
+        n=len(array),
+    )
+
+
 class TestBoxStats:
     def test_summary_values(self):
-        stats = box_stats([1.0, 2.0, 3.0, 4.0, 5.0])
+        stats = box_stats({"x": [1.0, 2.0, 3.0, 4.0, 5.0]})["x"]
         assert stats.minimum == 1.0
         assert stats.median == 3.0
         assert stats.maximum == 5.0
@@ -211,7 +226,23 @@ class TestBoxStats:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            box_stats([])
+            box_stats({"x": []})
+        with pytest.raises(ValueError):
+            box_stats({"x": [1.0], "y": []})
+
+    def test_grouped_equals_per_sample_statistics(self):
+        """Boxing samples grouped by size gives, bit for bit, what one
+        numpy call per statistic and sample gives, on sizes 1-20."""
+        rng = np.random.default_rng(14)
+        samples = {}
+        for index in range(400):
+            size = int(rng.integers(1, 21))
+            values = rng.uniform(-1.0, 1.0, size) * 10.0 ** int(rng.integers(-6, 6))
+            samples[(index, size)] = values.tolist()
+        boxes = box_stats(samples)
+        assert list(boxes) == list(samples)
+        for key, values in samples.items():
+            assert boxes[key] == per_sample_box(values), key
 
 
 class TestTrendClassification:

@@ -23,6 +23,8 @@ import asyncio
 import os
 import signal
 import subprocess
+import sys
+import tempfile
 import threading
 import time
 
@@ -308,6 +310,49 @@ class TestProcessExecution:
             run_daemon(scenario, execution="process", workers=1, jobs=1)
         finally:
             shutdown_pool()
+
+    def test_flag_directories_are_reclaimed(self, monkeypatch, tmp_path):
+        """A daemon keeps its jobs' flag files in one directory named for
+        its pid, which it removes on drain; at boot it removes those of
+        pids that no longer run and keeps those of live ones."""
+        import repro.service.runners as runners_module
+
+        def progressing_study_body(job, config):
+            job.set_progress({"step": 1})  # a file in the flag directory
+            return JobResult(artifacts={"table1": b'{"ok": true}\n'})
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setitem(
+            runners_module._BODIES, "study", progressing_study_body
+        )
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait(timeout=30)
+        dead = tmp_path / f"repro-serve-{child.pid}-killed"
+        dead.mkdir()
+        (dead / "job-1").touch()
+        alive = tmp_path / f"repro-serve-{os.getpid()}-live"
+        alive.mkdir()
+        shutdown_pool()  # fork after the patch
+
+        async def scenario(handle):
+            assert not dead.exists() and alive.exists()
+            (own,) = set(tmp_path.glob(f"repro-serve-{os.getpid()}-*")) - {alive}
+            _, document = await request_json(
+                handle.port, "POST", "/v1/jobs", payload_for_seed(3)
+            )
+            document = await poll_until(
+                handle.port, document["id"], "done", "failed", tries=1000
+            )
+            assert document["status"] == "done", document["error"]
+            assert list(own.iterdir()) == []
+            scenario.own = own
+
+        try:
+            run_daemon(scenario, execution="process", workers=1, jobs=1)
+        finally:
+            shutdown_pool()
+        assert not scenario.own.exists()
+        assert alive.exists()
 
 
 class TestDrainExits:

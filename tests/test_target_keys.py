@@ -254,6 +254,26 @@ class TestAgainstReference:
         assert rng.random() == RngFactory(0).stream("s").random()
 
     @settings(**_SETTINGS)
+    @given(named_target_sets)
+    @example(TIED)
+    @example({"A": set(), "B": set()})
+    @example({"A": set(), "B": {(0, 1)}, "C": set()})
+    @example({"A": {(0, 1), (0, 2)}, "B": {(1, 1), (1, 2)}})
+    def test_membership_is_the_searchsorted_union(self, named_sets):
+        """The one-argsort union equals the union it replaced:
+        ``unique_keys`` of the concatenated sets, then each set's bit set
+        at its ``searchsorted`` positions; empty and disjoint sets too."""
+        named_keys = packed(named_sets)
+        keys = unique_keys(np.concatenate(list(named_keys.values())))
+        mask = np.zeros(len(keys), dtype=np.uint8)
+        for bit, values in enumerate(named_keys.values()):
+            mask[np.searchsorted(keys, values)] |= 1 << bit
+        members = membership(named_keys)
+        assert members.keys.dtype == keys.dtype and members.mask.dtype == mask.dtype
+        assert np.array_equal(members.keys, keys)
+        assert np.array_equal(members.mask, mask)
+
+    @settings(**_SETTINGS)
     @given(st.lists(st.integers(min_value=-(2**62), max_value=2**62), max_size=40))
     def test_unique_keys_is_np_unique(self, values):
         keys = np.asarray(values, dtype=np.int64)
@@ -307,9 +327,8 @@ class TestTargetKeys:
 class TestOneDerivationPerFeed:
     def test_warm_study_sorts_each_feeds_keys_once(self, small_study, monkeypatch):
         """All 17 artifacts plus conformance on a warm study derive each of
-        the 8 feeds' target keys once, plus the academic membership union:
-        9 ``unique_keys`` calls."""
-        import repro.core.overlap as overlap_module
+        the 8 feeds' target keys once: 8 ``unique_keys`` calls.  (The
+        academic membership union merges the sorted sets without it.)"""
         import repro.observatories.base as base_module
         from repro.core.artifacts import artifact_json_bytes, artifact_names
         from repro.core.study import Study
@@ -322,7 +341,6 @@ class TestOneDerivationPerFeed:
             return unique_keys(keys)
 
         monkeypatch.setattr(base_module, "unique_keys", counted)
-        monkeypatch.setattr(overlap_module, "unique_keys", counted)
         with collecting() as registry:
             study = Study(small_study.config, cache=True)
             for name in artifact_names():
@@ -330,4 +348,4 @@ class TestOneDerivationPerFeed:
             study.conformance()
         assert registry.snapshot()["counters"].get("cache.hits") == 1
         assert len(study.observations) == 8
-        assert len(calls) == 9
+        assert len(calls) == 8

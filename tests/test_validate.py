@@ -172,6 +172,111 @@ class TestValidation:
         assert str(int(AttackClass.DIRECT_PATH)) in warning
 
 
+def reference_findings(observations, calendar, expected_classes=None):
+    """The errors and warnings of the earlier ``validate_observations``,
+    which took ``np.unique`` of the class column for each class check and
+    built the vector-kind table on every call; kept as the reference."""
+    from repro.attacks.vectors import VectorKind
+    from repro.net.addr import IPV4_MAX
+
+    errors, warnings = [], []
+    if len(observations) == 0:
+        return errors, ["feed is empty"]
+    days = observations.day
+    if int(days.min()) < 0 or int(days.max()) >= calendar.n_days:
+        errors.append(
+            f"day indices outside study window "
+            f"[{int(days.min())}, {int(days.max())}] vs 0..{calendar.n_days - 1}"
+        )
+    targets = observations.target
+    targets_in_range = int(targets.min()) >= 0 and int(targets.max()) <= IPV4_MAX
+    if not targets_in_range:
+        errors.append(
+            f"target addresses outside [0, 2**32) "
+            f"[{int(targets.min())}, {int(targets.max())}]"
+        )
+    classes = observations.attack_class
+    known_classes = {int(attack_class) for attack_class in AttackClass}
+    bad_classes = set(np.unique(classes).tolist()) - known_classes
+    if bad_classes:
+        errors.append(f"unknown attack classes: {sorted(bad_classes)}")
+    vectors = observations.vector_id
+    in_catalogue = (vectors >= 0) & (vectors < len(VECTORS))
+    if not in_catalogue.all():
+        errors.append(
+            f"vector ids outside catalogue "
+            f"[{int(vectors.min())}, {int(vectors.max())}]"
+        )
+    if in_catalogue.any():
+        kinds = np.asarray(
+            [
+                1 if VECTORS[v].kind is VectorKind.REFLECTION else 0
+                for v in range(len(VECTORS))
+            ]
+        )
+        is_ra_vector = kinds[vectors[in_catalogue]] == 1
+        is_ra_class = classes[in_catalogue] == int(
+            AttackClass.REFLECTION_AMPLIFICATION
+        )
+        mismatched = int((is_ra_vector != is_ra_class).sum())
+        if mismatched:
+            errors.append(f"{mismatched} records with class/vector kind mismatch")
+    else:
+        warnings.append(
+            "class/vector consistency not checked (no in-catalogue vector ids)"
+        )
+    bps = observations.bps
+    finite = np.isfinite(bps)
+    if not finite.all():
+        errors.append(f"{int((~finite).sum())} non-finite attack sizes")
+    if (bps[finite] < 0).any():
+        errors.append(f"{int((bps[finite] < 0).sum())} negative attack sizes")
+    if expected_classes is not None:
+        allowed = {int(attack_class) for attack_class in expected_classes}
+        unexpected = set(np.unique(classes).tolist()) - allowed
+        if unexpected:
+            warnings.append(f"classes outside the platform's remit: {sorted(unexpected)}")
+    duplicate_share = (
+        1.0 - len(observations.target_keys()) / len(observations)
+        if targets_in_range
+        else 0.0
+    )
+    if duplicate_share > 0.5:
+        warnings.append(f"{duplicate_share * 100:.0f}% same-day duplicate records")
+    return errors, warnings
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_errors_and_warnings(self, seed):
+        """Random feeds with classes -128, -1, 7 and 127 beside the known
+        two, out-of-catalogue vector ids, NaN, infinite and negative
+        sizes, out-of-window days, out-of-range and repeated targets get
+        exactly the old code's report."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        known = [int(attack_class) for attack_class in AttackClass]
+        classes = rng.choice(known + [-128, -1, 7, 127][: seed % 5], n)
+        vectors = rng.choice(
+            [0, 1, len(VECTORS) - 1, vector_id("DNS"), vector_id("SYN-flood")]
+            + [-1, len(VECTORS), 500][: seed % 4],
+            n,
+        )
+        bps = rng.choice([1e8, 5.0, 0.0] + [np.nan, -3.0, np.inf][: seed % 4], n)
+        days = np.sort(rng.integers(0, SMALL_CALENDAR.n_days + seed % 3, n))
+        targets = rng.choice([0, 1, 1000, 1 << 31, (1 << 32) - 1 + seed % 2], n)
+        observations = Observations(
+            "X", days, targets, classes, vectors, np.ones(n, dtype=bool), bps
+        )
+        for expected in (None, (AttackClass.REFLECTION_AMPLIFICATION,), tuple(AttackClass)):
+            report = validate_observations(
+                observations, SMALL_CALENDAR, expected_classes=expected
+            )
+            assert (report.errors, report.warnings) == reference_findings(
+                observations, SMALL_CALENDAR, expected
+            )
+
+
 class TestStudySelfCheck:
     def test_simulated_feeds_validate(self, small_study):
         reports = validate_study_feeds(small_study)
